@@ -10,7 +10,6 @@ difference beyond tolerance.
 
 import argparse
 import math
-import os
 import re
 import sys
 
@@ -57,14 +56,14 @@ def _build_parser():
                        help="model template: ri=random intercept, is=intercept+slope, biv=bivariate")
         p.add_argument("--algorithm", choices=sorted(_ALGORITHMS), default="bfgs")
         p.add_argument("--gh-order", type=int, default=None,
-                       help="fix the quadrature order (disables qtol-driven adaptation)")
+                       help="pin the quadrature order, capped per random-effects dimension "
+                            "(ignores --qtol); default: start at 10 and double")
         p.add_argument("--qtol", type=float, default=1e-6,
                        help="quadrature-order doubling tolerance")
         p.add_argument("--mvn-tol", type=float, default=1e-6,
                        help="rectangle-probability tolerance")
         p.add_argument("--fd", choices=["forward", "central"], default="central")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--threshold", type=float, default=None,
                        help="global detection limit when the file has no limit column")
         p.add_argument("--output", default=None, help="report/dataset destination")
@@ -91,14 +90,13 @@ def _build_parser():
 
 
 def _loglik_options(args, method):
+    """Likelihood settings; ``--gh-order`` pins the order through ``qtol=0``."""
     return LogLikOptions(
         method=method,
         mvn_tol=args.mvn_tol,
         gh_order=args.gh_order if args.gh_order is not None else 10,
-        adapt_gh_order=args.gh_order is None,
-        qtol=args.qtol,
+        qtol=args.qtol if args.gh_order is None else 0.0,
         seed=args.seed,
-        threads=max(1, args.threads),
     )
 
 

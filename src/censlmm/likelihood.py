@@ -15,7 +15,6 @@ detection limit and evaluates the ordinary mixed-model likelihood.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,17 +22,17 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import log_ndtr
 
+from . import quadrature
 from .data import CovarianceForm, build_designs, partition_subject
 from .errors import (
     CensLmmError,
     DimensionError,
     EvaluationError,
     InvalidParameterError,
-    ModeSearchError,
     NotPositiveDefiniteError,
 )
 from .gaussian import MAX_DIM, MvnProblem, mvn_rect_prob
-from .quadrature import agq_log_integral
+from .quadrature import agq_log_integral, choose_order
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -281,15 +280,13 @@ def conditional_moments(mu, v, obs_idx, cens_idx, y_obs):
 
 @dataclass(frozen=True)
 class LogLikOptions:
-    """Evaluation settings shared by the likelihood paths."""
+    """Evaluation settings shared by the likelihood paths; ``qtol <= 0`` pins the GH order."""
 
     method: Method = Method.MARGINAL
     mvn_tol: float = 1e-6
     gh_order: int = 10
     qtol: float = 1e-6
-    adapt_gh_order: bool = True
     seed: int = 0
-    threads: int = 1
     mvn_fixed_points: bool = False
 
     def __post_init__(self):
@@ -297,69 +294,91 @@ class LogLikOptions:
             raise ValueError("tolerances must be positive and gh_order at least 1")
 
 
-def _logpdf_from_chol(resid, chol_fac):
-    z = cho_solve(chol_fac, resid)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol_fac[0]))))
-    return -0.5 * float(resid @ z) - 0.5 * logdet - 0.5 * resid.shape[0] * _LOG_2PI
+def _reduced_factor(g):
+    """Map u = A v with v ~ N(0, I_r) spanning the (possibly deficient) G."""
+    vals, vecs = np.linalg.eigh(g)
+    scale = float(vals.max()) if vals.size else 0.0
+    keep = vals > max(1e-12, 1e-12 * scale)
+    return vecs[:, keep] * np.sqrt(vals[keep])
+
+
+def _subject_error(sid, exc):
+    return EvaluationError(f"subject {sid}: {exc}", subject_id=sid)
 
 
 class LikelihoodEvaluator:
-    """Precomputes per-subject designs and evaluates any of the three paths.
+    """Evaluates the three likelihood paths on one long-format layout.
 
-    Designs depend only on the data and model, so one evaluator can serve
-    every objective evaluation of a fit.  Per-subject contributions are
-    independent; with ``threads > 1`` they are mapped over a thread pool and
-    reduced in dataset order, so totals do not depend on the thread count.
+    All subjects' rows are stacked once in flat arrays: designs ``x`` and
+    ``z``, responses ``y`` (the detection limit on a censored row),
+    ``strata`` and the ``observed`` mask. Subject ``s`` owns rows
+    ``start[s]:start[s + 1]``, its ``n_obs[s]`` observed rows first, each
+    group in input order. One evaluator serves every evaluation of a fit, and
+    every path reads its Gaussian moments from :meth:`_posterior`.
     """
 
     def __init__(self, dataset, spec, options=LogLikOptions()):
         self.spec = spec
         self.options = options
-        self.subjects = []
+        self.subject_ids = [subject.subject_id for subject in dataset.subjects]
+        xs, zs, rows, n_obs = [], [], [], []
         for subject in dataset.subjects:
-            x, z = build_designs(subject, spec)
             obs_idx, cens_idx = partition_subject(subject)
-            strata = np.array([o.marker - 1 for o in subject.observations], dtype=int)
-            if np.any(strata >= spec.n_strata):
-                raise DimensionError(
-                    f"subject {subject.subject_id}: marker exceeds residual strata"
-                )
-            y = np.array([o.response for o in subject.observations])
-            thresholds = np.array([subject.observations[i].threshold for i in cens_idx])
-            self.subjects.append(
-                dict(
-                    sid=subject.subject_id,
-                    x=x,
-                    z=z,
-                    y=y,
-                    obs=np.array(obs_idx, dtype=int),
-                    cens=np.array(cens_idx, dtype=int),
-                    thresholds=thresholds,
-                    strata=strata,
-                )
-            )
+            order = obs_idx + cens_idx
+            x, z = build_designs(subject, spec)
+            xs.append(x[order])
+            zs.append(z[order])
+            rows.extend(subject.observations[i] for i in order)
+            n_obs.append(len(obs_idx))
+        self.x = np.concatenate(xs)
+        self.z = np.concatenate(zs)
+        self.y = np.array([o.response if o.is_observed else o.threshold for o in rows])
+        self.observed = np.array([o.is_observed for o in rows])
+        self.strata = np.array([o.marker - 1 for o in rows], dtype=int)
+        sizes = np.array([x.shape[0] for x in xs])
+        self.start = np.concatenate([[0], np.cumsum(sizes)])
+        self.n_obs = np.array(n_obs)
+        self.row_subject = np.repeat(np.arange(len(sizes)), sizes)
+        bad = np.flatnonzero(self.strata >= spec.n_strata)
+        if bad.size:
+            sid = self.subject_ids[self.row_subject[bad[0]]]
+            raise DimensionError(f"subject {sid}: marker exceeds residual strata")
 
     # -- shared helpers -----------------------------------------------------
 
     def _check(self, theta):
         theta.validate_for(self.spec)
-        if np.any(theta.sigma_e <= 0.0):
-            raise InvalidParameterError("residual SD must be strictly positive")
+        if np.any(theta.sigma_e ** 2 <= 0.0):
+            raise InvalidParameterError("residual variance must be strictly positive")
 
-    def _sum(self, contribution, theta):
-        subjects = self.subjects
-        if self.options.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.options.threads) as pool:
-                parts = list(pool.map(lambda s: contribution(s, theta), subjects))
-        else:
-            parts = [contribution(s, theta) for s in subjects]
-        return float(np.sum(parts))
+    def _posterior(self, theta, zf, weight):
+        """Per subject: log-density of its weighted rows and the posterior of v.
 
-    def _moments(self, rec, theta):
-        mu = rec["x"] @ theta.beta
-        resid_var = theta.sigma_e[rec["strata"]] ** 2
-        v = rec["z"] @ theta.g_matrix() @ rec["z"].T + np.diag(resid_var)
-        return mu, v
+        With u = A v, v ~ N(0, I_r) and ``zf`` = Z A, the rows of weight 1
+        are N(X beta, zf zf^T + R). By the Woodbury identity (Lindstrom and
+        Bates, JASA 1988) their log-density needs only the r x r matrix
+        M = I + zf^T R^{-1} zf: it is -(e^T R^{-1} e - b^T M^{-1} b + log|R|
+        + log|M| + n log 2 pi) / 2 with e = y - X beta and b = zf^T R^{-1} e,
+        and the posterior of v given those rows is N(M^{-1} b, M^{-1}).
+        Rows of weight 0 drop out. Returns the log-densities (S,), the
+        posterior means (S, r) and the Cholesky factors of M (S, r, r).
+        """
+        seg = self.start[:-1]
+        resid = self.y - self.x @ theta.beta
+        var = theta.sigma_e[self.strata] ** 2
+        scaled = zf * (weight / var)[:, None]
+        prec = np.add.reduceat(scaled[:, :, None] * zf[:, None, :], seg, axis=0)
+        prec += np.eye(zf.shape[1])
+        chol = np.linalg.cholesky(prec)
+        b = np.add.reduceat(scaled * resid[:, None], seg, axis=0)
+        white = np.linalg.solve(chol, b[:, :, None])
+        mean = np.linalg.solve(np.swapaxes(chol, 1, 2), white)[:, :, 0]
+        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+        quad = np.add.reduceat(weight * resid * resid / var, seg)
+        quad -= np.sum(white[:, :, 0] ** 2, axis=1)
+        log_r = np.add.reduceat(weight * np.log(var), seg)
+        n = np.add.reduceat(weight, seg)
+        return -0.5 * (quad + log_r + logdet + n * _LOG_2PI), mean, chol
 
     def _rect_log_prob(self, mean, cov, upper, sid):
         m = mean.shape[0]
@@ -379,143 +398,119 @@ class LikelihoodEvaluator:
             rel_tol=self.options.mvn_tol,
             fixed_points=fixed,
         )
-        return mvn_rect_prob(problem, seed=self.options.seed).log_value
+        try:
+            return mvn_rect_prob(problem, seed=self.options.seed).log_value
+        except (NotPositiveDefiniteError, DimensionError) as exc:
+            raise _subject_error(sid, exc) from exc
 
     # -- marginal path ------------------------------------------------------
 
-    def _marginal_subject(self, rec, theta):
-        mu, v = self._moments(rec, theta)
-        obs, cens = rec["obs"], rec["cens"]
-        total = 0.0
-        try:
-            if obs.size:
-                v_oo = v[np.ix_(obs, obs)]
-                fac = cho_factor(v_oo, lower=True)
-                total += _logpdf_from_chol(rec["y"][obs] - mu[obs], fac)
-            if cens.size:
-                if obs.size:
-                    mu_c, v_c = conditional_moments(mu, v, obs, cens, rec["y"][obs])
-                else:
-                    mu_c, v_c = mu[cens], v[np.ix_(cens, cens)]
-                total += self._rect_log_prob(mu_c, v_c, rec["thresholds"], rec["sid"])
-        except (np.linalg.LinAlgError, NotPositiveDefiniteError, DimensionError) as exc:
-            raise EvaluationError(
-                f"subject {rec['sid']}: {exc}", subject_id=rec["sid"]
-            ) from exc
-        return total
-
     def marginal(self, theta):
+        """Observed-rows density times each censored block's rectangle probability.
+
+        Given the observed rows, a censored block is Gaussian with mean
+        X_c beta + Z_c A m and covariance Z_c A M^{-1} A^T Z_c^T + R_c, from
+        the posterior (m, M) of :meth:`_posterior`.
+        """
         self._check(theta)
-        return self._sum(self._marginal_subject, theta)
+        zf = self.z @ _reduced_factor(theta.g_matrix())
+        logpdf, mean, chol = self._posterior(theta, zf, self.observed.astype(float))
+        total = float(np.sum(logpdf))
+        cens = ~self.observed
+        subject = self.row_subject[cens]
+        zf_c = zf[cens]
+        mu_c = self.x[cens] @ theta.beta + np.sum(zf_c * mean[subject], axis=1)
+        root = np.linalg.solve(chol[subject], zf_c[:, :, None])[:, :, 0]
+        var_c = theta.sigma_e[self.strata[cens]] ** 2
+        upper = self.y[cens]
+        bounds = np.concatenate([[0], np.cumsum(np.diff(self.start) - self.n_obs)])
+        for s in np.flatnonzero(np.diff(bounds)):
+            block = slice(bounds[s], bounds[s + 1])
+            cov = root[block] @ root[block].T + np.diag(var_c[block])
+            total += self._rect_log_prob(mu_c[block], cov, upper[block], self.subject_ids[s])
+        return total
 
     # -- hierarchical path --------------------------------------------------
 
     @staticmethod
-    def _reduced_factor(g):
-        """Map u = A v with v ~ N(0, I_r) spanning the (possibly deficient) G."""
-        vals, vecs = np.linalg.eigh(g)
-        scale = float(vals.max()) if vals.size else 0.0
-        keep = vals > max(1e-12, 1e-12 * scale)
-        return vecs[:, keep] * np.sqrt(vals[keep])
+    def _integrand(const, mean, chol, resid, zf, sde):
+        """log p(y_o, y_c <= c, v) of one subject as a function of its whitened effects v.
 
-    def _agq_subject(self, rec, theta, order):
-        g = theta.g_matrix()
-        a = self._reduced_factor(g)
-        r = a.shape[1]
-        obs, cens = rec["obs"], rec["cens"]
-        sde = theta.sigma_e[rec["strata"]]
-        mu = rec["x"] @ theta.beta
-        y_star = rec["y"].copy()
-        if cens.size:
-            y_star[cens] = rec["thresholds"]
-
-        resid_obs = (rec["y"][obs] - mu[obs]) / sde[obs]
-        obs_const = -0.5 * float(resid_obs.size) * _LOG_2PI - float(np.sum(np.log(sde[obs])))
-
-        if r == 0:
-            total = obs_const - 0.5 * float(resid_obs @ resid_obs)
-            if cens.size:
-                total += float(np.sum(log_ndtr((rec["thresholds"] - mu[cens]) / sde[cens])))
-            return total
-
-        m_all = rec["z"] @ a
-        m_obs, m_cens = m_all[obs], m_all[cens]
-        d_obs = rec["y"][obs] - mu[obs]
-        d_cens = rec["thresholds"] - mu[cens] if cens.size else np.empty(0)
-        s_obs, s_cens = sde[obs], sde[cens]
-        prior_const = -0.5 * r * _LOG_2PI
+        Given the observed rows, v ~ N(mean, (chol chol^T)^{-1}), and
+        ``const`` is log p(y_o) plus the log normalizing constant of that
+        density. Each censored row adds log Phi((resid - zf v) / sde), with
+        ``resid`` = c - x beta.
+        """
 
         def logint(v):
             v = np.atleast_2d(v)
-            lin_obs = v @ m_obs.T
-            res = (d_obs[None, :] - lin_obs) / s_obs[None, :]
-            out = obs_const - 0.5 * np.sum(res * res, axis=1)
-            if cens.size:
-                zc = (d_cens[None, :] - v @ m_cens.T) / s_cens[None, :]
-                out = out + np.sum(log_ndtr(zc), axis=1)
-            out = out + prior_const - 0.5 * np.sum(v * v, axis=1)
-            return out
+            w = (v - mean) @ chol
+            cens = log_ndtr((resid[None, :] - v @ zf.T) / sde[None, :])
+            return const - 0.5 * np.sum(w * w, axis=1) + np.sum(cens, axis=1)
 
-        # empirical-Bayes start: G Z^T V^{-1} (y* - mu), whitened
-        v_marg = rec["z"] @ g @ rec["z"].T + np.diag(sde ** 2)
-        u0 = g @ rec["z"].T @ np.linalg.solve(v_marg, y_star - mu)
-        v0, *_ = np.linalg.lstsq(a, u0, rcond=None)
+        return logint
 
-        try:
-            return agq_log_integral(logint, r, order, v0)
-        except (ModeSearchError, CensLmmError) as exc:
-            raise EvaluationError(
-                f"subject {rec['sid']}: {exc}", subject_id=rec["sid"]
-            ) from exc
+    def _agq_total_at(self, theta):
+        """The hierarchical-path total at ``theta`` as a function of the GH order.
 
-    def _agq_total(self, theta, order):
-        return self._sum(lambda rec, th: self._agq_subject(rec, th, order), theta)
+        Each subject's integrand mode is found once, from its posterior mean
+        given all rows (thresholds imputed), and every order reuses it.
+        """
+        zf = self.z @ _reduced_factor(theta.g_matrix())
+        r = zf.shape[1]
+        resid = self.y - self.x @ theta.beta
+        sde = theta.sigma_e[self.strata]
+        logpdf, mean, chol = self._posterior(theta, zf, self.observed.astype(float))
+        if r == 0:
+            cens = ~self.observed
+            total = float(np.sum(logpdf) + np.sum(log_ndtr(resid[cens] / sde[cens])))
+            return lambda order: total
+
+        const = logpdf + np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+        const -= 0.5 * r * _LOG_2PI
+        _, v0, _ = self._posterior(theta, zf, np.ones_like(resid))
+        subjects = []
+        for s, sid in enumerate(self.subject_ids):
+            rows = slice(self.start[s] + self.n_obs[s], self.start[s + 1])
+            logf = self._integrand(const[s], mean[s], chol[s], resid[rows], zf[rows], sde[rows])
+            try:
+                mode = quadrature.find_mode(logf, v0[s])
+            except CensLmmError as exc:
+                raise _subject_error(sid, exc) from exc
+            subjects.append((sid, logf, v0[s], mode))
+
+        def total(order):
+            parts = []
+            for sid, logf, v0, mode in subjects:
+                try:
+                    parts.append(agq_log_integral(logf, r, order, v0, mode=mode))
+                except CensLmmError as exc:
+                    raise _subject_error(sid, exc) from exc
+            return float(np.sum(parts))
+
+        return total
+
+    def agq_order(self, theta):
+        """``(order, total)`` of the GH order rule at ``theta``, capped by :func:`max_agq_order`."""
+        self._check(theta)
+        opts = self.options
+        return choose_order(self._agq_total_at(theta), opts.gh_order, opts.qtol,
+                            max_agq_order(self.spec.q))
 
     def agq(self, theta, order=None):
-        """Hierarchical-path total; ``order`` pins the quadrature order.
-
-        Without an explicit order, the order starts at the configured default
-        and doubles (up to a per-dimension cap) until the total changes by
-        less than ``qtol``, and the most accurate evaluation is returned.
-        """
+        """Hierarchical-path total at ``order``, or at the order :meth:`agq_order` picks."""
+        if order is None:
+            return self.agq_order(theta)[1]
         self._check(theta)
-        if order is not None:
-            return self._agq_total(theta, order)
-        opts = self.options
-        if not opts.adapt_gh_order or opts.qtol <= 0.0:
-            return self._agq_total(theta, opts.gh_order)
-        cap = max_agq_order(self.spec.q)
-        k = min(opts.gh_order, cap)
-        total = self._agq_total(theta, k)
-        while 2 * k <= cap:
-            k = 2 * k
-            doubled = self._agq_total(theta, k)
-            if abs(doubled - total) < opts.qtol:
-                return doubled
-            total = doubled
-        if k < cap:
-            total = self._agq_total(theta, cap)
-        return total
+        return self._agq_total_at(theta)(order)
 
     # -- threshold-imputation baseline ---------------------------------------
 
-    def _naive_subject(self, rec, theta):
-        mu, v = self._moments(rec, theta)
-        y_star = rec["y"].copy()
-        if rec["cens"].size:
-            y_star[rec["cens"]] = rec["thresholds"]
-        try:
-            fac = cho_factor(v, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise EvaluationError(
-                f"subject {rec['sid']}: marginal covariance not positive definite",
-                subject_id=rec["sid"],
-            ) from exc
-        return _logpdf_from_chol(y_star - mu, fac)
-
     def naive(self, theta):
         self._check(theta)
-        return self._sum(self._naive_subject, theta)
+        zf = self.z @ _reduced_factor(theta.g_matrix())
+        logpdf, _, _ = self._posterior(theta, zf, np.ones(self.y.shape[0]))
+        return float(np.sum(logpdf))
 
 
 def loglik_marginal(dataset, spec, theta, options=LogLikOptions()):
@@ -524,7 +519,7 @@ def loglik_marginal(dataset, spec, theta, options=LogLikOptions()):
 
 
 def loglik_agq(dataset, spec, theta, options=LogLikOptions()):
-    """Total log-likelihood via random-effects integration (fixed order)."""
+    """Total log-likelihood via random-effects integration, at the order the GH order rule picks."""
     return LikelihoodEvaluator(dataset, spec, options).agq(theta)
 
 

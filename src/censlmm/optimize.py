@@ -21,15 +21,13 @@ from .likelihood import (
     LogLikOptions,
     Method,
     Theta,
-    max_agq_order,
     natural_from_vector,
     natural_names,
     theta_from_vector,
     theta_to_vector,
 )
-from .quadrature import choose_order
-
 _EPS = np.finfo(float).eps
+_CONVERGED = "function change and gradient norm below tolerance"
 
 
 class Algorithm(Enum):
@@ -169,7 +167,7 @@ def marquardt_maximize(f, cfg=OptConfig()):
         trace.gradient_norms.append(gnorm)
         if gnorm <= cfg.g_tol and rel <= cfg.f_tol:
             trace.converged = True
-            trace.stop_reason = "function change and gradient norm below tolerance"
+            trace.stop_reason = _CONVERGED
             return x, trace
 
         hess_neg = -fd_hessian(lambda z: f(z), x)
@@ -209,7 +207,10 @@ def quasi_newton_maximize(f, cfg=OptConfig()):
     The inverse Hessian approximation is updated only when the curvature
     condition holds; the search direction falls back to the gradient when the
     approximation loses ascent.  Raises OptimizationStall when 50 halvings
-    find no acceptable step.
+    find no acceptable step.  An accepted step too small to change ``x`` at
+    float resolution ends the run, as every later iteration would repeat the
+    same state with no change in f: converged if the gradient norm is below
+    ``g_tol``, otherwise with stop reason "no progress".
     """
     x = np.asarray(cfg.start, dtype=float).copy()
     n = x.shape[0]
@@ -229,7 +230,7 @@ def quasi_newton_maximize(f, cfg=OptConfig()):
         trace.gradient_norms.append(gnorm)
         if gnorm <= cfg.g_tol and rel <= cfg.f_tol:
             trace.converged = True
-            trace.stop_reason = "function change and gradient norm below tolerance"
+            trace.stop_reason = _CONVERGED
             return x, trace
 
         direction = b_inv @ grad
@@ -254,6 +255,11 @@ def quasi_newton_maximize(f, cfg=OptConfig()):
                 f"line search failed after 50 halvings (gradient norm {gnorm:.3e})",
                 best_x=x, best_f=f0, trace=trace,
             )
+        if np.array_equal(cand, x):
+            # every later iteration would repeat this state with f unchanged
+            trace.converged = gnorm <= cfg.g_tol
+            trace.stop_reason = _CONVERGED if trace.converged else "no progress"
+            return x, trace
 
         grad_new = fd_gradient(f, cand, cfg)
         trace.n_evals += 2 * n if cfg.fd_mode is FdMode.CENTRAL else n + 1
@@ -356,16 +362,14 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     run first and its optimum seeds the censoring-aware optimization.  The
     likelihood is optimized over the unconstrained parameterization; the
     quasi-random rectangle rule runs with fixed point counts so the objective
-    is smooth.  Standard errors are delta-method images of the inverse
-    observed information (central finite differences at the optimum).
+    is smooth, and the AGQ order is the one ``LikelihoodEvaluator.agq_order``
+    picks at the start point.  A likelihood error at the start point, such as
+    an ``EvaluationError`` naming the subject, propagates; later ones count
+    as a non-finite objective.  Standard errors are delta-method images of
+    the inverse observed information (central finite differences at the
+    optimum).
     """
     ev = LikelihoodEvaluator(dataset, spec, replace(llopt, mvn_fixed_points=True))
-
-    evaluators = {
-        Method.MARGINAL: ev.marginal,
-        Method.AGQ: ev.agq,
-        Method.NAIVE: ev.naive,
-    }
 
     if cfg.start is not None:
         start_theta = cfg.start
@@ -379,22 +383,14 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
 
     gh_order = None
     if llopt.method is Method.AGQ:
-        gh_order = llopt.gh_order
-        if llopt.adapt_gh_order and llopt.qtol > 0:
-            cap = max(llopt.gh_order, max_agq_order(spec.q))
-            gh_order = choose_order(
-                lambda k: ev.agq(start_theta, order=k),
-                start_order=llopt.gh_order,
-                qtol=llopt.qtol,
-                max_order=cap,
-            )
-        target = lambda th, k=gh_order: ev.agq(th, order=k)
+        gh_order, _ = ev.agq_order(start_theta)
+        target = lambda th: ev.agq(th, order=gh_order)
     else:
-        target = evaluators[llopt.method]
+        target = ev.marginal if llopt.method is Method.MARGINAL else ev.naive
 
     objective = _wrap_objective(lambda x: target(theta_from_vector(x, spec)))
     x_start = theta_to_vector(start_theta)
-    if not np.isfinite(objective(x_start)):
+    if not np.isfinite(target(theta_from_vector(x_start, spec))):
         raise OptimizationStall("objective not finite at the starting parameters",
                                 best_x=x_start, best_f=-math.inf)
 

@@ -255,17 +255,21 @@ def choose_order(evaluate, start_order=10, qtol=1e-6, max_order=MAX_ORDER):
     """Pick a quadrature order by doubling until successive values agree.
 
     ``evaluate(order)`` must return the quantity of interest (typically a
-    total log-likelihood).  Returns the smallest order whose doubled
-    counterpart changes the value by less than ``qtol``; returns
-    ``max_order`` if agreement is never reached.
+    total log-likelihood). The order starts at k = min(start_order,
+    max_order) and doubles while 2k <= max_order. At the first doubling that
+    changes the value by less than ``qtol``, returns ``(k, evaluate(2k))``;
+    if none does, returns ``(max_order, evaluate(max_order))``. ``qtol <= 0``
+    pins the order: ``(k, evaluate(k))``.
     """
-    if qtol <= 0.0:
-        return start_order
-    k = start_order
+    k = min(start_order, max_order)
     f_k = evaluate(k)
+    if qtol <= 0.0:
+        return k, f_k
     while 2 * k <= max_order:
         f_2k = evaluate(2 * k)
         if abs(f_2k - f_k) < qtol:
-            return k
+            return k, f_2k
         k, f_k = 2 * k, f_2k
-    return min(k, max_order)
+    if k < max_order:
+        k, f_k = max_order, evaluate(max_order)
+    return k, f_k

@@ -92,10 +92,10 @@ def calibrate_threshold(truth, times, target, model=None):
     relative to a small target) whenever every sd_t exceeds about
     4e-4 * max(1, |c|).
 
-    The root is only found inside the bracket. A target at or below the
-    probability at the lower edge, which is at most Phi(-10) ~ 7.6e-24,
-    returns the lower edge: for N(3, 0.7) a target of 1e-300 gives -5.3666,
-    whereas the exact root is -27.996.
+    The root is only searched inside the bracket, so a target outside
+    [frac(lower edge), frac(upper edge)] raises ValueError. The lower-edge
+    probability is at most Phi(-10) ~ 7.6e-24; for N(3, 0.7) a target of
+    1e-300, whose root is -27.996, is rejected.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target censoring fraction must lie in (0, 1)")
@@ -111,6 +111,8 @@ def calibrate_threshold(truth, times, target, model=None):
 
     lo = float(np.min(mus - 10.0 * sds))
     hi = float(np.max(mus + 10.0 * sds))
+    if not frac(lo) <= target <= frac(hi):
+        raise ValueError(f"target {target:g} outside [{frac(lo):g}, {frac(hi):g}], the 10-SD bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if frac(mid) < target:

@@ -95,8 +95,7 @@ class TestFitCommand:
     def test_three_method_table(self, simulated_file, tmp_path, capsys):
         out = tmp_path / "report.txt"
         code = run(["fit", "--input", str(simulated_file), "--output", str(out),
-                    "--method", "naive", "--method", "marginal", "--method", "agq",
-                    "--threads", "1"])
+                    "--method", "naive", "--method", "marginal", "--method", "agq"])
         assert code == 0
         records = read_report(out)
         assert [r["method"] for r in records] == ["naive", "marginal", "agq"]
@@ -109,8 +108,7 @@ class TestFitCommand:
     def test_uncensored_methods_coincide(self, uncensored_file, tmp_path):
         out = tmp_path / "report.txt"
         code = run(["fit", "--input", str(uncensored_file), "--output", str(out),
-                    "--method", "naive", "--method", "marginal", "--method", "agq",
-                    "--threads", "1"])
+                    "--method", "naive", "--method", "marginal", "--method", "agq"])
         assert code == 0
         records = read_report(out)
         keys = [k for k in records[0] if k.startswith("est.")]
@@ -123,17 +121,25 @@ class TestFitCommand:
         for name in ("r1.txt", "r2.txt"):
             out = tmp_path / name
             code = run(["fit", "--input", str(uncensored_file), "--output", str(out),
-                        "--method", "marginal", "--seed", "3", "--threads", "1"])
+                        "--method", "marginal", "--seed", "3"])
             assert code == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
 
+    def test_failure_at_start_names_the_subject(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        assert run(["simulate", "--output", str(path), "--n-subjects", "20",
+                    "--n-per-subject", "12", "--target-censoring", "0.4", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert run(["fit", "--input", str(path), "--method", "marginal"]) == 1
+        assert "subject 6: 12 censored measures" in capsys.readouterr().err
+
+
 class TestCompareCommand:
     def test_benchmark_within_default_tolerance(self, simulated_file, tmp_path):
         out = tmp_path / "cmp.txt"
-        code = run(["compare", "--input", str(simulated_file), "--output", str(out),
-                    "--threads", "1"])
+        code = run(["compare", "--input", str(simulated_file), "--output", str(out)])
         assert code == 0
         records = read_report(out)
         cmp_rec = records[-1]
@@ -144,14 +150,14 @@ class TestCompareCommand:
     def test_uncensored_tight_agreement(self, uncensored_file, tmp_path):
         out = tmp_path / "cmp.txt"
         code = run(["compare", "--input", str(uncensored_file), "--output", str(out),
-                    "--tolerance", "1e-4", "--threads", "1"])
+                    "--tolerance", "1e-4"])
         assert code == 0
         assert float(read_report(out)[-1]["max_diff"]) <= 1e-4
 
     def test_tiny_gh_order_flags_discrepancy_without_crash(self, simulated_file, tmp_path):
         out = tmp_path / "cmp.txt"
         code = run(["compare", "--input", str(simulated_file), "--output", str(out),
-                    "--gh-order", "1", "--tolerance", "1e-6", "--threads", "1"])
+                    "--gh-order", "1", "--tolerance", "1e-6"])
         assert code in (0, 2)
         records = read_report(out)
         cmp_rec = records[-1]
@@ -164,5 +170,5 @@ class TestCompareCommand:
     def test_impossible_tolerance_exit_2(self, uncensored_file, tmp_path):
         out = tmp_path / "cmp.txt"
         code = run(["compare", "--input", str(uncensored_file), "--output", str(out),
-                    "--tolerance", "1e-300", "--threads", "1"])
+                    "--tolerance", "1e-300"])
         assert code == 2

@@ -9,11 +9,16 @@ from censlmm.data import (
     Dataset,
     Observation,
     SubjectData,
+    bivariate_model,
     intercept_slope_model,
+    partition_subject,
     random_intercept_model,
 )
 from censlmm.errors import EvaluationError, InvalidParameterError
+from censlmm.gaussian import MvnProblem, mvn_logpdf, mvn_rect_prob
 from censlmm.likelihood import (
+    FIT_POINTS,
+    FIT_POINTS_DEFAULT,
     LikelihoodEvaluator,
     LogLikOptions,
     Theta,
@@ -352,8 +357,67 @@ class TestCrossMethodProperties:
         assert loglik_marginal(d, spec_chol, truth) == pytest.approx(
             loglik_marginal(d, spec_corr, theta_corr), abs=1e-10)
 
-    def test_thread_count_does_not_change_totals(self, is_spec, truth, benchmark_dataset):
-        serial = LikelihoodEvaluator(benchmark_dataset, is_spec, LogLikOptions(threads=1))
-        threaded = LikelihoodEvaluator(benchmark_dataset, is_spec, LogLikOptions(threads=4))
-        assert serial.marginal(truth) == threaded.marginal(truth)
-        assert serial.naive(truth) == threaded.naive(truth)
+
+def dense_reference(dataset, spec, theta, options):
+    """Naive and marginal totals, subject by subject, from the dense moments."""
+    naive = marginal = 0.0
+    for subject in dataset.subjects:
+        mu, v = marginal_moments(subject, spec, theta)
+        obs, cens = partition_subject(subject)
+        y = np.array([o.response if o.is_observed else o.threshold
+                      for o in subject.observations])
+        naive += mvn_logpdf(y, mu, v)
+        if obs:
+            marginal += mvn_logpdf(y[obs], mu[obs], v[np.ix_(obs, obs)])
+        if cens:
+            if obs:
+                mu_c, v_c = conditional_moments(mu, v, obs, cens, y[obs])
+            else:
+                mu_c, v_c = mu[cens], v[np.ix_(cens, cens)]
+            fixed = None
+            if options.mvn_fixed_points and len(cens) >= 2:
+                fixed = FIT_POINTS.get(len(cens), FIT_POINTS_DEFAULT)
+            problem = MvnProblem(mean=mu_c, cov=v_c, upper=y[cens], tol=options.mvn_tol,
+                                 rel_tol=options.mvn_tol, fixed_points=fixed)
+            marginal += mvn_rect_prob(problem, seed=options.seed).log_value
+    return naive, marginal
+
+
+@pytest.mark.parametrize("options", [LogLikOptions(), LogLikOptions(mvn_fixed_points=True, seed=3)],
+                         ids=["adaptive", "fixed-points"])
+class TestFlatEvaluatorAgainstDenseReference:
+    def check(self, dataset, spec, theta, options):
+        ev = LikelihoodEvaluator(dataset, spec, options)
+        naive, marginal = dense_reference(dataset, spec, theta, options)
+        assert ev.naive(theta) == pytest.approx(naive, abs=1e-10)
+        assert ev.marginal(theta) == pytest.approx(marginal, abs=1e-10)
+
+    def test_random_small_datasets(self, options):
+        rng = np.random.default_rng(202)
+        for trial in range(8):
+            q = 1 + trial % 2
+            spec = random_intercept_model() if q == 1 else intercept_slope_model()
+            d = random_small_dataset(rng, spec, random_theta(rng, q))
+            self.check(d, spec, random_theta(rng, q), options)
+
+    def test_bivariate_two_strata(self, options):
+        spec = bivariate_model()
+        g = np.diag([0.5, 0.1, 0.5, 0.1])
+        g[0, 2] = g[2, 0] = 0.1
+        theta = Theta.from_moments([3.0, 0.5, 2.5, 0.3], g, [0.4, 0.6])
+        d = simulate(SimConfig(n_subjects=6, n_per_subject=3, truth=theta,
+                               target_censoring=0.3, seed=5, model=spec))
+        assert d.n_censored > 0
+        self.check(d, spec, theta, options)
+
+    @pytest.mark.parametrize("chol", [[[0.7, 0.0], [-0.2, 0.0]], [[0.7, 0.0], [-0.2, 0.3]]],
+                             ids=["rank-1-g", "full-g"])
+    def test_all_censored_and_single_measure_subjects(self, is_spec, options, chol):
+        theta = Theta.from_cholesky([3.0, 0.5], chol, [0.45])
+        d = Dataset(subjects=(
+            make_subject("all-censored", [0.0, 1.0, 2.0], [2.9] * 3, [0, 0, 0], 2.9),
+            make_subject("one-observed", [1.0], [3.3], [1], 2.9),
+            make_subject("one-censored", [2.0], [2.9], [0], 2.9),
+            make_subject("mixed", [0.0, 1.0, 2.0, 3.0], [2.9, 3.6, 2.9, 4.4], [0, 1, 0, 1], 2.9),
+        ))
+        self.check(d, is_spec, theta, options)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from censlmm.data import intercept_slope_model
-from censlmm.errors import GradientError, OptimizationStall
+from censlmm.errors import EvaluationError, GradientError, OptimizationStall
 from censlmm.likelihood import (
     LikelihoodEvaluator,
     LogLikOptions,
@@ -130,6 +130,24 @@ class TestQuasiNewton:
         assert err.value.best_x[0] == pytest.approx(0.0, abs=1e-12)
         assert err.value.best_f == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("g_tol,converged,reason", [
+        (1e-5, False, "no progress"),
+        (1.0, True, "function change and gradient norm below tolerance"),
+    ])
+    def test_stops_when_accepted_step_leaves_x_unchanged(self, g_tol, converged, reason):
+        # a kink at 1000 on a plateau of height 5: the central-difference
+        # gradient reads 0.5, every step that moves x loses, and once the
+        # halved step is below half an ulp of 1000 the candidate equals x and
+        # its value passes the sufficient-increase test at float resolution;
+        # the state would then repeat, so the gradient test decides at once
+        f = lambda z: 5.0 + (2.0 * (z[0] - 1e3) if z[0] <= 1e3 else -(z[0] - 1e3))
+        cfg = OptConfig(start=np.array([1e3]), max_iter=200, g_tol=g_tol)
+        x, trace = quasi_newton_maximize(f, cfg)
+        assert x[0] == 1e3
+        assert trace.converged is converged
+        assert trace.stop_reason == reason
+        assert trace.iterations == 1
+
     def test_marquardt_damping_overflow_stall(self):
         f = lambda z: min(float(z[0]), 1.0)
         with pytest.raises(OptimizationStall) as err:
@@ -215,3 +233,11 @@ class TestFitModel:
         record = res.as_dict()
         assert record["method"] == "naive"
         assert "est.slope" in record and "se.slope" in record
+
+    def test_failure_at_start_names_the_subject(self, is_spec, truth):
+        # subject 6 has all 12 measures censored, above the 10 a block supports
+        d = simulate(SimConfig(n_subjects=20, n_per_subject=12, truth=truth,
+                               target_censoring=0.4, seed=1))
+        with pytest.raises(EvaluationError, match="subject 6: 12 censored") as err:
+            fit_model(d, is_spec, LogLikOptions(method=Method.MARGINAL), OptConfig())
+        assert err.value.subject_id == "6"

@@ -107,6 +107,11 @@ class TestCalibrateThreshold:
         # at t = 0 the marginal response is N(3, 0.7); ndtri(1e-9) = -5.9978
         assert c == pytest.approx(3.0 + ndtri(1e-9) * math.sqrt(0.7), abs=1e-8)
 
+    def test_target_beyond_bracket_rejected(self):
+        # the root of 1e-300 for N(3, 0.7) is -27.996, far below the 10-SD bracket
+        with pytest.raises(ValueError, match="outside"):
+            calibrate_threshold(default_truth(), [0.0], 1e-300)
+
     def test_monte_carlo_agreement(self):
         truth = default_truth()
         times = np.arange(5.0)
