@@ -20,21 +20,25 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import log_ndtr
+from scipy.special import erfcx, log_ndtr, logsumexp
 
 from . import quadrature
 from .data import CovarianceForm, build_designs, partition_subject
 from .errors import (
-    CensLmmError,
     DimensionError,
     EvaluationError,
+    IntegrationError,
     InvalidParameterError,
+    ModeSearchError,
     NotPositiveDefiniteError,
 )
 from .gaussian import MAX_DIM, MvnProblem, mvn_rect_prob
-from .quadrature import agq_log_integral, choose_order
+from .quadrature import choose_order
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG2 = math.log(2.0)
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # quasi-random sample sizes per censored-block dimension used while fitting;
 # fixed counts keep the objective smooth in the parameters
@@ -43,6 +47,18 @@ FIT_POINTS_DEFAULT = 4096
 
 # tensor-grid budget: largest quadrature order per integration dimension
 _AGQ_ORDER_CAP = {1: 64, 2: 64, 3: 40, 4: 20}
+
+# Newton mode search of the hierarchical integrands: gradient-norm tolerance,
+# iteration cap, smallest step fraction, and the rounding slack (relative to
+# |f|) within which a step counts as not lowering f
+_MODE_GTOL = 1e-8
+_MODE_MAX_ITER = 100
+_MIN_STEP = 1e-12
+_F_SLACK = 8.0 * np.finfo(float).eps
+
+# censored-row x node entries evaluated at once on the quadrature grid; bounds
+# the temporaries of one chunk to a few MB
+_GRID_CHUNK = 2 ** 18
 
 
 def max_agq_order(q):
@@ -306,6 +322,138 @@ def _subject_error(sid, exc):
     return EvaluationError(f"subject {sid}: {exc}", subject_id=sid)
 
 
+class _Integrands:
+    """The hierarchical integrands of the subjects with censored rows, batched.
+
+    In subject s's whitened effects v the integrand is
+
+        f_s(v) = const_s - (v - m_s)^T M_s (v - m_s) / 2 + sum_c log Phi(t_c),
+        t_c = base_c - a_c^T v,
+
+    where N(m_s, M_s^{-1}) is the posterior of v given the observed rows,
+    ``const_s`` the log of their density times that posterior's normalizing
+    constant, and c runs over the subject's censored rows, with
+    base_c = (c - x_c beta) / sigma_c and a_c = (z_c A)^T / sigma_c. With the
+    inverse Mills ratio lambda = phi(t) / Phi(t), the gradient is
+    -M (v - m) - sum_c lambda_c a_c and the Hessian is
+    -M - sum_c lambda_c (t_c + lambda_c) a_c a_c^T <= -M <= -I, so f_s is
+    concave and Newton's method needs no curvature safeguard.
+
+    Censored rows are stacked by subject, ``counts[s]`` rows each. The
+    modes are found on construction, from ``start``. Errors name the first
+    failing subject by its id in ``ids``.
+    """
+
+    def __init__(self, ids, counts, const, mean, chol, base, a, start):
+        self.ids = ids
+        self.counts = counts
+        self.const, self.mean, self.chol = const, mean, chol
+        self.prec = chol @ np.swapaxes(chol, 1, 2)
+        self.base, self.a = base, a
+        self.seg = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        self.owner = np.repeat(np.arange(counts.size), counts)
+        self._find_modes(start)
+
+    def _fail(self, s, exc):
+        raise _subject_error(self.ids[s], exc) from exc
+
+    def _derivatives(self, v):
+        """f, its gradient and its negated Hessian for every subject at ``v`` (S, r)."""
+        d = v - self.mean
+        pd = (self.prec @ d[:, :, None])[:, :, 0]
+        t = self.base - np.sum(self.a * v[self.owner], axis=1)
+        f = self.const - 0.5 * np.sum(d * pd, axis=1) + np.add.reduceat(log_ndtr(t), self.seg)
+        # phi(t) / Phi(t), free of cancellation deep in the lower tail
+        mills = _SQRT_2_OVER_PI / erfcx(-t / _SQRT2)
+        curv = np.maximum(mills * (t + mills), 0.0)
+        grad = -pd - np.add.reduceat(mills[:, None] * self.a, self.seg, axis=0)
+        outer = curv[:, None, None] * self.a[:, :, None] * self.a[:, None, :]
+        return f, grad, self.prec + np.add.reduceat(outer, self.seg, axis=0)
+
+    def _find_modes(self, start):
+        """Every subject's mode and the scale of its adaptive grid, by batched Newton steps.
+
+        Each iteration takes the full Newton step for every subject whose
+        gradient norm exceeds ``_MODE_GTOL`` and halves it only for those
+        whose f did not rise. The grid is then scaled by
+        :func:`quadrature.scale_factor` of the exact Hessian at the mode.
+        """
+        v = start
+        f, grad, neg_hess = self._derivatives(v)
+        if not np.all(np.isfinite(f)):
+            s = int(np.argmin(np.isfinite(f)))
+            self._fail(s, ModeSearchError("objective not finite at the starting point",
+                                          last_iterate=v[s]))
+        for iteration in range(_MODE_MAX_ITER + 1):
+            gnorm = np.linalg.norm(grad, axis=1)
+            todo = gnorm > _MODE_GTOL
+            if not np.any(todo):
+                break
+            if iteration == _MODE_MAX_ITER:
+                s = int(np.argmax(todo))
+                self._fail(s, ModeSearchError(
+                    f"mode search did not converge in {_MODE_MAX_ITER} iterations",
+                    last_iterate=v[s]))
+            step = np.linalg.solve(neg_hess, grad[:, :, None])[:, :, 0] * todo[:, None]
+            cand = v + step
+            floor = f - _F_SLACK * (1.0 + np.abs(f))
+            new = self._derivatives(cand)
+            low = ~(new[0] >= floor)
+            t = 1.0
+            while np.any(low):
+                t *= 0.5
+                if t < _MIN_STEP:
+                    s = int(np.argmax(low))
+                    self._fail(s, ModeSearchError(
+                        f"no ascent step found at gradient norm {gnorm[s]:.3e}",
+                        last_iterate=v[s]))
+                cand[low] = v[low] + t * step[low]
+                new = self._derivatives(cand)
+                low &= ~(new[0] >= floor)
+            v = cand
+            f, grad, neg_hess = new
+        scale = quadrature.scale_factor(-neg_hess)
+        self.mode = v
+        self.logdet = np.sum(np.log(np.diagonal(scale, axis1=1, axis2=2)), axis=1)
+        # At node z, v = mode + sqrt(2) L z. With w0 = chol^T (mode - m) and
+        # W = chol^T sqrt(2) L, the Gaussian term's |w0 + W z|^2 is
+        # |w0|^2 + 2 (W^T w0) . z + z^T W^T W z, and t_c = shift_c - b_c . z.
+        self.scale = _SQRT2 * scale
+        w0 = np.sum(self.chol * (v - self.mean)[:, :, None], axis=1)
+        w = np.swapaxes(self.chol, 1, 2) @ self.scale
+        self.gauss0 = self.const - 0.5 * np.sum(w0 * w0, axis=1)
+        self.gauss1 = -np.sum(w * w0[:, :, None], axis=1)
+        self.gauss2 = -0.5 * (np.swapaxes(w, 1, 2) @ w).reshape(v.shape[0], -1)
+        self.shift = self.base - np.sum(self.a * v[self.owner], axis=1)
+        self.b = np.sum(self.a[:, :, None] * self.scale[self.owner], axis=1)
+
+    def log_integrals(self, order):
+        """Each subject's log integral by adaptive GH of ``order``, in chunks of subjects.
+
+        The censored rows' log Phi terms at all nodes are one (rows x nodes)
+        product per chunk; a chunk holds about ``_GRID_CHUNK`` such entries.
+        """
+        r = self.mode.shape[1]
+        nodes, factor = quadrature.tensor_grid(order, r)
+        pairs = (nodes[:, :, None] * nodes[:, None, :]).reshape(-1, r * r)
+        out = np.empty(self.counts.size)
+        rows_per_chunk = max(1, _GRID_CHUNK // nodes.shape[0])
+        cuts = np.flatnonzero(np.diff(self.seg // rows_per_chunk)) + 1
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, self.counts.size]):
+            rows = slice(self.seg[lo], self.seg[hi - 1] + self.counts[hi - 1])
+            t = self.shift[rows, None] - self.b[rows] @ nodes.T
+            vals = np.add.reduceat(log_ndtr(t), self.seg[lo:hi] - self.seg[lo], axis=0)
+            vals += self.gauss0[lo:hi, None] + self.gauss1[lo:hi] @ nodes.T
+            vals += self.gauss2[lo:hi] @ pairs.T
+            bad = np.isnan(vals) | (vals == np.inf)
+            if np.any(bad):
+                s, k = np.unravel_index(np.argmax(bad), bad.shape)
+                point = self.mode[lo + s] + self.scale[lo + s] @ nodes[k]
+                self._fail(lo + s, IntegrationError(f"integrand not finite at node {k}: {point}"))
+            out[lo:hi] = logsumexp(factor + vals, axis=1)
+        return 0.5 * r * _LOG2 + self.logdet + out
+
+
 class LikelihoodEvaluator:
     """Evaluates the three likelihood paths on one long-format layout.
 
@@ -315,6 +463,11 @@ class LikelihoodEvaluator:
     ``start[s]:start[s + 1]``, its ``n_obs[s]`` observed rows first, each
     group in input order. One evaluator serves every evaluation of a fit, and
     every path reads its Gaussian moments from :meth:`_posterior`.
+
+    The hierarchical path works on all subjects at once. Batched Newton steps
+    with the closed-form gradient and Hessian of each integrand find every
+    mode (:class:`_Integrands`), and each GH order is then one chunked
+    evaluation of all subjects' grids.
     """
 
     def __init__(self, dataset, spec, options=LogLikOptions()):
@@ -432,63 +585,39 @@ class LikelihoodEvaluator:
 
     # -- hierarchical path --------------------------------------------------
 
-    @staticmethod
-    def _integrand(const, mean, chol, resid, zf, sde):
-        """log p(y_o, y_c <= c, v) of one subject as a function of its whitened effects v.
-
-        Given the observed rows, v ~ N(mean, (chol chol^T)^{-1}), and
-        ``const`` is log p(y_o) plus the log normalizing constant of that
-        density. Each censored row adds log Phi((resid - zf v) / sde), with
-        ``resid`` = c - x beta.
-        """
-
-        def logint(v):
-            v = np.atleast_2d(v)
-            w = (v - mean) @ chol
-            cens = log_ndtr((resid[None, :] - v @ zf.T) / sde[None, :])
-            return const - 0.5 * np.sum(w * w, axis=1) + np.sum(cens, axis=1)
-
-        return logint
-
     def _agq_total_at(self, theta):
         """The hierarchical-path total at ``theta`` as a function of the GH order.
 
-        Each subject's integrand mode is found once, from its posterior mean
-        given all rows (thresholds imputed), and every order reuses it.
+        A subject without censored rows contributes its observed-rows
+        log-density exactly. The others' modes are found once, together,
+        from their posterior means given all rows (thresholds imputed), and
+        every order reuses them.
         """
         zf = self.z @ _reduced_factor(theta.g_matrix())
         r = zf.shape[1]
         resid = self.y - self.x @ theta.beta
         sde = theta.sigma_e[self.strata]
         logpdf, mean, chol = self._posterior(theta, zf, self.observed.astype(float))
+        cens = ~self.observed
         if r == 0:
-            cens = ~self.observed
             total = float(np.sum(logpdf) + np.sum(log_ndtr(resid[cens] / sde[cens])))
             return lambda order: total
+        if r > quadrature.MAX_DIM:
+            exc = DimensionError(f"integration dimension {r} outside [1, {quadrature.MAX_DIM}]")
+            raise _subject_error(self.subject_ids[0], exc) from exc
 
+        n_cens = np.diff(self.start) - self.n_obs
+        has = np.flatnonzero(n_cens)
+        exact = float(np.sum(logpdf[n_cens == 0]))
+        if has.size == 0:
+            return lambda order: exact
         const = logpdf + np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
         const -= 0.5 * r * _LOG_2PI
         _, v0, _ = self._posterior(theta, zf, np.ones_like(resid))
-        subjects = []
-        for s, sid in enumerate(self.subject_ids):
-            rows = slice(self.start[s] + self.n_obs[s], self.start[s + 1])
-            logf = self._integrand(const[s], mean[s], chol[s], resid[rows], zf[rows], sde[rows])
-            try:
-                mode = quadrature.find_mode(logf, v0[s])
-            except CensLmmError as exc:
-                raise _subject_error(sid, exc) from exc
-            subjects.append((sid, logf, v0[s], mode))
-
-        def total(order):
-            parts = []
-            for sid, logf, v0, mode in subjects:
-                try:
-                    parts.append(agq_log_integral(logf, r, order, v0, mode=mode))
-                except CensLmmError as exc:
-                    raise _subject_error(sid, exc) from exc
-            return float(np.sum(parts))
-
-        return total
+        integrands = _Integrands(
+            [self.subject_ids[s] for s in has], n_cens[has], const[has], mean[has], chol[has],
+            resid[cens] / sde[cens], zf[cens] / sde[cens, None], v0[has])
+        return lambda order: exact + float(np.sum(integrands.log_integrals(order)))
 
     def agq_order(self, theta):
         """``(order, total)`` of the GH order rule at ``theta``, capped by :func:`max_agq_order`."""

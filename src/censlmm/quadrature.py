@@ -1,10 +1,18 @@
-"""Gauss-Hermite rules and mode-recentred adaptive quadrature.
+"""Gauss-Hermite rules, the adaptive grid, and a generic adaptive quadrature.
 
-Integrands are log-valued callables that accept an ``(..., q)`` array of
-points and broadcast over the leading axes; all node evaluations and
-finite-difference stencils are issued as single batched calls.  Accumulation
-happens in log space throughout so that products of many small cumulative
-normal factors cannot underflow.
+The adaptive rule (Liu and Pierce, Biometrika 1994; Pinheiro and Bates,
+JCGS 1995) recentres a tensor Gauss-Hermite grid at the integrand's mode and
+scales it by the lower Cholesky factor of the inverse negated Hessian there.
+:func:`tensor_grid` and :func:`scale_factor` are those two pieces; the
+likelihood evaluator combines them with its closed-form derivatives for all
+subjects at once.
+
+:func:`find_mode` and :func:`agq_log_integral` serve any log-valued callable
+that accepts an ``(..., q)`` array of points and broadcasts over the leading
+axes. They take derivatives by batched finite-difference stencils and are
+the generic reference that tests compare against. Accumulation happens in
+log space throughout so that products of many small cumulative normal
+factors cannot underflow.
 """
 
 import math
@@ -49,7 +57,7 @@ def gh_rule(order):
 
 
 @lru_cache(maxsize=64)
-def _tensor_grid(order, q):
+def tensor_grid(order, q):
     """Tensor-product grid: points (order^q, q) and combined log-factors.
 
     The combined factor per node is log(prod w_j) + ||z||^2, i.e. everything
@@ -213,34 +221,34 @@ def find_mode(logf, start, gtol=1e-8, max_iter=100):
     return x, hess
 
 
-def _scale_factor(hess):
-    """Lower-triangular L with L L^T = (-hess)^{-1}, eigenvalue-clamped."""
-    neg = -hess
-    vals, vecs = np.linalg.eigh(neg)
-    floor = max(1e-12, 1e-12 * float(np.max(np.abs(vals))))
+def scale_factor(hess):
+    """Lower-triangular L with L L^T = (-hess)^{-1}, eigenvalue-clamped.
+
+    ``hess`` may be one (q, q) matrix or a stack (..., q, q). The grid is not
+    rotation-invariant, so this particular factor is part of the rule.
+    """
+    vals, vecs = np.linalg.eigh(-hess)
+    floor = np.maximum(1e-12, 1e-12 * np.max(np.abs(vals), axis=-1, keepdims=True))
     vals = np.maximum(vals, floor)
-    cov = (vecs / vals) @ vecs.T
+    cov = (vecs / vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     return np.linalg.cholesky(cov)
 
 
-def agq_log_integral(logf, q, order, start, mode=None):
+def agq_log_integral(logf, q, order, start):
     """log of the adaptive Gauss-Hermite approximation to int exp(logf(u)) du.
 
-    The grid is recentred at the integrand's mode and rescaled by its
-    curvature; order 1 reproduces the Laplace approximation.  ``mode`` may
-    supply a precomputed ``(u_hat, hessian)`` pair to skip the search.
+    The grid is recentred at the integrand's mode, found by :func:`find_mode`
+    from ``start``, and rescaled by its curvature; order 1 reproduces the
+    Laplace approximation.
     """
     if not 1 <= q <= MAX_DIM:
         raise DimensionError(f"integration dimension {q} outside [1, {MAX_DIM}]")
     start = np.atleast_1d(np.asarray(start, dtype=float))
     if start.shape != (q,):
         raise DimensionError(f"start has shape {start.shape}, expected ({q},)")
-    if mode is None:
-        u_hat, hess = find_mode(logf, start)
-    else:
-        u_hat, hess = mode
-    chol = _scale_factor(hess)
-    nodes, factor = _tensor_grid(order, q)
+    u_hat, hess = find_mode(logf, start)
+    chol = scale_factor(hess)
+    nodes, factor = tensor_grid(order, q)
     pts = u_hat[None, :] + math.sqrt(2.0) * nodes @ chol.T
     vals = np.asarray(logf(pts), dtype=float)
     bad = ~(np.isfinite(vals) | (vals == -np.inf))

@@ -167,8 +167,10 @@ class TestCompareCommand:
         assert cmp_rec["within_tolerance"] == "0"
         assert code == 2
 
-    def test_impossible_tolerance_exit_2(self, uncensored_file, tmp_path):
+    def test_impossible_tolerance_exit_2(self, simulated_file, tmp_path):
+        # censored data: without censoring both paths evaluate the same
+        # Gaussian density and agree exactly, which meets any tolerance
         out = tmp_path / "cmp.txt"
-        code = run(["compare", "--input", str(uncensored_file), "--output", str(out),
+        code = run(["compare", "--input", str(simulated_file), "--output", str(out),
                     "--tolerance", "1e-300"])
         assert code == 2

@@ -10,11 +10,13 @@ from censlmm.data import (
     Observation,
     SubjectData,
     bivariate_model,
+    build_designs,
     intercept_slope_model,
     partition_subject,
     random_intercept_model,
 )
-from censlmm.errors import EvaluationError, InvalidParameterError
+from censlmm.errors import EvaluationError, IntegrationError, InvalidParameterError, ModeSearchError
+from censlmm import likelihood
 from censlmm.gaussian import MvnProblem, mvn_logpdf, mvn_rect_prob
 from censlmm.likelihood import (
     FIT_POINTS,
@@ -27,11 +29,13 @@ from censlmm.likelihood import (
     loglik_marginal,
     loglik_naive,
     marginal_moments,
+    max_agq_order,
     natural_names,
     natural_values,
     theta_from_vector,
     theta_to_vector,
 )
+from censlmm.quadrature import agq_log_integral
 from censlmm.simulate import SimConfig, simulate
 from conftest import make_subject, random_small_dataset, random_theta
 
@@ -291,11 +295,47 @@ class TestAgqLoglik:
         assert loglik_agq(d, is_spec, theta) == pytest.approx(expected, abs=1e-10)
 
     def test_bad_start_is_evaluation_error(self, is_spec, truth):
-        # gh order guard propagates as an evaluation error naming the subject
         s = make_subject("a", [0.0], [2.0], [0], 2.0)
         d = Dataset(subjects=(s,))
-        val = loglik_agq(d, is_spec, truth)
-        assert math.isfinite(val)
+        assert math.isfinite(loglik_agq(d, is_spec, truth))
+        # a residual of -1e200 overflows the integrand's squared residuals and
+        # log Phi term, so the mode search has no finite starting value
+        far = Theta.from_cholesky([1e200, 0.0], truth.chol, truth.sigma_e)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(EvaluationError) as err:
+            loglik_agq(d, is_spec, far)
+        assert err.value.subject_id == "a"
+        assert isinstance(err.value.__cause__, ModeSearchError)
+
+    @pytest.mark.parametrize("ndim,cause", [(1, ModeSearchError), (2, IntegrationError)],
+                             ids=["mode-search", "grid"])
+    def test_batched_failure_names_subject(self, monkeypatch, is_spec, truth, ndim, cause):
+        # Censored rows are stacked by subject, so row 1 is the first row of
+        # "two-censored". The mode search passes log_ndtr all rows at once,
+        # one value each; the grid passes consecutive chunks of rows, one
+        # value per node. NaN goes to row 1 in one of the two stages.
+        d = Dataset(subjects=(
+            make_subject("observed", [0.0, 1.0], [3.1, 3.6], [1, 1], 2.5),
+            make_subject("one-censored", [0.0, 1.0], [2.5, 3.4], [0, 1], 2.5),
+            make_subject("two-censored", [0.0, 1.0, 2.0], [2.5, 2.5, 4.0], [0, 0, 1], 2.5),
+        ))
+
+        offset = [0]
+
+        def poisoned(t):
+            out = log_ndtr(t)
+            if np.ndim(t) == ndim:
+                if offset[0] <= 1 < offset[0] + len(out):
+                    out[1 - offset[0]] = np.nan
+                if ndim == 2:
+                    offset[0] += len(out)
+            return out
+
+        monkeypatch.setattr(likelihood, "log_ndtr", poisoned)
+        with pytest.raises(EvaluationError, match="^subject two-censored: ") as err:
+            LikelihoodEvaluator(d, is_spec).agq(truth, 10)
+        assert err.value.subject_id == "two-censored"
+        assert isinstance(err.value.__cause__, cause)
 
 
 class TestNaiveLoglik:
@@ -358,6 +398,36 @@ class TestCrossMethodProperties:
             loglik_marginal(d, spec_corr, theta_corr), abs=1e-10)
 
 
+def agq_reference(dataset, spec, theta, order):
+    """Hierarchical total, subject by subject, by generic AGQ over u ~ N(0, G).
+
+    Each subject's integrand is the model's joint log-density in u: the
+    normal prior of u, the observed rows' normal densities given u and the
+    censored rows' log Phi terms. G must be nonsingular.
+    """
+    g = theta.g_matrix()
+    g_inv = np.linalg.inv(g)
+    log_prior = -0.5 * (np.linalg.slogdet(g)[1] + theta.q * LOG_2PI)
+    total = 0.0
+    for subject in dataset.subjects:
+        x, z = build_designs(subject, spec)
+        obs, cens = partition_subject(subject)
+        y = np.array([o.response if o.is_observed else o.threshold
+                      for o in subject.observations])
+        sde = theta.sigma_e[[o.marker - 1 for o in subject.observations]]
+        mu = x @ theta.beta
+
+        def logf(u):
+            fitted = mu + u @ z.T
+            std = (y - fitted) / sde
+            dens = -0.5 * std[..., obs] ** 2 - np.log(sde[obs]) - 0.5 * LOG_2PI
+            return (log_prior - 0.5 * np.einsum("...i,ij,...j->...", u, g_inv, u)
+                    + np.sum(dens, axis=-1) + np.sum(log_ndtr(std[..., cens]), axis=-1))
+
+        total += agq_log_integral(logf, theta.q, order, np.zeros(theta.q))
+    return total
+
+
 def dense_reference(dataset, spec, theta, options):
     """Naive and marginal totals, subject by subject, from the dense moments."""
     naive = marginal = 0.0
@@ -391,6 +461,11 @@ class TestFlatEvaluatorAgainstDenseReference:
         naive, marginal = dense_reference(dataset, spec, theta, options)
         assert ev.naive(theta) == pytest.approx(naive, abs=1e-10)
         assert ev.marginal(theta) == pytest.approx(marginal, abs=1e-10)
+        # a singular G puts the integral in fewer dimensions than the u-space oracle
+        if np.linalg.matrix_rank(theta.g_matrix()) == theta.q:
+            order = min(40, max_agq_order(theta.q))
+            assert ev.agq(theta, order) == pytest.approx(
+                agq_reference(dataset, spec, theta, order), abs=1e-9)
 
     def test_random_small_datasets(self, options):
         rng = np.random.default_rng(202)

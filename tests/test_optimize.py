@@ -241,3 +241,13 @@ class TestFitModel:
         with pytest.raises(EvaluationError, match="subject 6: 12 censored") as err:
             fit_model(d, is_spec, LogLikOptions(method=Method.MARGINAL), OptConfig())
         assert err.value.subject_id == "6"
+
+    def test_laplace_fit_converges(self, is_spec, benchmark_dataset):
+        # with the closed-form mode search the order-1 objective is smooth;
+        # finite-difference curvature noise used to stall BFGS ("no progress")
+        res = fit_model(benchmark_dataset, is_spec,
+                        LogLikOptions(method=Method.AGQ, gh_order=1, qtol=0), OptConfig())
+        assert res.gh_order_used == 1
+        assert res.converged
+        assert res.gradient_norm <= OptConfig().g_tol
+        assert res.trace.stop_reason == "function change and gradient norm below tolerance"
