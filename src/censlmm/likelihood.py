@@ -32,7 +32,7 @@ from .errors import (
     ModeSearchError,
     NotPositiveDefiniteError,
 )
-from .gaussian import MAX_DIM, MvnProblem, mvn_rect_prob
+from .gaussian import MAX_DIM, MvnProblem, exact_block_log_probs, mvn_rect_prob
 from .quadrature import choose_order
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -40,9 +40,10 @@ _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# quasi-random sample sizes per censored-block dimension used while fitting;
-# fixed counts keep the objective smooth in the parameters
-FIT_POINTS = {2: 512, 3: 1024, 4: 2048}
+# quasi-random sample sizes per censored-block dimension m >= 4 used while
+# fitting; fixed counts keep the objective smooth in the parameters (m <= 3 is
+# exact)
+FIT_POINTS = {4: 2048}
 FIT_POINTS_DEFAULT = 4096
 
 # tensor-grid budget: largest quadrature order per integration dimension
@@ -513,8 +514,9 @@ class LikelihoodEvaluator:
         M = I + zf^T R^{-1} zf: it is -(e^T R^{-1} e - b^T M^{-1} b + log|R|
         + log|M| + n log 2 pi) / 2 with e = y - X beta and b = zf^T R^{-1} e,
         and the posterior of v given those rows is N(M^{-1} b, M^{-1}).
-        Rows of weight 0 drop out. Returns the log-densities (S,), the
-        posterior means (S, r) and the Cholesky factors of M (S, r, r).
+        Rows of weight 0 drop out. Returns the log-densities (S,), -inf where
+        a residual overflows, the posterior means (S, r) and the Cholesky
+        factors of M (S, r, r).
         """
         seg = self.start[:-1]
         resid = self.y - self.x @ theta.beta
@@ -527,34 +529,14 @@ class LikelihoodEvaluator:
         white = np.linalg.solve(chol, b[:, :, None])
         mean = np.linalg.solve(np.swapaxes(chol, 1, 2), white)[:, :, 0]
         logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-        quad = np.add.reduceat(weight * resid * resid / var, seg)
-        quad -= np.sum(white[:, :, 0] ** 2, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = np.add.reduceat(weight * resid * resid / var, seg)
+            quad -= np.sum(white[:, :, 0] ** 2, axis=1)
         log_r = np.add.reduceat(weight * np.log(var), seg)
         n = np.add.reduceat(weight, seg)
-        return -0.5 * (quad + log_r + logdet + n * _LOG_2PI), mean, chol
-
-    def _rect_log_prob(self, mean, cov, upper, sid):
-        m = mean.shape[0]
-        if m > MAX_DIM:
-            raise EvaluationError(
-                f"subject {sid}: {m} censored measures exceed the supported {MAX_DIM}",
-                subject_id=sid,
-            )
-        fixed = None
-        if self.options.mvn_fixed_points and m >= 2:
-            fixed = FIT_POINTS.get(m, FIT_POINTS_DEFAULT)
-        problem = MvnProblem(
-            mean=mean,
-            cov=cov,
-            upper=upper,
-            tol=self.options.mvn_tol,
-            rel_tol=self.options.mvn_tol,
-            fixed_points=fixed,
-        )
-        try:
-            return mvn_rect_prob(problem, seed=self.options.seed).log_value
-        except (NotPositiveDefiniteError, DimensionError) as exc:
-            raise _subject_error(sid, exc) from exc
+        logpdf = -0.5 * (quad + log_r + logdet + n * _LOG_2PI)
+        # a residual whose square overflows gives inf - inf; its density is 0
+        return np.where(np.isnan(logpdf), -np.inf, logpdf), mean, chol
 
     # -- marginal path ------------------------------------------------------
 
@@ -563,12 +545,20 @@ class LikelihoodEvaluator:
 
         Given the observed rows, a censored block is Gaussian with mean
         X_c beta + Z_c A m and covariance Z_c A M^{-1} A^T Z_c^T + R_c, from
-        the posterior (m, M) of :meth:`_posterior`.
+        the posterior (m, M) of :meth:`_posterior`. Blocks are grouped by
+        their size m. Sizes 1, 2 and 3 are exact, with one batched
+        :func:`gaussian.exact_block_log_probs` call per size; only blocks
+        with m >= 4 use Genz QMC, one block at a time. A failure names the
+        first failing subject.
         """
         self._check(theta)
         zf = self.z @ _reduced_factor(theta.g_matrix())
         logpdf, mean, chol = self._posterior(theta, zf, self.observed.astype(float))
         total = float(np.sum(logpdf))
+        if total == -math.inf:
+            # no block can raise it, and an overflowed residual leaves the
+            # blocks' moments non-finite
+            return total
         cens = ~self.observed
         subject = self.row_subject[cens]
         zf_c = zf[cens]
@@ -576,12 +566,50 @@ class LikelihoodEvaluator:
         root = np.linalg.solve(chol[subject], zf_c[:, :, None])[:, :, 0]
         var_c = theta.sigma_e[self.strata[cens]] ** 2
         upper = self.y[cens]
-        bounds = np.concatenate([[0], np.cumsum(np.diff(self.start) - self.n_obs)])
-        for s in np.flatnonzero(np.diff(bounds)):
-            block = slice(bounds[s], bounds[s + 1])
-            cov = root[block] @ root[block].T + np.diag(var_c[block])
-            total += self._rect_log_prob(mu_c[block], cov, upper[block], self.subject_ids[s])
+        n_cens = np.diff(self.start) - self.n_obs
+        first = np.concatenate([[0], np.cumsum(n_cens)[:-1]])
+        failures = {}
+        for m in np.unique(n_cens[n_cens > 0]):
+            blocks = np.flatnonzero(n_cens == m)
+            rows = first[blocks][:, None] + np.arange(m)
+            root_m = root[rows]
+            cov = root_m @ np.swapaxes(root_m, 1, 2) + var_c[rows][:, :, None] * np.eye(m)
+            if m <= 3:
+                log_p, error = exact_block_log_probs(mu_c[rows], cov, upper[rows])
+            else:
+                log_p, error = self._qmc_block_log_probs(blocks, mu_c[rows], cov, upper[rows])
+            if error is None and np.any(np.isnan(log_p)):
+                error = (int(np.argmax(np.isnan(log_p))),
+                         IntegrationError("censored-block probability is not a number"))
+            if error is not None:
+                failures[blocks[error[0]]] = error[1]
+            else:
+                total += float(np.sum(log_p))
+        if failures:
+            s = min(failures)
+            raise _subject_error(self.subject_ids[s], failures[s]) from failures[s]
         return total
+
+    def _qmc_block_log_probs(self, blocks, mean, cov, upper):
+        """Genz QMC for blocks of one size m >= 4, one block at a time.
+
+        Returns the log probabilities and None, or None and (index, error)
+        of the first failing block.
+        """
+        m = mean.shape[1]
+        if m > MAX_DIM:
+            return None, (0, DimensionError(
+                f"{m} censored measures exceed the supported {MAX_DIM}"))
+        fixed = FIT_POINTS.get(m, FIT_POINTS_DEFAULT) if self.options.mvn_fixed_points else None
+        out = np.empty(blocks.size)
+        for i in range(blocks.size):
+            problem = MvnProblem(mean=mean[i], cov=cov[i], upper=upper[i], tol=self.options.mvn_tol,
+                                 rel_tol=self.options.mvn_tol, fixed_points=fixed)
+            try:
+                out[i] = mvn_rect_prob(problem, seed=self.options.seed).log_value
+            except (NotPositiveDefiniteError, DimensionError) as exc:
+                return None, (i, exc)
+        return out, None
 
     # -- hierarchical path --------------------------------------------------
 

@@ -337,11 +337,13 @@ def moment_start(dataset, spec):
 
 
 def _wrap_objective(evaluate):
+    """``evaluate`` with a library error or a NaN value mapped to -inf."""
     def objective(x):
         try:
-            return evaluate(x)
+            value = evaluate(x)
         except CensLmmError:
             return -math.inf
+        return -math.inf if math.isnan(value) else value
     return objective
 
 
@@ -360,12 +362,14 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
 
     Unless ``cfg.start`` provides a Theta, the threshold-imputation fit is
     run first and its optimum seeds the censoring-aware optimization.  The
-    likelihood is optimized over the unconstrained parameterization; the
-    quasi-random rectangle rule runs with fixed point counts so the objective
-    is smooth, and the AGQ order is the one ``LikelihoodEvaluator.agq_order``
-    picks at the start point.  A likelihood error at the start point, such as
-    an ``EvaluationError`` naming the subject, propagates; later ones count
-    as a non-finite objective.  Standard errors are delta-method images of
+    likelihood is optimized over the unconstrained parameterization. On the
+    marginal path, censored blocks of up to three measures are exact and
+    only larger ones run quasi-random QMC, with fixed point counts so the
+    objective is smooth; the AGQ order is the one
+    ``LikelihoodEvaluator.agq_order`` picks at the start point.  A
+    likelihood error at the start point, such as an ``EvaluationError``
+    naming the subject, propagates; later ones, and NaN values, count as a
+    non-finite objective.  Standard errors are delta-method images of
     the inverse observed information (central finite differences at the
     optimum).
     """

@@ -1,11 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.optimize import brentq
+from scipy.special import log_ndtr
 
 from censlmm.errors import DimensionError, NotPositiveDefiniteError
 from censlmm.gaussian import (
     MvnProblem,
+    _ordered_cholesky,
+    _scramble_means,
+    log_orthant_probs,
     mvn_logpdf,
     mvn_rect_prob,
     std_normal_cdf,
@@ -115,8 +122,8 @@ class TestRectProb:
         assert r1.value == r2.value
 
     def test_budget_exhaustion_flag(self):
-        cov = np.eye(3) + 0.4 * (np.ones((3, 3)) - np.eye(3))
-        problem = MvnProblem(mean=[0, 0, 0], cov=cov, upper=[0, 0, 0],
+        cov = np.eye(4) + 0.4 * (np.ones((4, 4)) - np.eye(4))
+        problem = MvnProblem(mean=[0, 0, 0, 0], cov=cov, upper=[0, 0, 0, 0],
                              tol=1e-13, rel_tol=1e-13, max_evals=20_000)
         res = mvn_rect_prob(problem)
         assert res.budget_exhausted
@@ -199,3 +206,153 @@ class TestRectProbProperties:
         assert everything.value == pytest.approx(1.0, abs=1e-9)
         nothing = mvn_rect_prob(MvnProblem(mean=[0, 0], cov=cov, upper=[-40.0, 3.0]))
         assert nothing.value == pytest.approx(0.0, abs=1e-9)
+
+
+def corr3(r12, r13, r23):
+    return np.array([[1.0, r12, r13], [r12, 1.0, r23], [r13, r23, 1.0]])
+
+
+def log_outer_quad(log_f, slope, end):
+    """log of the integral of exp(log_f) over (-inf, end] by adaptive quadrature.
+
+    ``log_f`` is log-concave with derivative ``slope``; it is scaled by its
+    maximum, and the range is cut 45 below the maximizer, where the scaled
+    integrand is below e^-1000.
+    """
+    if slope(end) >= 0.0:
+        top = end
+    else:
+        lo = end - 1.0
+        while slope(lo) < 0.0:
+            lo -= 2.0 * (end - lo)
+        top = brentq(slope, lo, end, xtol=1e-14)
+    peak = log_f(top)
+    steep = max(slope(end), 1e-3)
+    points = sorted({p for p in (top, top - 1.0, top - 5.0, top + 0.1, end - 1.0 / steep,
+                                 end - 5.0 / steep, end - 20.0 / steep) if top - 45.0 < p < end})
+    value, _ = integrate.quad(lambda x: math.exp(log_f(x) - peak), top - 45.0, end,
+                              points=points or None, epsabs=0.0, epsrel=1e-13, limit=500)
+    return peak + math.log(value)
+
+
+def log_mills(x):
+    return -0.5 * x * x - 0.5 * math.log(2.0 * math.pi) - float(log_ndtr(x))
+
+
+def bvn_oracle(b1, b2, rho):
+    """log Phi2 by quad of phi(x) Phi((b2 - rho x) / sqrt(1 - rho^2)) over x <= b1."""
+    s = math.sqrt(1.0 - rho * rho)
+    return log_outer_quad(
+        lambda x: -0.5 * x * x - 0.5 * math.log(2.0 * math.pi) + float(log_ndtr((b2 - rho * x) / s)),
+        lambda x: -x - rho / s * math.exp(log_mills((b2 - rho * x) / s)),
+        b1)
+
+
+def tvn_oracle(b, corr):
+    """log Phi3 by quad over x1 of phi(x1) times the exact m = 2 probability given x1."""
+    r12, r13, r23 = corr[0, 1], corr[0, 2], corr[1, 2]
+    s2, s3 = math.sqrt(1.0 - r12 ** 2), math.sqrt(1.0 - r13 ** 2)
+    cond = (r23 - r12 * r13) / (s2 * s3)
+
+    def log_f(x):
+        limits = [[(b[1] - r12 * x) / s2, (b[2] - r13 * x) / s3]]
+        pair = float(log_orthant_probs(limits, [[[1.0, cond], [cond, 1.0]]])[0])
+        return -0.5 * x * x - 0.5 * math.log(2.0 * math.pi) + pair
+
+    h = 1e-5
+    return log_outer_quad(log_f, lambda x: (log_f(x + h) - log_f(x - h)) / (2.0 * h), b[0])
+
+
+def qmc_value(limits, corr):
+    """The quasi-Monte Carlo estimate that served m = 2 and 3 before the exact forms."""
+    chol, b = _ordered_cholesky(corr, np.asarray(limits, dtype=float))
+    return float(np.mean(_scramble_means(chol, b, 0, 512)))
+
+
+ORACLE_RHOS = (-0.95, -0.5, 0.0, 0.3, 0.9, 0.93, 0.99, 0.999)
+ORACLE_LIMITS = (-8.0, -5.0, -2.5, -1.0, 0.0, 0.7, 2.0, 4.0, 8.0)
+
+
+class TestExactOrthantProbs:
+    @pytest.mark.parametrize("rho", ORACLE_RHOS)
+    def test_bivariate_against_quadrature(self, rho):
+        pairs = np.array(list(itertools.combinations_with_replacement(ORACLE_LIMITS, 2)))
+        corr = np.broadcast_to(np.array([[1.0, rho], [rho, 1.0]]), (len(pairs), 2, 2))
+        got = log_orthant_probs(pairs, corr)
+        want = np.array([bvn_oracle(b1, b2, rho) for b1, b2 in pairs])
+        tol = 1e-10 if abs(rho) <= 0.95 else 1e-8
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+        # the order of the two variables does not matter
+        np.testing.assert_allclose(log_orthant_probs(pairs[:, ::-1], corr), got, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("corr", [
+        corr3(0.5, 0.5, 0.5), corr3(-0.3, -0.3, -0.3), corr3(0.9, -0.4, -0.2),
+        corr3(0.3, -0.34, 0.77), corr3(0.93, 0.9, 0.95), corr3(-0.34, 0.2, -0.6),
+    ], ids=["equi", "neg-equi", "mixed", "data-like", "high", "negative"])
+    def test_trivariate_against_quadrature(self, corr):
+        rng = np.random.default_rng(31)
+        limits = np.concatenate([rng.uniform(-8.0, 8.0, (4, 3)), rng.uniform(-4.0, 1.0, (4, 3)),
+                                 [[-8.0, -8.0, -8.0], [0.0, 0.0, 0.0]]])
+        got = log_orthant_probs(limits, np.broadcast_to(corr, (len(limits), 3, 3)))
+        want = np.array([tvn_oracle(b, corr) for b in limits])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("rho", ORACLE_RHOS + (-0.999,))
+    def test_bivariate_orthant_closed_form(self, rho):
+        got = log_orthant_probs([[0.0, 0.0]], [[[1.0, rho], [rho, 1.0]]])[0]
+        assert got == pytest.approx(math.log(0.25 + math.asin(rho) / (2.0 * math.pi)), abs=1e-12)
+
+    @pytest.mark.parametrize("r", [(0.5, 0.5, 0.5), (-0.3, -0.3, -0.3), (0.9, -0.4, -0.2),
+                                   (0.95, 0.9, 0.93), (-0.45, -0.45, 0.1)])
+    def test_trivariate_orthant_closed_form(self, r):
+        got = log_orthant_probs([[0.0, 0.0, 0.0]], corr3(*r)[None])[0]
+        want = 0.125 + sum(math.asin(x) for x in r) / (4.0 * math.pi)
+        assert got == pytest.approx(math.log(want), abs=1e-10)
+
+    def test_trivariate_permutation_invariance(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            a = rng.normal(size=(3, 3))
+            cov = a @ a.T + 0.2 * np.eye(3)
+            sd = np.sqrt(np.diag(cov))
+            corr = cov / np.outer(sd, sd)
+            b = rng.uniform(-6.0, 3.0, 3)
+            values = [log_orthant_probs(b[list(p)][None], corr[np.ix_(p, p)][None])[0]
+                      for p in itertools.permutations(range(3))]
+            assert max(values) - min(values) <= 1e-10
+
+    def test_limits_at_forty(self):
+        corr2 = np.array([[[1.0, 0.3], [0.3, 1.0]]])
+        assert log_orthant_probs([[40.0, 40.0]], corr2)[0] == pytest.approx(0.0, abs=1e-15)
+        assert log_orthant_probs([[-40.0, 3.0]], corr2)[0] == pytest.approx(
+            bvn_oracle(-40.0, 3.0, 0.3), abs=1e-10)
+        assert log_orthant_probs([[np.inf, -1.0]], corr2)[0] == pytest.approx(log_ndtr(-1.0), abs=1e-15)
+        assert log_orthant_probs([[-np.inf, 1.0]], corr2)[0] == -np.inf
+        c3 = corr3(0.5, 0.2, -0.3)[None]
+        assert log_orthant_probs([[40.0, 40.0, 40.0]], c3)[0] == pytest.approx(0.0, abs=1e-15)
+        assert log_orthant_probs([[40.0, -1.0, 0.5]], c3)[0] == pytest.approx(
+            log_orthant_probs([[-1.0, 0.5]], c3[:, 1:, 1:])[0], abs=1e-13)
+        assert log_orthant_probs([[-40.0, 0.0, 2.0]], c3)[0] == pytest.approx(
+            tvn_oracle(np.array([-40.0, 0.0, 2.0]), c3[0]), abs=1e-10)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_finite_wherever_qmc_was_positive(self, m):
+        rng = np.random.default_rng(33 + m)
+        for _ in range(200):
+            a = rng.normal(size=(m, m))
+            cov = a @ a.T + 0.1 * np.eye(m)
+            sd = np.sqrt(np.diag(cov))
+            corr = cov / np.outer(sd, sd)
+            b = rng.uniform(-12.0, 4.0, m)
+            if qmc_value(b, corr) > 0.0:
+                assert np.isfinite(log_orthant_probs(b[None], corr[None])[0])
+
+    def test_rect_prob_uses_the_exact_forms(self):
+        cov = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.5]])
+        mean = np.array([0.5, -1.0, 0.2])
+        upper = np.array([1.0, 0.0, -0.4])
+        res = mvn_rect_prob(MvnProblem(mean=mean, cov=cov, upper=upper, fixed_points=512))
+        sd = np.sqrt(np.diag(cov))
+        want = tvn_oracle((upper - mean) / sd, cov / np.outer(sd, sd))
+        assert res.log_value == pytest.approx(want, abs=1e-10)
+        assert res.evals == 1 and not res.budget_exhausted

@@ -15,7 +15,13 @@ from censlmm.data import (
     partition_subject,
     random_intercept_model,
 )
-from censlmm.errors import EvaluationError, IntegrationError, InvalidParameterError, ModeSearchError
+from censlmm.errors import (
+    EvaluationError,
+    IntegrationError,
+    InvalidParameterError,
+    ModeSearchError,
+    NotPositiveDefiniteError,
+)
 from censlmm import likelihood
 from censlmm.gaussian import MvnProblem, mvn_logpdf, mvn_rect_prob
 from censlmm.likelihood import (
@@ -222,6 +228,30 @@ class TestMarginalLoglik:
             loglik_marginal(d, is_spec, truth)
         assert err.value.subject_id == "a"
 
+    @pytest.mark.parametrize("options", [LogLikOptions(), LogLikOptions(mvn_fixed_points=True)],
+                             ids=["adaptive", "fixed-points"])
+    def test_exact_blocks_agree_with_agq(self, is_spec, truth, benchmark_dataset, options):
+        # every censored block of the benchmark data has m <= 3, so the
+        # marginal path runs no QMC and equals the hierarchical path
+        ev = LikelihoodEvaluator(benchmark_dataset, is_spec, options)
+        assert np.max(np.diff(ev.start) - ev.n_obs) <= 3
+        assert ev.marginal(truth) == pytest.approx(ev.agq(truth, 64), abs=1e-8)
+
+    def test_block_failure_names_first_subject(self, is_spec):
+        # With G = 0 and sigma_e = 1e-7 every censored variance, 1e-14, is
+        # below the floor. "pair" (m = 2) comes first in the data although
+        # the m = 1 group is evaluated first.
+        d = Dataset(subjects=(
+            make_subject("observed", [0.0, 1.0], [3.1, 3.6], [1, 1], 2.5),
+            make_subject("pair", [0.0, 1.0, 2.0], [2.5, 2.5, 4.0], [0, 0, 1], 2.5),
+            make_subject("single", [0.0, 1.0], [2.5, 3.4], [0, 1], 2.5),
+        ))
+        theta = Theta.from_cholesky([3.0, 0.5], np.zeros((2, 2)), [1e-7])
+        with pytest.raises(EvaluationError, match="^subject pair: ") as err:
+            loglik_marginal(d, is_spec, theta)
+        assert err.value.subject_id == "pair"
+        assert isinstance(err.value.__cause__, NotPositiveDefiniteError)
+
     def test_censored_contribution_nonpositive(self, is_spec, truth):
         rng = np.random.default_rng(9)
         for _ in range(5):
@@ -355,6 +385,15 @@ class TestNaiveLoglik:
         expected = (-0.5 * (c - 3.0) ** 2 / total_var
                     - 0.5 * math.log(2 * math.pi * total_var))
         assert loglik_naive(d, spec, theta) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("loglik", [loglik_naive, loglik_marginal, loglik_agq],
+                         ids=["naive", "marginal", "agq"])
+def test_overflowing_residual_gives_minus_inf(is_spec, truth, loglik):
+    # A residual of -1e200 squares to inf; the density is 0, not inf - inf.
+    d = Dataset(subjects=(make_subject("a", [0.0, 1.0], [3.0, 3.4], [1, 1], 2.0),))
+    far = Theta.from_cholesky([1e200, 0.0], truth.chol, truth.sigma_e)
+    assert loglik(d, is_spec, far) == -math.inf
 
 
 class TestCrossMethodProperties:

@@ -17,6 +17,7 @@ from censlmm.optimize import (
     Algorithm,
     FdMode,
     OptConfig,
+    _wrap_objective,
     fd_gradient,
     fd_hessian,
     fit_model,
@@ -159,6 +160,15 @@ class TestQuasiNewton:
 def small_dataset():
     return simulate(SimConfig(n_subjects=25, n_per_subject=5, truth=default_truth(),
                               target_censoring=0.18, seed=515))
+
+
+def test_wrapped_objective_maps_errors_and_nan_to_minus_inf():
+    def failing(x):
+        raise EvaluationError("subject a: bad", subject_id="a")
+
+    assert _wrap_objective(failing)(np.zeros(2)) == -math.inf
+    assert _wrap_objective(lambda x: math.nan)(np.zeros(2)) == -math.inf
+    assert _wrap_objective(lambda x: -3.5)(np.zeros(2)) == -3.5
 
 
 class TestFitModel:
