@@ -61,14 +61,11 @@ from .likelihood import (
     theta_to_vector,
 )
 from .optimize import (
-    Algorithm,
-    FdMode,
     FitResult,
     OptConfig,
     fd_gradient,
     fd_hessian,
     fit_model,
-    marquardt_maximize,
     quasi_newton_maximize,
 )
 from .quadrature import GhRule, agq_log_integral, choose_order, find_mode, gh_rule

@@ -18,11 +18,10 @@ import numpy as np
 from .data import CsvSchema, MODEL_TEMPLATES, read_long_csv, write_long_csv
 from .errors import CensLmmError
 from .likelihood import LogLikOptions, Method
-from .optimize import Algorithm, FdMode, OptConfig, fit_model
+from .optimize import fit_model
 from .simulate import SimConfig, calibrate_threshold, default_truth, simulate
 
 _METHODS = {m.value: m for m in Method}
-_ALGORITHMS = {"marquardt": Algorithm.MARQUARDT, "bfgs": Algorithm.QUASI_NEWTON}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,15 +53,11 @@ def _build_parser():
     def add_common(p):
         p.add_argument("--model", choices=sorted(MODEL_TEMPLATES), default="is",
                        help="model template: ri=random intercept, is=intercept+slope, biv=bivariate")
-        p.add_argument("--algorithm", choices=sorted(_ALGORITHMS), default="bfgs")
         p.add_argument("--gh-order", type=int, default=None,
                        help="pin the quadrature order, capped per random-effects dimension "
                             "(ignores --qtol); default: start at 10 and double")
         p.add_argument("--qtol", type=float, default=1e-6,
                        help="quadrature-order doubling tolerance")
-        p.add_argument("--mvn-tol", type=float, default=1e-6,
-                       help="rectangle-probability tolerance")
-        p.add_argument("--fd", choices=["forward", "central"], default="central")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threshold", type=float, default=None,
                        help="global detection limit when the file has no limit column")
@@ -93,17 +88,9 @@ def _loglik_options(args, method):
     """Likelihood settings; ``--gh-order`` pins the order through ``qtol=0``."""
     return LogLikOptions(
         method=method,
-        mvn_tol=args.mvn_tol,
         gh_order=args.gh_order if args.gh_order is not None else 10,
         qtol=args.qtol if args.gh_order is None else 0.0,
         seed=args.seed,
-    )
-
-
-def _opt_config(args):
-    return OptConfig(
-        algorithm=_ALGORITHMS[args.algorithm],
-        fd_mode=FdMode.CENTRAL if args.fd == "central" else FdMode.FORWARD,
     )
 
 
@@ -174,7 +161,7 @@ def run_fit(args):
     results = []
     for method in methods:
         llopt = _loglik_options(args, method)
-        results.append(fit_model(dataset, spec, llopt, _opt_config(args)))
+        results.append(fit_model(dataset, spec, llopt))
     _print_fit_table(results)
     records = [{"record": "fit", "model": args.model, "input": args.input, **r.as_dict()}
                for r in results]
@@ -224,7 +211,7 @@ def run_compare(args):
     results = {}
     for method in (Method.MARGINAL, Method.AGQ):
         llopt = _loglik_options(args, method)
-        results[method] = fit_model(dataset, spec, llopt, _opt_config(args))
+        results[method] = fit_model(dataset, spec, llopt)
     _print_fit_table([results[Method.MARGINAL], results[Method.AGQ]])
 
     diff = np.abs(results[Method.MARGINAL].estimates - results[Method.AGQ].estimates)

@@ -492,20 +492,22 @@ def log_orthant_probs(limits, corr):
     correlation matrices; returns S log probabilities. Fixed quadrature
     nodes, no sampling: the result is a smooth, deterministic function of
     its inputs, with a relative error near 1e-12 (see :func:`_log_bvn` and
-    :func:`_log_tvn`). A limit of +inf counts as certain and one of -inf
-    gives -inf.
+    :func:`_log_tvn`). A limit of +inf counts as certain. A limit whose
+    log Phi is -inf (-inf itself, or a finite one below about -1.9e154)
+    gives -inf, since log p <= min log Phi(limit).
     """
     limits = np.asarray(limits, dtype=float)
     corr = np.asarray(corr, dtype=float)
     m = limits.shape[1]
-    clipped = np.where(limits == -np.inf, 0.0, np.minimum(limits, _BIG))
+    impossible = np.any(log_ndtr(limits) == -np.inf, axis=1)
+    clipped = np.where(impossible[:, None], 0.0, np.minimum(limits, _BIG))
     if m == 2:
         out = _log_bvn(clipped[:, 0], clipped[:, 1], corr[:, 0, 1])
     elif m == 3:
         out = _log_tvn(clipped, corr)
     else:
         raise DimensionError(f"exact orthant probabilities cover m = 2 and 3, not {m}")
-    out[np.any(limits == -np.inf, axis=1)] = -np.inf
+    out[impossible] = -np.inf
     return out
 
 
@@ -536,8 +538,8 @@ def exact_block_log_probs(mean, cov, upper):
 def mvn_rect_prob(problem, seed=0):
     """Pr(Y <= upper) for Y ~ N(mean, cov) with all lower limits at -inf.
 
-    Dimension 1 delegates to the scalar CDF and dimensions 2 and 3 to
-    :func:`log_orthant_probs`; these are exact to about 1e-12 relative
+    Dimensions 1 to 3 go through :func:`exact_block_log_probs` (the scalar
+    CDF, or :func:`log_orthant_probs`); these are exact to about 1e-12 relative
     (``err_est``), take one evaluation and ignore the sampling settings.
     From dimension 4 on, the transformed quasi-Monte Carlo rule is used; the
     returned ``err_est`` is three standard errors over the independent
@@ -545,18 +547,7 @@ def mvn_rect_prob(problem, seed=0):
     is met, the best estimate is returned with ``budget_exhausted`` set.
     """
     _validate(problem)
-    m = problem.dim
-    b = problem.upper - problem.mean
-    if m == 1:
-        s = math.sqrt(problem.cov[0, 0])
-        z = b[0] / s
-        return ProbResult(
-            value=float(ndtr(z)),
-            err_est=1e-15,
-            evals=1,
-            log_value=float(log_ndtr(z)),
-        )
-    if m <= 3:
+    if problem.dim <= 3:
         log_p, error = exact_block_log_probs(problem.mean[None], problem.cov[None],
                                              problem.upper[None])
         if error is not None:
@@ -566,7 +557,7 @@ def mvn_rect_prob(problem, seed=0):
         return ProbResult(value=value, err_est=_EXACT_REL_ERR * value, evals=1,
                           log_value=log_value)
 
-    chol, b_perm = _ordered_cholesky(problem.cov, b)
+    chol, b_perm = _ordered_cholesky(problem.cov, problem.upper - problem.mean)
 
     if problem.fixed_points is not None:
         n_points = int(problem.fixed_points)

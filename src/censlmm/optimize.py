@@ -1,17 +1,16 @@
 """Likelihood maximization and standard errors.
 
-Two ascent drivers share a stopping rule (relative function change below
-``f_tol`` and gradient norm below ``g_tol``): a Marquardt iteration that
-inflates the diagonal of the finite-difference Hessian, and a BFGS
-quasi-Newton iteration with backtracking line search.  ``fit_model`` wires
-them to the likelihood paths, starting from the threshold-imputation fit as
-in the reference analysis workflow, and derives natural-scale standard
-errors from the inverse observed information by the delta method.
+One ascent driver, as in the default of SAS Proc NLMIXED: BFGS quasi-Newton
+with a backtracking line search on central finite-difference gradients. It
+converges when the relative function change is below 1e-8 and the gradient
+norm below ``g_tol``. ``fit_model`` wires it to the likelihood paths,
+starting from the threshold-imputation fit as in the reference analysis
+workflow, and derives natural-scale standard errors from the inverse
+observed information by the delta method.
 """
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 
@@ -26,36 +25,33 @@ from .likelihood import (
     theta_from_vector,
     theta_to_vector,
 )
-_EPS = np.finfo(float).eps
+
 _CONVERGED = "function change and gradient norm below tolerance"
-
-
-class Algorithm(Enum):
-    MARQUARDT = "marquardt"
-    QUASI_NEWTON = "bfgs"
-
-
-class FdMode(Enum):
-    FORWARD = "forward"
-    CENTRAL = "central"
+# relative step of the central-difference gradient
+_FD_STEP = 6e-6
+# relative function change below which, with the gradient test, a run converges
+_F_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Optimizer settings; ``start`` overrides the default warm start."""
+    """Optimizer settings.
 
-    algorithm: Algorithm = Algorithm.QUASI_NEWTON
+    ``max_iter`` caps the BFGS iterations and ``g_tol`` is the gradient-norm
+    part of the stopping rule. ``start`` is the starting point: a Theta that
+    replaces ``fit_model``'s warm start, or the vector that
+    ``quasi_newton_maximize`` starts from. ``compute_se`` asks ``fit_model``
+    for standard errors at the optimum.
+    """
+
     max_iter: int = 200
-    f_tol: float = 1e-8
     g_tol: float = 1e-5
-    fd_mode: FdMode = FdMode.CENTRAL
-    fd_step: float | None = None
     start: object = None
     compute_se: bool = True
 
     def __post_init__(self):
-        if self.max_iter < 1 or self.f_tol <= 0 or self.g_tol <= 0:
-            raise ValueError("max_iter must be >= 1 and tolerances positive")
+        if self.max_iter < 1 or self.g_tol <= 0:
+            raise ValueError("max_iter must be >= 1 and g_tol positive")
 
 
 @dataclass
@@ -73,38 +69,19 @@ class Trace:
         return len(self.f_values)
 
 
-def _fd_steps(x, cfg):
-    rel = cfg.fd_step
-    if rel is None:
-        rel = 6e-6 if cfg.fd_mode is FdMode.CENTRAL else 1e-7
-    return rel * np.maximum(1.0, np.abs(x))
-
-
-def fd_gradient(f, x, cfg=OptConfig()):
-    """Forward or central finite-difference gradient of ``f`` at ``x``."""
+def fd_gradient(f, x):
+    """Central finite-difference gradient of ``f`` at ``x``."""
     x = np.asarray(x, dtype=float)
-    h = _fd_steps(x, cfg)
+    h = _FD_STEP * np.maximum(1.0, np.abs(x))
     grad = np.empty(x.shape[0])
-    if cfg.fd_mode is FdMode.FORWARD:
-        f0 = f(x)
-        if not np.isfinite(f0):
-            raise GradientError("objective not finite at the evaluation point")
-        for k in range(x.shape[0]):
-            xp = x.copy()
-            xp[k] += h[k]
-            fp = f(xp)
-            if not np.isfinite(fp):
-                raise GradientError(f"objective not finite at probe of coordinate {k}", coordinate=k)
-            grad[k] = (fp - f0) / h[k]
-    else:
-        for k in range(x.shape[0]):
-            xp, xm = x.copy(), x.copy()
-            xp[k] += h[k]
-            xm[k] -= h[k]
-            fp, fm = f(xp), f(xm)
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise GradientError(f"objective not finite at probe of coordinate {k}", coordinate=k)
-            grad[k] = (fp - fm) / (2.0 * h[k])
+    for k in range(x.shape[0]):
+        xp, xm = x.copy(), x.copy()
+        xp[k] += h[k]
+        xm[k] -= h[k]
+        fp, fm = f(xp), f(xm)
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise GradientError(f"objective not finite at probe of coordinate {k}", coordinate=k)
+        grad[k] = (fp - fm) / (2.0 * h[k])
     return grad
 
 
@@ -142,65 +119,6 @@ def _rel_change(f_new, f_old):
     return abs(f_new - f_old) / max(1.0, abs(f_new), abs(f_old))
 
 
-def marquardt_maximize(f, cfg=OptConfig()):
-    """Maximize ``f`` by damped Newton steps on the finite-difference Hessian.
-
-    The damping factor multiplies the (magnitude-clamped) Hessian diagonal;
-    it shrinks tenfold after an accepted step and grows tenfold after a
-    rejected one.  Raises OptimizationStall when the damping overflows with
-    no improving step.
-    """
-    x = np.asarray(cfg.start, dtype=float).copy()
-    trace = Trace()
-    f0 = f(x)
-    trace.n_evals += 1
-    if not np.isfinite(f0):
-        raise OptimizationStall("objective not finite at the start", best_x=x, best_f=f0, trace=trace)
-
-    lam = 1e-3
-    rel = math.inf
-    for _ in range(cfg.max_iter):
-        grad = fd_gradient(f, x, cfg)
-        trace.n_evals += 2 * x.shape[0] if cfg.fd_mode is FdMode.CENTRAL else x.shape[0] + 1
-        gnorm = float(np.linalg.norm(grad))
-        trace.f_values.append(f0)
-        trace.gradient_norms.append(gnorm)
-        if gnorm <= cfg.g_tol and rel <= cfg.f_tol:
-            trace.converged = True
-            trace.stop_reason = _CONVERGED
-            return x, trace
-
-        hess_neg = -fd_hessian(lambda z: f(z), x)
-        trace.n_evals += 2 * x.shape[0] ** 2 + 1
-        damp = np.maximum(np.abs(np.diag(hess_neg)), 1e-8)
-
-        accepted = False
-        while lam <= 1e12:
-            try:
-                step = np.linalg.solve(hess_neg + lam * np.diag(damp), grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand = x + step
-            f_new = f(cand)
-            trace.n_evals += 1
-            if np.isfinite(f_new) and f_new > f0:
-                rel = _rel_change(f_new, f0)
-                x, f0 = cand, f_new
-                lam = max(lam * 0.1, 1e-12)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            raise OptimizationStall(
-                "damping overflow without an improving step",
-                best_x=x, best_f=f0, trace=trace,
-            )
-
-    trace.stop_reason = "iteration limit reached"
-    return x, trace
-
-
 def quasi_newton_maximize(f, cfg=OptConfig()):
     """Maximize ``f`` by BFGS with a backtracking (sufficient-increase) search.
 
@@ -219,8 +137,8 @@ def quasi_newton_maximize(f, cfg=OptConfig()):
     trace.n_evals += 1
     if not np.isfinite(f0):
         raise OptimizationStall("objective not finite at the start", best_x=x, best_f=f0, trace=trace)
-    grad = fd_gradient(f, x, cfg)
-    trace.n_evals += 2 * n if cfg.fd_mode is FdMode.CENTRAL else n + 1
+    grad = fd_gradient(f, x)
+    trace.n_evals += 2 * n
 
     b_inv = np.eye(n)
     rel = math.inf
@@ -228,7 +146,7 @@ def quasi_newton_maximize(f, cfg=OptConfig()):
         gnorm = float(np.linalg.norm(grad))
         trace.f_values.append(f0)
         trace.gradient_norms.append(gnorm)
-        if gnorm <= cfg.g_tol and rel <= cfg.f_tol:
+        if gnorm <= cfg.g_tol and rel <= _F_TOL:
             trace.converged = True
             trace.stop_reason = _CONVERGED
             return x, trace
@@ -261,8 +179,8 @@ def quasi_newton_maximize(f, cfg=OptConfig()):
             trace.stop_reason = _CONVERGED if trace.converged else "no progress"
             return x, trace
 
-        grad_new = fd_gradient(f, cand, cfg)
-        trace.n_evals += 2 * n if cfg.fd_mode is FdMode.CENTRAL else n + 1
+        grad_new = fd_gradient(f, cand)
+        trace.n_evals += 2 * n
         s = cand - x
         y = grad - grad_new  # gradient change of the negated objective
         sy = float(s @ y)
@@ -276,12 +194,6 @@ def quasi_newton_maximize(f, cfg=OptConfig()):
 
     trace.stop_reason = "iteration limit reached"
     return x, trace
-
-
-_MAXIMIZERS = {
-    Algorithm.MARQUARDT: marquardt_maximize,
-    Algorithm.QUASI_NEWTON: quasi_newton_maximize,
-}
 
 
 @dataclass(frozen=True)
@@ -348,10 +260,9 @@ def _wrap_objective(evaluate):
 
 
 def _maximize(objective, x0, cfg):
-    runner = _MAXIMIZERS[cfg.algorithm]
     run_cfg = replace(cfg, start=np.asarray(x0, dtype=float))
     try:
-        x_hat, trace = runner(objective, run_cfg)
+        x_hat, trace = quasi_newton_maximize(objective, run_cfg)
     except OptimizationStall as stall:
         return np.asarray(stall.best_x, dtype=float), stall.trace, False
     return x_hat, trace, trace.converged
@@ -362,7 +273,8 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
 
     Unless ``cfg.start`` provides a Theta, the threshold-imputation fit is
     run first and its optimum seeds the censoring-aware optimization.  The
-    likelihood is optimized over the unconstrained parameterization. On the
+    likelihood is optimized over the unconstrained parameterization by
+    ``quasi_newton_maximize`` (BFGS on central-difference gradients). On the
     marginal path, censored blocks of up to three measures are exact and
     only larger ones run quasi-random QMC, with fixed point counts so the
     objective is smooth; the AGQ order is the one

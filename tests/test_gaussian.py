@@ -328,7 +328,14 @@ class TestExactOrthantProbs:
             bvn_oracle(-40.0, 3.0, 0.3), abs=1e-10)
         assert log_orthant_probs([[np.inf, -1.0]], corr2)[0] == pytest.approx(log_ndtr(-1.0), abs=1e-15)
         assert log_orthant_probs([[-np.inf, 1.0]], corr2)[0] == -np.inf
+        # log Phi(-1e200) is -inf in double precision, so log p is too; the
+        # other rows of the batch are unaffected
+        got2 = log_orthant_probs([[-1e200, -1e200], [0.0, 0.0]], np.repeat(corr2, 2, axis=0))
+        assert got2[0] == -np.inf
+        assert got2[1] == pytest.approx(math.log(0.25 + math.asin(0.3) / (2.0 * math.pi)), abs=1e-12)
         c3 = corr3(0.5, 0.2, -0.3)[None]
+        got3 = log_orthant_probs([[-1e200, 0.0, 0.0], [0.0, 1.0, -1e200]], np.repeat(c3, 2, axis=0))
+        assert np.all(got3 == -np.inf)
         assert log_orthant_probs([[40.0, 40.0, 40.0]], c3)[0] == pytest.approx(0.0, abs=1e-15)
         assert log_orthant_probs([[40.0, -1.0, 0.5]], c3)[0] == pytest.approx(
             log_orthant_probs([[-1.0, 0.5]], c3[:, 1:, 1:])[0], abs=1e-13)

@@ -387,11 +387,17 @@ class TestNaiveLoglik:
         assert loglik_naive(d, spec, theta) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("loglik", [loglik_naive, loglik_marginal, loglik_agq],
-                         ids=["naive", "marginal", "agq"])
-def test_overflowing_residual_gives_minus_inf(is_spec, truth, loglik):
+@pytest.mark.parametrize("loglik,observed", [
+    (loglik_naive, [1, 1]), (loglik_marginal, [1, 1]), (loglik_agq, [1, 1]),
+    (loglik_marginal, [0, 0]), (loglik_marginal, [0, 0, 0]),
+], ids=["naive", "marginal", "agq", "marginal-2-censored", "marginal-3-censored"])
+def test_overflowing_residual_gives_minus_inf(is_spec, truth, loglik, observed):
     # A residual of -1e200 squares to inf; the density is 0, not inf - inf.
-    d = Dataset(subjects=(make_subject("a", [0.0, 1.0], [3.0, 3.4], [1, 1], 2.0),))
+    # An all-censored block's standardized limits are near -1e200, where
+    # log Phi is -inf, and so is the block's log probability. (AGQ has no
+    # finite mode-search start there; see test_bad_start_is_evaluation_error.)
+    m = len(observed)
+    d = Dataset(subjects=(make_subject("a", range(m), [3.0, 3.4, 3.8][:m], observed, 2.0),))
     far = Theta.from_cholesky([1e200, 0.0], truth.chol, truth.sigma_e)
     assert loglik(d, is_spec, far) == -math.inf
 

@@ -14,14 +14,11 @@ from censlmm.likelihood import (
     theta_to_vector,
 )
 from censlmm.optimize import (
-    Algorithm,
-    FdMode,
     OptConfig,
     _wrap_objective,
     fd_gradient,
     fd_hessian,
     fit_model,
-    marquardt_maximize,
     quasi_newton_maximize,
 )
 from censlmm.simulate import SimConfig, simulate, default_truth
@@ -40,11 +37,6 @@ class TestFdGradient:
         # exact in exact arithmetic; float division leaves ~1e-12
         g = fd_gradient(lambda x: float(2 * x[0] - x[1]), np.array([0.3, -0.7]))
         assert g == pytest.approx([2.0, -1.0], abs=1e-10)
-
-    def test_forward_mode(self):
-        cfg = OptConfig(fd_mode=FdMode.FORWARD)
-        g = fd_gradient(lambda x: float(x[0] ** 2), np.array([3.0]), cfg)
-        assert g[0] == pytest.approx(6.0, abs=1e-5)
 
     def test_nonfinite_probe_names_coordinate(self):
         def f(x):
@@ -81,24 +73,6 @@ class TestFdHessian:
         h = fd_hessian(lambda x: float(x[0] ** 2 + 3 * x[0] * x[1] - 2 * x[1] ** 2),
                        np.array([0.4, -1.2]))
         assert h == pytest.approx(np.array([[2.0, 3.0], [3.0, -4.0]]), abs=1e-6)
-
-
-class TestMarquardt:
-    def test_parabola(self):
-        x, trace = marquardt_maximize(lambda z: -float((z[0] - 2.0) ** 2),
-                                      OptConfig(start=np.array([0.0])))
-        assert x[0] == pytest.approx(2.0, abs=1e-8)
-        assert trace.converged
-
-    def test_rosenbrock(self):
-        cfg = OptConfig(start=np.array([-1.2, 1.0]), g_tol=1e-7, max_iter=500)
-        x, trace = marquardt_maximize(rosenbrock_neg, cfg)
-        assert np.abs(x - 1.0).max() <= 1e-5
-        assert trace.converged
-
-    def test_nonfinite_start_raises(self):
-        with pytest.raises(OptimizationStall):
-            marquardt_maximize(lambda z: math.nan, OptConfig(start=np.array([0.0])))
 
 
 class TestQuasiNewton:
@@ -149,11 +123,16 @@ class TestQuasiNewton:
         assert trace.stop_reason == reason
         assert trace.iterations == 1
 
-    def test_marquardt_damping_overflow_stall(self):
-        f = lambda z: min(float(z[0]), 1.0)
-        with pytest.raises(OptimizationStall) as err:
-            marquardt_maximize(f, OptConfig(start=np.array([1.0]), max_iter=50))
-        assert err.value.best_x[0] == pytest.approx(1.0, abs=1e-6)
+    def test_n_evals_counts_every_objective_call(self):
+        calls = [0]
+
+        def counted(z):
+            calls[0] += 1
+            return rosenbrock_neg(z)
+
+        cfg = OptConfig(start=np.array([-1.2, 1.0]), g_tol=1e-7, max_iter=500)
+        _, trace = quasi_newton_maximize(counted, cfg)
+        assert trace.n_evals == calls[0]
 
 
 @pytest.fixture(scope="module")
