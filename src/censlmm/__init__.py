@@ -7,7 +7,6 @@ threshold-imputation baseline, a dataset simulator, and a batch CLI.
 """
 
 from .data import (
-    CovarianceForm,
     CsvSchema,
     Dataset,
     ModelSpec,

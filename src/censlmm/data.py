@@ -11,19 +11,11 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError, ParseError, SchemaError
-
-
-class CovarianceForm(Enum):
-    """Parameterization of the random-effects covariance."""
-
-    CHOLESKY = "cholesky"
-    CORRELATION = "correlation"
 
 
 @dataclass(frozen=True)
@@ -114,13 +106,10 @@ class ModelSpec:
     fixed_names: tuple
     random_names: tuple
     n_strata: int = 1
-    cov_form: CovarianceForm = CovarianceForm.CHOLESKY
 
     def __post_init__(self):
         if not 1 <= self.q <= 4:
             raise ValueError("between 1 and 4 random effects are supported")
-        if self.cov_form is CovarianceForm.CORRELATION and self.q != 2:
-            raise ValueError("the correlation parameterization requires exactly 2 random effects")
         if len(self.fixed_names) != self.p or len(self.random_names) != self.q:
             raise ValueError("design names do not match dimensions")
 
@@ -160,8 +149,8 @@ def random_intercept_model(covariates=()):
     )
 
 
-def intercept_slope_model(covariates=(), cov_form=CovarianceForm.CHOLESKY):
-    """Fixed and random intercept and slope in time."""
+def intercept_slope_model(covariates=()):
+    """Fixed and random intercept and slope in time; optional extra fixed covariates."""
     n_extra = len(covariates)
 
     def fixed(obs):
@@ -177,7 +166,6 @@ def intercept_slope_model(covariates=(), cov_form=CovarianceForm.CHOLESKY):
         random_design=random,
         fixed_names=("intercept", "slope") + tuple(covariates),
         random_names=("intercept", "slope"),
-        cov_form=cov_form,
     )
 
 

@@ -53,9 +53,9 @@ _LAG_LOGW = np.log(_LAG_W)
 _HIGH_CORR = 0.925
 # the endpoint Gauss-Laguerre rule replaces the other forms where the
 # integrand is close to exponential (curvature / slope^2 below _FLAT), or
-# where they lose more than e^3 to cancellation (for m = 3 if that ratio is
-# below _FLAT_CANCEL); thresholds chosen in a scan against adaptive quadrature
-# with limits in [-8, 8]
+# where they lose more than e^3 to cancellation (for m = 3, and for m = 2 at
+# rho >= 0.925, if that ratio is below _FLAT_CANCEL); thresholds chosen in a
+# scan against adaptive quadrature with limits in [-8, 8]
 _CANCEL = -3.0
 _FLAT = 0.02
 _FLAT_CANCEL = 0.1
@@ -352,12 +352,14 @@ def _log_bvn(b1, b2, r):
       r = 1, where the probability is Phi(min b), and r = -1, where it is
       max(0, Phi(b1) + Phi(b2) - 1);
     - an endpoint Gauss-Laguerre rule over the more restrictive variable,
-      for r < 0.925, where the integrand falls off exponentially from its
-      endpoint or where a negative r makes the first form cancel (both
-      limits in the lower tail).
+      where the integrand falls off exponentially from its endpoint, or
+      where one of the other forms cancels with both limits in the lower
+      tail: the first for r < 0, and Genz's for r >= 0.925 if the integrand
+      is still close to exponential (as in :func:`_log_tvn`).
     """
     b1, b2 = np.minimum(b1, b2), np.maximum(b1, b2)
-    lp = log_ndtr(b1) + log_ndtr(b2)
+    l1 = log_ndtr(b1)
+    lp = l1 + log_ndtr(b2)
     out = np.empty_like(r)
     mid = np.abs(r) < _HIGH_CORR
     if np.any(mid):
@@ -368,9 +370,9 @@ def _log_bvn(b1, b2, r):
         x1, x2, rt = b1[~mid], b2[~mid], r[~mid]
         # for r < 0 the integral runs from -1: phi2(h, k; -t) = phi2(h, -k; t)
         tail = _log_bvn_tail(-x1, -np.sign(rt) * x2, np.abs(rt))
-        l1, l2 = log_ndtr(x1), log_ndtr(x2)
+        l1h, l2 = l1[~mid], log_ndtr(x2)
         at_minus_one = np.where(x1 + x2 > 0.0, l2 + _log1mexp(log_ndtr(-x1) - l2), -np.inf)
-        out[~mid] = np.where(rt > 0.0, l1 + _log1mexp(tail - l1), np.logaddexp(at_minus_one, tail))
+        out[~mid] = np.where(rt > 0.0, l1h + _log1mexp(tail - l1h), np.logaddexp(at_minus_one, tail))
 
     # the endpoint rule in x = the more restrictive variable
     sig = np.sqrt(1.0 - r * r)
@@ -378,8 +380,9 @@ def _log_bvn(b1, b2, r):
     mills = np.exp(-0.5 * a * a - _LOG_SQRT_2PI - log_ndtr(a))
     slope = -b1 - (r / sig) * mills
     curv = 1.0 + (r / sig) ** 2 * mills * (a + mills)
-    use = (slope > 0.0) & (r < _HIGH_CORR)
-    use &= (curv < _FLAT * slope * slope) | (mid & (r < 0.0) & ~(out - lp > _CANCEL))
+    cancels = np.where(mid, (r < 0.0) & ~(out - lp > _CANCEL),
+                       (r > 0.0) & ~(out - l1 > _CANCEL) & (curv < _FLAT_CANCEL * slope * slope))
+    use = (slope > 0.0) & ((curv < _FLAT * slope * slope) | cancels)
     if np.any(use):
         rb, sb, b2b = r[use, None], sig[use, None], b2[use, None]
         out[use] = _endpoint_laguerre(

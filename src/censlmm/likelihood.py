@@ -23,7 +23,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import erfcx, log_ndtr, logsumexp
 
 from . import quadrature
-from .data import CovarianceForm, build_designs, partition_subject
+from .data import build_designs, partition_subject
 from .errors import (
     DimensionError,
     EvaluationError,
@@ -77,62 +77,31 @@ class Method(Enum):
 class Theta:
     """Full parameter vector: fixed effects, covariance factor, residual SDs.
 
-    The random-effects covariance is carried either as a lower-triangular
-    Cholesky factor (G = L L^T, any q) or, for q = 2, as two variances plus a
-    correlation in (-1, 1).  ``sigma_e`` holds one residual SD per stratum.
+    ``chol`` is the lower-triangular Cholesky factor L of the random-effects
+    covariance, G = L L^T, with a nonnegative diagonal; any PSD G has one, for
+    any q. ``sigma_e`` holds one residual SD per stratum.
     """
 
     beta: np.ndarray
+    chol: np.ndarray
     sigma_e: np.ndarray
-    form: CovarianceForm
-    chol: np.ndarray | None = None
-    variances: np.ndarray | None = None
-    rho: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.atleast_1d(np.asarray(self.beta, dtype=float)))
         object.__setattr__(self, "sigma_e", np.atleast_1d(np.asarray(self.sigma_e, dtype=float)))
-        if self.form is CovarianceForm.CHOLESKY:
-            if self.chol is None:
-                raise InvalidParameterError("Cholesky form requires the factor L")
-            L = np.atleast_2d(np.asarray(self.chol, dtype=float))
-            if np.any(np.triu(L, 1) != 0.0):
-                raise InvalidParameterError("L must be lower triangular")
-            if np.any(np.diag(L) < 0.0):
-                raise InvalidParameterError("L must have a nonnegative diagonal")
-            object.__setattr__(self, "chol", L)
-        else:
-            if self.variances is None or self.rho is None:
-                raise InvalidParameterError("correlation form requires two variances and rho")
-            v = np.atleast_1d(np.asarray(self.variances, dtype=float))
-            if v.shape != (2,) or np.any(v < 0.0):
-                raise InvalidParameterError("correlation form needs two nonnegative variances")
-            if not -1.0 < self.rho < 1.0:
-                raise InvalidParameterError("the correlation must lie strictly inside (-1, 1)")
-            object.__setattr__(self, "variances", v)
+        L = np.atleast_2d(np.asarray(self.chol, dtype=float))
+        if np.any(np.triu(L, 1) != 0.0):
+            raise InvalidParameterError("L must be lower triangular")
+        if np.any(np.diag(L) < 0.0):
+            raise InvalidParameterError("L must have a nonnegative diagonal")
+        object.__setattr__(self, "chol", L)
         if np.any(self.sigma_e < 0.0) or not np.all(np.isfinite(self.sigma_e)):
             raise InvalidParameterError("residual SDs must be finite and nonnegative")
 
     @classmethod
-    def from_cholesky(cls, beta, chol, sigma_e):
-        return cls(beta=beta, sigma_e=sigma_e, form=CovarianceForm.CHOLESKY, chol=chol)
-
-    @classmethod
-    def from_correlation(cls, beta, var1, var2, rho, sigma_e):
-        return cls(beta=beta, sigma_e=sigma_e, form=CovarianceForm.CORRELATION,
-                   variances=np.array([var1, var2]), rho=float(rho))
-
-    @classmethod
-    def from_moments(cls, beta, g, sigma_e, form=CovarianceForm.CHOLESKY):
+    def from_moments(cls, beta, g, sigma_e):
         """Build a Theta from a covariance matrix G (must be PSD)."""
         g = np.atleast_2d(np.asarray(g, dtype=float))
-        if form is CovarianceForm.CORRELATION:
-            if g.shape != (2, 2):
-                raise InvalidParameterError("correlation form requires a 2x2 covariance")
-            v1, v2 = g[0, 0], g[1, 1]
-            denom = math.sqrt(v1 * v2)
-            rho = g[0, 1] / denom if denom > 0 else 0.0
-            return cls.from_correlation(beta, v1, v2, rho, sigma_e)
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
@@ -143,7 +112,7 @@ class Theta:
             r = np.linalg.qr(root.T, mode="r")
             chol = r.T * np.sign(np.diag(r))[None, :]
             chol = np.tril(chol)
-        return cls.from_cholesky(beta, chol, sigma_e)
+        return cls(beta, chol, sigma_e)
 
     @property
     def p(self):
@@ -151,17 +120,11 @@ class Theta:
 
     @property
     def q(self):
-        if self.form is CovarianceForm.CHOLESKY:
-            return self.chol.shape[0]
-        return 2
+        return self.chol.shape[0]
 
     def g_matrix(self):
         """The random-effects covariance G."""
-        if self.form is CovarianceForm.CHOLESKY:
-            return self.chol @ self.chol.T
-        v1, v2 = self.variances
-        cov = self.rho * math.sqrt(v1 * v2)
-        return np.array([[v1, cov], [cov, v2]])
+        return self.chol @ self.chol.T
 
     def validate_for(self, spec):
         if self.p != spec.p:
@@ -172,8 +135,6 @@ class Theta:
             raise DimensionError(
                 f"{self.sigma_e.shape[0]} residual SDs, model expects {spec.n_strata}"
             )
-        if (self.form is CovarianceForm.CORRELATION) != (spec.cov_form is CovarianceForm.CORRELATION):
-            raise InvalidParameterError("parameter and model covariance forms disagree")
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +143,18 @@ class Theta:
 
 
 def n_free_params(spec):
-    if spec.cov_form is CovarianceForm.CORRELATION:
-        return spec.p + 3 + spec.n_strata
     return spec.p + spec.q * (spec.q + 1) // 2 + spec.n_strata
 
 
 def theta_to_vector(theta):
     """Map a valid Theta to the unconstrained optimization vector.
 
-    Cholesky entries and residual SDs are passed through as raw values (the
-    inverse map reflects negatives back); the correlation is atanh-mapped.
+    The vector is beta, then the lower triangle of L row by row, then the
+    residual SDs, all as raw values; the inverse map reflects negative
+    diagonal entries and SDs back.
     """
-    if theta.form is CovarianceForm.CHOLESKY:
-        tri = theta.chol[np.tril_indices(theta.q)]
-        return np.concatenate([theta.beta, tri, theta.sigma_e])
-    sd = np.sqrt(theta.variances)
-    z = math.atanh(theta.rho)
-    return np.concatenate([theta.beta, sd, [z], theta.sigma_e])
+    tri = theta.chol[np.tril_indices(theta.q)]
+    return np.concatenate([theta.beta, tri, theta.sigma_e])
 
 
 def theta_from_vector(vec, spec):
@@ -207,17 +163,13 @@ def theta_from_vector(vec, spec):
     if vec.shape[0] != n_free_params(spec):
         raise DimensionError(f"vector has {vec.shape[0]} entries, expected {n_free_params(spec)}")
     beta = vec[: spec.p]
-    if spec.cov_form is CovarianceForm.CORRELATION:
-        sd1, sd2, z = vec[spec.p : spec.p + 3]
-        sigma_e = np.abs(vec[spec.p + 3 :])
-        return Theta.from_correlation(beta, sd1 * sd1, sd2 * sd2, math.tanh(z), sigma_e)
     k = spec.q * (spec.q + 1) // 2
     chol = np.zeros((spec.q, spec.q))
     chol[np.tril_indices(spec.q)] = vec[spec.p : spec.p + k]
     diag = np.abs(np.diag(chol))
     np.fill_diagonal(chol, diag)
     sigma_e = np.abs(vec[spec.p + k :])
-    return Theta.from_cholesky(beta, chol, sigma_e)
+    return Theta(beta, chol, sigma_e)
 
 
 def natural_names(spec):

@@ -38,10 +38,9 @@ class OptConfig:
     """Optimizer settings.
 
     ``max_iter`` caps the BFGS iterations and ``g_tol`` is the gradient-norm
-    part of the stopping rule. ``start`` is the starting point: a Theta that
-    replaces ``fit_model``'s warm start, or the vector that
-    ``quasi_newton_maximize`` starts from. ``compute_se`` asks ``fit_model``
-    for standard errors at the optimum.
+    part of the stopping rule. ``start``, when given, is the Theta that
+    ``fit_model`` starts from in place of its warm start. ``compute_se`` asks
+    ``fit_model`` for standard errors at the optimum.
     """
 
     max_iter: int = 200
@@ -119,8 +118,8 @@ def _rel_change(f_new, f_old):
     return abs(f_new - f_old) / max(1.0, abs(f_new), abs(f_old))
 
 
-def quasi_newton_maximize(f, cfg=OptConfig()):
-    """Maximize ``f`` by BFGS with a backtracking (sufficient-increase) search.
+def quasi_newton_maximize(f, x0, cfg=OptConfig()):
+    """Maximize ``f`` from the vector ``x0`` by BFGS with a backtracking search.
 
     The inverse Hessian approximation is updated only when the curvature
     condition holds; the search direction falls back to the gradient when the
@@ -130,7 +129,7 @@ def quasi_newton_maximize(f, cfg=OptConfig()):
     same state with no change in f: converged if the gradient norm is below
     ``g_tol``, otherwise with stop reason "no progress".
     """
-    x = np.asarray(cfg.start, dtype=float).copy()
+    x = np.asarray(x0, dtype=float).copy()
     n = x.shape[0]
     trace = Trace()
     f0 = f(x)
@@ -240,12 +239,8 @@ def moment_start(dataset, spec):
     s2 = float(np.sum((y - x @ beta) ** 2)) / dof
     s2 = max(s2, 1e-4)
     sigma_e = np.full(spec.n_strata, math.sqrt(s2 / 2.0))
-    from .data import CovarianceForm
-
-    if spec.cov_form is CovarianceForm.CORRELATION:
-        return Theta.from_correlation(beta, s2 / 2.0, s2 / 2.0, 0.0, sigma_e)
     chol = math.sqrt(s2 / 2.0) * np.eye(spec.q)
-    return Theta.from_cholesky(beta, chol, sigma_e)
+    return Theta(beta, chol, sigma_e)
 
 
 def _wrap_objective(evaluate):
@@ -260,9 +255,8 @@ def _wrap_objective(evaluate):
 
 
 def _maximize(objective, x0, cfg):
-    run_cfg = replace(cfg, start=np.asarray(x0, dtype=float))
     try:
-        x_hat, trace = quasi_newton_maximize(objective, run_cfg)
+        x_hat, trace = quasi_newton_maximize(objective, x0, cfg)
     except OptimizationStall as stall:
         return np.asarray(stall.best_x, dtype=float), stall.trace, False
     return x_hat, trace, trace.converged
@@ -294,7 +288,7 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     else:
         x0 = theta_to_vector(moment_start(dataset, spec))
         naive_obj = _wrap_objective(lambda x: ev.naive(theta_from_vector(x, spec)))
-        x_naive, _, _ = _maximize(naive_obj, x0, replace(cfg, start=None))
+        x_naive, _, _ = _maximize(naive_obj, x0, cfg)
         start_theta = theta_from_vector(x_naive, spec)
 
     gh_order = None

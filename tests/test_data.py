@@ -5,9 +5,7 @@ import pytest
 
 from censlmm.data import (
     CsvSchema,
-    CovarianceForm,
     Dataset,
-    ModelSpec,
     Observation,
     SubjectData,
     bivariate_model,
@@ -51,12 +49,6 @@ class TestDomainTypes:
         s = make_subject("a", [0], [1.0], [1], 0.0)
         with pytest.raises(ValueError):
             Dataset(subjects=(s, s))
-
-    def test_correlation_form_needs_two_effects(self):
-        with pytest.raises(ValueError):
-            ModelSpec(p=1, q=1, fixed_design=lambda o: (1.0,), random_design=lambda o: (1.0,),
-                      fixed_names=("intercept",), random_names=("intercept",),
-                      cov_form=CovarianceForm.CORRELATION)
 
 
 class TestPartition:

@@ -248,6 +248,24 @@ def bvn_oracle(b1, b2, rho):
         b1)
 
 
+def bvn_mpmath(b1, b2, rho):
+    """log Phi2 by mpmath quad of phi(x) Phi((b2 - rho x) / sqrt(1 - rho^2)) over x <= b1.
+
+    Deep in the lower tail the integrand falls off from x = b1 on a scale of
+    about 1/|b1|, so the breakpoints are 1/|b1| apart over the last 100/|b1|;
+    with only [b1 - 5, b1 - 1, b1] the quad itself erred by up to 3e-5.
+    """
+    import mpmath
+
+    with mpmath.workdps(20):
+        b1, b2, rho = mpmath.mpf(b1), mpmath.mpf(b2), mpmath.mpf(rho)
+        s = mpmath.sqrt(1 - rho * rho)
+        step = 1 / abs(b1)
+        points = [-mpmath.inf] + [b1 - k * step for k in range(100, -1, -1)]
+        value = mpmath.quad(lambda x: mpmath.npdf(x) * mpmath.ncdf((b2 - rho * x) / s), points)
+        return float(mpmath.log(value))
+
+
 def tvn_oracle(b, corr):
     """log Phi3 by quad over x1 of phi(x1) times the exact m = 2 probability given x1."""
     r12, r13, r23 = corr[0, 1], corr[0, 2], corr[1, 2]
@@ -320,6 +338,13 @@ class TestExactOrthantProbs:
             values = [log_orthant_probs(b[list(p)][None], corr[np.ix_(p, p)][None])[0]
                       for p in itertools.permutations(range(3))]
             assert max(values) - min(values) <= 1e-10
+
+    @pytest.mark.parametrize("rho", [0.93, 0.95, 0.99])
+    @pytest.mark.parametrize("b", [-38.0, -50.0, -100.0])
+    def test_high_correlation_deep_tail(self, b, rho):
+        # Genz's form cancels here: it gave -inf, or 169 too high at (-100, -100), 0.93
+        got = log_orthant_probs([[b, b]], [[[1.0, rho], [rho, 1.0]]])[0]
+        assert got == pytest.approx(bvn_mpmath(b, b, rho), abs=1e-9)
 
     def test_limits_at_forty(self):
         corr2 = np.array([[[1.0, 0.3], [0.3, 1.0]]])

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import log_ndtr
 
 from censlmm.data import (
-    CovarianceForm,
+    MODEL_TEMPLATES,
     Dataset,
     Observation,
     SubjectData,
@@ -36,6 +36,7 @@ from censlmm.likelihood import (
     loglik_naive,
     marginal_moments,
     max_agq_order,
+    n_free_params,
     natural_names,
     natural_values,
     theta_from_vector,
@@ -67,21 +68,18 @@ def closed_form_loglik(dataset, spec, theta):
 
 
 class TestTheta:
-    def test_vector_round_trip_cholesky(self, is_spec):
-        chol = np.array([[0.7, 0.0], [-0.2, 0.3]])
-        theta = Theta.from_cholesky([3.0, 0.5], chol, [0.45])
-        vec = theta_to_vector(theta)
-        again = theta_from_vector(vec, is_spec)
-        assert theta_to_vector(again) == pytest.approx(vec, abs=1e-12)
-        assert again.g_matrix() == pytest.approx(theta.g_matrix(), abs=1e-12)
-
-    def test_vector_round_trip_correlation(self):
-        spec = intercept_slope_model(cov_form=CovarianceForm.CORRELATION)
-        theta = Theta.from_correlation([3.0, 0.5], 0.5, 0.1, -0.447, [0.45])
-        vec = theta_to_vector(theta)
-        again = theta_from_vector(vec, spec)
-        assert theta_to_vector(again) == pytest.approx(vec, abs=1e-12)
-        assert again.rho == pytest.approx(theta.rho, abs=1e-12)
+    def test_vector_round_trip_cholesky(self):
+        # every template: ri (q = 1), is (q = 2) and biv (q = 4, two strata)
+        rng = np.random.default_rng(17)
+        for name, template in MODEL_TEMPLATES.items():
+            spec = template()
+            theta = random_theta(rng, spec.q, spec.n_strata)
+            vec = theta_to_vector(theta)
+            assert vec.shape == (n_free_params(spec),), name
+            again = theta_from_vector(vec, spec)
+            assert theta_to_vector(again) == pytest.approx(vec, abs=1e-12), name
+            assert again.g_matrix() == pytest.approx(theta.g_matrix(), abs=1e-12), name
+            assert again.sigma_e == pytest.approx(theta.sigma_e, abs=1e-12), name
 
     def test_reflection_makes_negatives_valid(self, is_spec):
         vec = np.array([3.0, 0.5, -0.7, -0.2, -0.3, -0.45])
@@ -89,24 +87,13 @@ class TestTheta:
         assert np.all(np.diag(theta.chol) >= 0)
         assert np.all(theta.sigma_e >= 0)
 
-    def test_parameterization_equivalence(self):
-        g = np.array([[0.5, -0.1], [-0.1, 0.1]])
-        rho = -0.1 / math.sqrt(0.05)
-        chol_theta = Theta.from_moments([3.0, 0.5], g, [0.45])
-        corr_theta = Theta.from_correlation([3.0, 0.5], 0.5, 0.1, rho, [0.45])
-        assert chol_theta.g_matrix() == pytest.approx(corr_theta.g_matrix(), abs=1e-14)
-
-    def test_rho_bounds(self):
-        with pytest.raises(InvalidParameterError):
-            Theta.from_correlation([1.0, 1.0], 0.5, 0.1, 1.0, [0.4])
-
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidParameterError):
-            Theta.from_cholesky([1.0], [[0.5]], [-0.1])
+            Theta([1.0], [[0.5]], [-0.1])
 
     def test_upper_triangle_rejected(self):
         with pytest.raises(InvalidParameterError):
-            Theta.from_cholesky([1.0, 1.0], [[0.5, 0.2], [0.0, 0.5]], [0.4])
+            Theta([1.0, 1.0], [[0.5, 0.2], [0.0, 0.5]], [0.4])
 
     def test_natural_names_table_order(self, is_spec):
         assert natural_names(is_spec) == (
@@ -124,7 +111,7 @@ class TestTheta:
 class TestMarginalMoments:
     def test_intercept_only(self):
         spec = random_intercept_model()
-        theta = Theta.from_cholesky([3.0], [[math.sqrt(0.5)]], [math.sqrt(0.2)])
+        theta = Theta([3.0], [[math.sqrt(0.5)]], [math.sqrt(0.2)])
         s = make_subject("a", [0.0, 1.0], [3.0, 3.0], [1, 1], 0.0)
         mu, v = marginal_moments(s, spec, theta)
         assert mu == pytest.approx([3.0, 3.0])
@@ -140,7 +127,7 @@ class TestMarginalMoments:
         assert v[1, 1] == pytest.approx(0.6, abs=1e-12)
 
     def test_zero_g_gives_diagonal(self, is_spec):
-        theta = Theta.from_cholesky([3.0, 0.5], np.zeros((2, 2)), [0.6])
+        theta = Theta([3.0, 0.5], np.zeros((2, 2)), [0.6])
         s = make_subject("a", [0.0, 2.0, 4.0], [1.0, 2.0, 3.0], [1, 1, 1], 0.0)
         _, v = marginal_moments(s, is_spec, theta)
         assert v == pytest.approx(0.36 * np.eye(3), abs=1e-12)
@@ -200,7 +187,7 @@ class TestMarginalLoglik:
 
     def test_single_censored_row_formula(self):
         spec = random_intercept_model()
-        theta = Theta.from_cholesky([3.0], [[math.sqrt(0.5)]], [math.sqrt(0.2)])
+        theta = Theta([3.0], [[math.sqrt(0.5)]], [math.sqrt(0.2)])
         c = 2.4
         s = make_subject("a", [0.0], [c], [0], c)
         d = Dataset(subjects=(s,))
@@ -217,7 +204,7 @@ class TestMarginalLoglik:
     def test_sigma_zero_rejected(self, is_spec, truth):
         d = simulate(SimConfig(n_subjects=2, n_per_subject=3, truth=truth,
                                threshold=-1e10, seed=3))
-        bad = Theta.from_cholesky(truth.beta, truth.chol, [0.0])
+        bad = Theta(truth.beta, truth.chol, [0.0])
         with pytest.raises(InvalidParameterError):
             loglik_marginal(d, is_spec, bad)
 
@@ -246,7 +233,7 @@ class TestMarginalLoglik:
             make_subject("pair", [0.0, 1.0, 2.0], [2.5, 2.5, 4.0], [0, 0, 1], 2.5),
             make_subject("single", [0.0, 1.0], [2.5, 3.4], [0, 1], 2.5),
         ))
-        theta = Theta.from_cholesky([3.0, 0.5], np.zeros((2, 2)), [1e-7])
+        theta = Theta([3.0, 0.5], np.zeros((2, 2)), [1e-7])
         with pytest.raises(EvaluationError, match="^subject pair: ") as err:
             loglik_marginal(d, is_spec, theta)
         assert err.value.subject_id == "pair"
@@ -280,7 +267,7 @@ class TestAgqLoglik:
         # one random intercept, one censored + two observed measures
         spec = random_intercept_model()
         var_u, var_e = 0.5, 0.2
-        theta = Theta.from_cholesky([3.0], [[math.sqrt(var_u)]], [math.sqrt(var_e)])
+        theta = Theta([3.0], [[math.sqrt(var_u)]], [math.sqrt(var_e)])
         c = 2.6
         s = make_subject("a", [0.0, 1.0, 2.0], [c, 3.2, 3.9], [0, 1, 1], c)
         d = Dataset(subjects=(s,))
@@ -300,7 +287,7 @@ class TestAgqLoglik:
     def test_degenerate_g_reduces_dimension(self, is_spec):
         # slope row of L zeroed: the slope effect is deterministic zero
         chol = np.array([[math.sqrt(0.5), 0.0], [0.0, 0.0]])
-        theta = Theta.from_cholesky([3.0, 0.5], chol, [math.sqrt(0.2)])
+        theta = Theta([3.0, 0.5], chol, [math.sqrt(0.2)])
         c = 2.8
         s = make_subject("a", [0.0, 1.0], [c, 3.6], [0, 1], c)
         d = Dataset(subjects=(s,))
@@ -315,7 +302,7 @@ class TestAgqLoglik:
         assert val == pytest.approx(oracle, abs=1e-6)
 
     def test_zero_g_closed_form(self, is_spec):
-        theta = Theta.from_cholesky([3.0, 0.5], np.zeros((2, 2)), [math.sqrt(0.2)])
+        theta = Theta([3.0, 0.5], np.zeros((2, 2)), [math.sqrt(0.2)])
         c = 2.9
         s = make_subject("a", [0.0, 1.0], [c, 3.8], [0, 1], c)
         d = Dataset(subjects=(s,))
@@ -330,7 +317,7 @@ class TestAgqLoglik:
         assert math.isfinite(loglik_agq(d, is_spec, truth))
         # a residual of -1e200 overflows the integrand's squared residuals and
         # log Phi term, so the mode search has no finite starting value
-        far = Theta.from_cholesky([1e200, 0.0], truth.chol, truth.sigma_e)
+        far = Theta([1e200, 0.0], truth.chol, truth.sigma_e)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(EvaluationError) as err:
             loglik_agq(d, is_spec, far)
@@ -377,7 +364,7 @@ class TestNaiveLoglik:
 
     def test_single_censored_row_is_density_not_cdf(self):
         spec = random_intercept_model()
-        theta = Theta.from_cholesky([3.0], [[math.sqrt(0.5)]], [math.sqrt(0.2)])
+        theta = Theta([3.0], [[math.sqrt(0.5)]], [math.sqrt(0.2)])
         c = 2.4
         s = make_subject("a", [0.0], [c], [0], c)
         d = Dataset(subjects=(s,))
@@ -398,7 +385,7 @@ def test_overflowing_residual_gives_minus_inf(is_spec, truth, loglik, observed):
     # finite mode-search start there; see test_bad_start_is_evaluation_error.)
     m = len(observed)
     d = Dataset(subjects=(make_subject("a", range(m), [3.0, 3.4, 3.8][:m], observed, 2.0),))
-    far = Theta.from_cholesky([1e200, 0.0], truth.chol, truth.sigma_e)
+    far = Theta([1e200, 0.0], truth.chol, truth.sigma_e)
     assert loglik(d, is_spec, far) == -math.inf
 
 
@@ -430,17 +417,6 @@ class TestCrossMethodProperties:
             d2 = Dataset(subjects=(SubjectData(subject_id="a", observations=obs),))
             assert loglik_marginal(d2, is_spec, truth) == pytest.approx(base_m, abs=1e-10)
             assert loglik_agq(d2, is_spec, truth) == pytest.approx(base_a, abs=1e-10)
-
-    def test_parameterization_equivalence_loglik(self, truth):
-        spec_chol = intercept_slope_model()
-        spec_corr = intercept_slope_model(cov_form=CovarianceForm.CORRELATION)
-        d = simulate(SimConfig(n_subjects=6, n_per_subject=4, truth=truth,
-                               target_censoring=0.2, seed=31))
-        g = truth.g_matrix()
-        rho = g[0, 1] / math.sqrt(g[0, 0] * g[1, 1])
-        theta_corr = Theta.from_correlation(truth.beta, g[0, 0], g[1, 1], rho, truth.sigma_e)
-        assert loglik_marginal(d, spec_chol, truth) == pytest.approx(
-            loglik_marginal(d, spec_corr, theta_corr), abs=1e-10)
 
 
 def agq_reference(dataset, spec, theta, order):
@@ -533,7 +509,7 @@ class TestFlatEvaluatorAgainstDenseReference:
     @pytest.mark.parametrize("chol", [[[0.7, 0.0], [-0.2, 0.0]], [[0.7, 0.0], [-0.2, 0.3]]],
                              ids=["rank-1-g", "full-g"])
     def test_all_censored_and_single_measure_subjects(self, is_spec, options, chol):
-        theta = Theta.from_cholesky([3.0, 0.5], chol, [0.45])
+        theta = Theta([3.0, 0.5], chol, [0.45])
         d = Dataset(subjects=(
             make_subject("all-censored", [0.0, 1.0, 2.0], [2.9] * 3, [0, 0, 0], 2.9),
             make_subject("one-observed", [1.0], [3.3], [1], 2.9),

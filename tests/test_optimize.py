@@ -79,21 +79,21 @@ class TestQuasiNewton:
     def test_quadratic_bowl_fast(self):
         center = np.array([1.0, -2.0, 0.5])
         f = lambda z: -float(np.sum((z - center) ** 2))
-        x, trace = quasi_newton_maximize(f, OptConfig(start=np.zeros(3)))
+        x, trace = quasi_newton_maximize(f, np.zeros(3))
         assert x == pytest.approx(center, abs=1e-7)
         assert trace.iterations <= 5  # dimension + 2
 
     def test_nonsmooth_probe(self):
         f = lambda z: -float(abs(z[0]) ** 1.5)
         try:
-            x, _ = quasi_newton_maximize(f, OptConfig(start=np.array([1.0]), max_iter=500))
+            x, _ = quasi_newton_maximize(f, np.array([1.0]), OptConfig(max_iter=500))
         except OptimizationStall as stall:
             x = stall.best_x
         assert abs(x[0]) <= 1e-4
 
     def test_rosenbrock(self):
-        cfg = OptConfig(start=np.array([-1.2, 1.0]), g_tol=1e-7, max_iter=500)
-        x, trace = quasi_newton_maximize(rosenbrock_neg, cfg)
+        cfg = OptConfig(g_tol=1e-7, max_iter=500)
+        x, trace = quasi_newton_maximize(rosenbrock_neg, np.array([-1.2, 1.0]), cfg)
         assert np.abs(x - 1.0).max() <= 1e-5
 
     def test_stall_error_carries_best(self):
@@ -101,7 +101,7 @@ class TestQuasiNewton:
         # yet every candidate step is strictly worse, so all halvings fail
         f = lambda z: 2.0 * float(z[0]) if z[0] <= 0 else -float(z[0])
         with pytest.raises(OptimizationStall) as err:
-            quasi_newton_maximize(f, OptConfig(start=np.array([0.0]), max_iter=50))
+            quasi_newton_maximize(f, np.array([0.0]), OptConfig(max_iter=50))
         assert err.value.best_x[0] == pytest.approx(0.0, abs=1e-12)
         assert err.value.best_f == pytest.approx(0.0, abs=1e-12)
 
@@ -116,8 +116,8 @@ class TestQuasiNewton:
         # its value passes the sufficient-increase test at float resolution;
         # the state would then repeat, so the gradient test decides at once
         f = lambda z: 5.0 + (2.0 * (z[0] - 1e3) if z[0] <= 1e3 else -(z[0] - 1e3))
-        cfg = OptConfig(start=np.array([1e3]), max_iter=200, g_tol=g_tol)
-        x, trace = quasi_newton_maximize(f, cfg)
+        cfg = OptConfig(max_iter=200, g_tol=g_tol)
+        x, trace = quasi_newton_maximize(f, np.array([1e3]), cfg)
         assert x[0] == 1e3
         assert trace.converged is converged
         assert trace.stop_reason == reason
@@ -130,8 +130,8 @@ class TestQuasiNewton:
             calls[0] += 1
             return rosenbrock_neg(z)
 
-        cfg = OptConfig(start=np.array([-1.2, 1.0]), g_tol=1e-7, max_iter=500)
-        _, trace = quasi_newton_maximize(counted, cfg)
+        cfg = OptConfig(g_tol=1e-7, max_iter=500)
+        _, trace = quasi_newton_maximize(counted, np.array([-1.2, 1.0]), cfg)
         assert trace.n_evals == calls[0]
 
 

@@ -11,7 +11,7 @@ from censlmm.simulate import SimConfig, calibrate_threshold, default_truth, simu
 
 class TestSimulate:
     def test_degenerate_noise_is_deterministic_line(self):
-        truth = Theta.from_cholesky([3.0, 0.5], np.zeros((2, 2)), [0.0])
+        truth = Theta([3.0, 0.5], np.zeros((2, 2)), [0.0])
         d = simulate(SimConfig(n_subjects=3, n_per_subject=4, truth=truth,
                                threshold=-1e10, seed=1))
         for s in d.subjects:
