@@ -8,14 +8,22 @@ Wesolowsky's sum and Genz's transformed form for two (JSCS 1990; Stat.
 Comput. 2004), Plackett's path for three, and an endpoint Gauss-Laguerre rule
 where those forms would cancel in the tails. All of them work in log space.
 
-From four variables on, the Genz approach is used: a variable-reordered
-Cholesky factorization transforms the integral to the unit cube, which is then
-evaluated with randomized (scrambled Sobol) quasi-Monte Carlo.  Independent
-scramblings give an error estimate; the number of points is doubled until the
-requested tolerance is met or the evaluation budget runs out.  Point sets are
-derived from the configured seed and the problem dimension only, so repeated
-calls are reproducible and the estimate varies smoothly with the problem's
-moments.
+From four variables on, the Genz approach is used (JCGS 1992): a
+variable-reordered Cholesky factorization transforms the integral to the unit
+cube, which is then evaluated with randomized quasi-Monte Carlo on nested
+point streams. Each dimension m has one stream of ten independently scrambled
+Sobol sequences, seeded from the configured seed, m - 1 and the scramble index
+only; the spread of the ten per-scramble means gives the error estimate.
+Every problem of one dimension reads the same stream from its start, and
+:func:`mvn_rect_probs` evaluates a group of them together. The points come in
+doubling levels (512, 1024, ... per scramble); each level is drawn once and
+adds only its new points to the running sums of the problems that have not
+yet met their tolerance, so going from n to 2n points evaluates n. A problem
+stops when it meets its tolerance or when its budget of evaluated points runs
+out. The first 2^13 points of each stream are cached; later ones come from
+engines fast-forwarded past them. A problem's estimate does not depend on
+the rest of its group, repeated calls are reproducible, and the estimate
+varies smoothly with the problem's moments.
 """
 
 import math
@@ -37,7 +45,12 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG2 = math.log(2.0)
 _N_SCRAMBLES = 10
 _TINY_P = 1e-300
+# points per scramble of the first QMC level, and the cached prefix of each stream
+_FIRST_POINTS = 512
 _CACHE_POINT_LIMIT = 2 ** 13
+# blocks x coordinates x points evaluated in one batched pass of the Genz
+# integrand; bounds its temporaries to a few MB
+_GENZ_CHUNK = 2 ** 18
 
 # fixed rules of the exact m = 2 and m = 3 probabilities, as (nodes, log
 # weights): 20-node Gauss-Legendre on [0, 1], 40 nodes for Plackett's m = 3
@@ -118,13 +131,17 @@ class MvnProblem:
 
     Pr(Y_1 <= upper_1, ..., Y_m <= upper_m) for Y ~ N(mean, cov); all lower
     limits are -inf.  ``tol`` is the requested absolute error and ``rel_tol``
-    an additional relative target (both must be met before sampling stops,
-    budget permitting).  When ``fixed_points`` is set, exactly that many
-    quasi-random points per scramble are used with no adaptive escalation;
-    likelihood evaluation relies on this to keep the objective a smooth
-    function of the model parameters.  The sampling settings apply only
-    from dimension 4 on: up to dimension 3 the probability is exact and
-    no QMC runs.
+    an additional relative target; sampling stops once both are met.
+    ``max_evals`` is the budget of integrand points evaluated for this
+    problem, over all ten scrambles. The points per scramble double from 512
+    while ten times the next count fits, so the default allows up to 32,768
+    per scramble; if the budget runs out first, the result has
+    ``budget_exhausted`` set. When ``fixed_points`` (a power of two) is set,
+    exactly the first that many points of each scramble's stream are used
+    with no adaptive escalation; likelihood evaluation relies on this to keep
+    the objective a smooth function of the model parameters.  The sampling
+    settings apply only from dimension 4 on: up to dimension 3 the
+    probability is exact and no QMC runs.
     """
 
     mean: np.ndarray
@@ -132,7 +149,7 @@ class MvnProblem:
     upper: np.ndarray
     tol: float = 1e-6
     rel_tol: float = 1e-6
-    max_evals: int = 1_000_000
+    max_evals: int = 500_000
     fixed_points: int | None = None
 
     def __post_init__(self):
@@ -166,6 +183,9 @@ def _validate(problem):
         raise DimensionError("mean, cov and upper dimensions do not match")
     if problem.tol <= 0.0:
         raise ValueError("tol must be positive")
+    n = problem.fixed_points
+    if n is not None and (n < 1 or n & (n - 1)):
+        raise ValueError("fixed_points must be a power of two")
     if not np.allclose(problem.cov, problem.cov.T, rtol=1e-8, atol=1e-12):
         raise NotPositiveDefiniteError("covariance is not symmetric")
     variances = np.diag(problem.cov)
@@ -215,63 +235,103 @@ def _ordered_cholesky(cov, b):
     return chol, b
 
 
-def _make_points(seed, dim, n_points, scrambles):
-    out = np.empty((len(scrambles), n_points, dim))
-    for k, s in enumerate(scrambles):
-        rng = np.random.default_rng([seed, dim, n_points, s])
-        engine = qmc.Sobol(d=dim, scramble=True, seed=rng)
-        out[k] = engine.random_base2(int(math.log2(n_points)))
-    return out
+def _engines(seed, dim):
+    """The stream's scrambled Sobol engines, seeded from (seed, dim, scramble) only."""
+    return [qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng([seed, dim, s]))
+            for s in range(_N_SCRAMBLES)]
 
 
 @lru_cache(maxsize=16)
-def _cached_points(seed, dim, n_points, n_scrambles):
-    return _make_points(seed, dim, n_points, range(n_scrambles))
+def _stream_prefix(seed, dim):
+    """The first ``_CACHE_POINT_LIMIT`` points of each scramble, as (scrambles, dim, points)."""
+    log_n = int(math.log2(_CACHE_POINT_LIMIT))
+    out = np.stack([engine.random_base2(log_n).T for engine in _engines(seed, dim)])
+    out.flags.writeable = False
+    return out
 
 
-def _point_sets(seed, dim, n_points, n_scrambles):
-    """Scrambled Sobol points, as (scrambles, n_points, dim) chunks.
+def _stream_levels(seed, dim, first):
+    """The stream's points in doubling levels: [0, first), [first, 2 first), ... per scramble.
 
-    Sizes up to ``_CACHE_POINT_LIMIT``, which the fit path hits, are one
-    cached chunk. Larger sets are made one scramble at a time as they are
-    used, so that only one is held in memory.
+    Yields, per level, its end n (points per scramble so far) and an
+    iterator over the scrambles' new points, (dim, n_new) each; consume it
+    before asking for the next level. Levels within the cached prefix are
+    views of it; later ones are drawn from engines fast-forwarded past it.
     """
-    if n_points <= _CACHE_POINT_LIMIT:
-        return [_cached_points(seed, dim, n_points, n_scrambles)]
-    return (_make_points(seed, dim, n_points, [s]) for s in range(n_scrambles))
+    prefix = _stream_prefix(seed, dim)
+    engines = None
+    lo, hi = 0, first
+    while True:
+        if hi <= _CACHE_POINT_LIMIT:
+            yield hi, iter(prefix[:, :, lo:hi])
+        else:
+            if engines is None:
+                engines = [engine.fast_forward(_CACHE_POINT_LIMIT) for engine in _engines(seed, dim)]
+            log_n = int(math.log2(hi - lo))
+            yield hi, (np.ascontiguousarray(engine.random_base2(log_n).T) for engine in engines)
+        lo, hi = hi, 2 * hi
 
 
-def _scramble_means(chol, b, seed, n_points):
-    """Per-scramble means of the Genz-transformed integrand over ``n_points`` points."""
-    chunks = _point_sets(seed, b.shape[0] - 1, n_points, _N_SCRAMBLES)
-    return np.concatenate([_transformed_means(chol, b, points) for points in chunks])
+def _genz_sums(chol, b, w):
+    """Each block's sum of the Genz-transformed integrand over the points ``w``.
 
-
-def _transformed_means(chol, b, points):
-    """Per-scramble means of the Genz-transformed integrand.
-
-    Each uniform coordinate drives the chain y_i = Phi^{-1}(w_i * e_i) with
-    e_i the conditional probability of the i-th (reordered) coordinate.  All
-    scrambles are evaluated in one flattened pass.
+    ``chol`` (B, m, m) and ``b`` (B, m) are the blocks' ordered Cholesky
+    factors and limits, and ``w`` the (m - 1, n) uniform coordinates of n
+    points. Coordinate i drives the chain y_i = Phi^{-1}(w_i e_i), with e_i
+    the conditional probability of the i-th (reordered) variable given the
+    earlier y; the integrand is the product of the e_i. Blocks are taken in
+    chunks of about ``_GENZ_CHUNK`` entries.
     """
-    m = b.shape[0]
-    n_scrambles, n_points, _ = points.shape
-    w = points.reshape(n_scrambles * n_points, m - 1)
-    e1 = ndtr(b[0] / chol[0, 0])
-    f = np.full(w.shape[0], e1)
-    e_cur = f.copy()
-    ys = np.empty((w.shape[0], m - 1))
-    for i in range(1, m):
-        ys[:, i - 1] = ndtri(np.clip(w[:, i - 1] * e_cur, _TINY_P, 1.0))
-        e_cur = ndtr((b[i] - ys[:, :i] @ chol[i, :i]) / chol[i, i])
-        f *= e_cur
-    return f.reshape(n_scrambles, n_points).mean(axis=1)
+    n_blocks, m = b.shape
+    n = w.shape[1]
+    step = max(1, _GENZ_CHUNK // (m * n))
+    out = np.empty(n_blocks)
+    for lo in range(0, n_blocks, step):
+        c, lim = chol[lo:lo + step], b[lo:lo + step]
+        e = np.repeat(ndtr(lim[:, :1] / c[:, 0, :1]), n, axis=1)
+        f = e.copy()
+        ys = np.empty((lim.shape[0], m - 1, n))
+        for i in range(1, m):
+            ys[:, i - 1] = ndtri(np.maximum(w[i - 1] * e, _TINY_P))
+            shift = (c[:, i, None, :i] @ ys[:, :i])[:, 0]
+            e = ndtr((lim[:, i, None] - shift) / c[:, i, i, None])
+            f *= e
+        out[lo:lo + step] = f.sum(axis=1)
+    return out
 
 
-def _summarize(means):
-    value = float(means.mean())
-    err = 3.0 * float(means.std(ddof=1)) / math.sqrt(means.shape[0])
-    return value, err
+def _genz_qmc(chol, b, seed, n_max, tol, rel_tol):
+    """Genz QMC for a group of blocks of one size m on the shared stream of dimension m - 1.
+
+    ``chol`` (B, m, m) and ``b`` (B, m) are as in :func:`_genz_sums`, and
+    ``n_max`` (B,) holds each block's largest point count per scramble, a
+    power of two. Each level doubles the points per scramble, from
+    ``_FIRST_POINTS`` (or the smallest ``n_max`` if below it), and adds the
+    new points to the running sums of every block still active. A block
+    stops at its ``n_max``, or once its error estimate meets both ``tol``
+    and ``rel_tol`` (B,) times its estimate. Returns the estimates, their
+    errors (three standard errors over the scrambles), the points per
+    scramble each block used, and whether each met its tolerance.
+    """
+    n_blocks = b.shape[0]
+    dim = b.shape[1] - 1
+    sums = np.zeros((n_blocks, _N_SCRAMBLES))
+    value, err, used = np.zeros(n_blocks), np.zeros(n_blocks), np.zeros(n_blocks, dtype=int)
+    met = np.zeros(n_blocks, dtype=bool)
+    active = np.ones(n_blocks, dtype=bool)
+    for hi, level in _stream_levels(seed, dim, min(_FIRST_POINTS, int(np.min(n_max)))):
+        idx = np.flatnonzero(active)
+        chol_a, b_a = chol[idx], b[idx]
+        for s, w in enumerate(level):
+            sums[idx, s] += _genz_sums(chol_a, b_a, w)
+        means = sums[idx] / hi
+        value[idx] = means.mean(axis=1)
+        err[idx] = 3.0 * means.std(axis=1, ddof=1) / math.sqrt(_N_SCRAMBLES)
+        used[idx] = hi
+        met[idx] = (err[idx] <= tol[idx]) & (err[idx] <= rel_tol[idx] * np.maximum(value[idx], _TINY_P))
+        active[idx] = ~met[idx] & (n_max[idx] > hi)
+        if not np.any(active):
+            return value, err, used, met
 
 
 def _log1mexp(x):
@@ -538,50 +598,75 @@ def exact_block_log_probs(mean, cov, upper):
     return log_orthant_probs(limits, corr), None
 
 
+def _budget_points(max_evals):
+    """Largest points per scramble whose doubling from ``_FIRST_POINTS`` fits ``max_evals``."""
+    n = _FIRST_POINTS
+    while 2 * n * _N_SCRAMBLES <= max_evals:
+        n *= 2
+    return n
+
+
+def mvn_rect_probs(problems, seed=0):
+    """Pr(Y <= upper) for each of a group of problems of one dimension.
+
+    Dimensions 1 to 3 go through :func:`exact_block_log_probs` (the scalar
+    CDF, or :func:`log_orthant_probs`); these are exact to about 1e-12
+    relative (``err_est``), take one evaluation and ignore the sampling
+    settings. From dimension 4 on, each problem is factored by Genz's ordered
+    Cholesky and the group runs the transformed quasi-Monte Carlo rule on the
+    dimension's shared stream (see the module docstring). Each ``err_est`` is
+    three standard errors over the independent scramblings and ``evals`` the
+    points evaluated for that problem. If a problem's budget runs out before
+    its tolerance is met, its best estimate is returned with
+    ``budget_exhausted`` set. Returns the results and None, or None and
+    (index, error) of the first problem whose covariance or dimension fails.
+    """
+    problems = list(problems)
+    if not problems:
+        return [], None
+    m = problems[0].dim
+    chols, limits = [], []
+    for i, problem in enumerate(problems):
+        try:
+            if problem.dim != m:
+                raise DimensionError(f"a group of dimension {m} holds one of dimension {problem.dim}")
+            _validate(problem)
+            if m > 3:
+                chol, b = _ordered_cholesky(problem.cov, problem.upper - problem.mean)
+                chols.append(chol)
+                limits.append(b)
+        except (NotPositiveDefiniteError, DimensionError) as exc:
+            return None, (i, exc)
+
+    if m <= 3:
+        mean, cov, upper = (np.stack([getattr(p, k) for p in problems])
+                            for k in ("mean", "cov", "upper"))
+        log_p, error = exact_block_log_probs(mean, cov, upper)
+        if error is not None:
+            return None, error
+        return [ProbResult(value=math.exp(lv), err_est=_EXACT_REL_ERR * math.exp(lv), evals=1,
+                           log_value=lv) for lv in log_p.tolist()], None
+
+    fixed = np.array([p.fixed_points is not None for p in problems])
+    n_max = np.array([_budget_points(p.max_evals) if p.fixed_points is None else p.fixed_points
+                      for p in problems])
+    # a tolerance of -inf is never met: fixed counts run to the end
+    tol = np.where(fixed, -np.inf, [p.tol for p in problems])
+    rel_tol = np.where(fixed, -np.inf, [p.rel_tol for p in problems])
+    value, err, used, met = _genz_qmc(np.array(chols), np.array(limits), seed, n_max, tol, rel_tol)
+    with np.errstate(divide="ignore"):
+        log_value = np.log(np.maximum(value, 0.0))
+    return [ProbResult(value=v, err_est=e, evals=_N_SCRAMBLES * n, log_value=lv, budget_exhausted=x)
+            for v, e, n, lv, x in zip(value.tolist(), err.tolist(), used.tolist(),
+                                      log_value.tolist(), (~fixed & ~met).tolist())], None
+
+
 def mvn_rect_prob(problem, seed=0):
     """Pr(Y <= upper) for Y ~ N(mean, cov) with all lower limits at -inf.
 
-    Dimensions 1 to 3 go through :func:`exact_block_log_probs` (the scalar
-    CDF, or :func:`log_orthant_probs`); these are exact to about 1e-12 relative
-    (``err_est``), take one evaluation and ignore the sampling settings.
-    From dimension 4 on, the transformed quasi-Monte Carlo rule is used; the
-    returned ``err_est`` is three standard errors over the independent
-    scramblings.  If the evaluation budget is exhausted before the tolerance
-    is met, the best estimate is returned with ``budget_exhausted`` set.
+    :func:`mvn_rect_probs` on a group of one; raises its error.
     """
-    _validate(problem)
-    if problem.dim <= 3:
-        log_p, error = exact_block_log_probs(problem.mean[None], problem.cov[None],
-                                             problem.upper[None])
-        if error is not None:
-            raise error[1]
-        log_value = float(log_p[0])
-        value = math.exp(log_value)
-        return ProbResult(value=value, err_est=_EXACT_REL_ERR * value, evals=1,
-                          log_value=log_value)
-
-    chol, b_perm = _ordered_cholesky(problem.cov, problem.upper - problem.mean)
-
-    if problem.fixed_points is not None:
-        n_points = int(problem.fixed_points)
-        value, err = _summarize(_scramble_means(chol, b_perm, seed, n_points))
-        log_value = math.log(value) if value > 0.0 else -math.inf
-        return ProbResult(value=value, err_est=err, evals=_N_SCRAMBLES * n_points,
-                          log_value=log_value)
-
-    n_points = 512
-    evals = 0
-    value = err = np.nan
-    while True:
-        value, err = _summarize(_scramble_means(chol, b_perm, seed, n_points))
-        evals += _N_SCRAMBLES * n_points
-        if err <= problem.tol and err <= problem.rel_tol * max(value, _TINY_P):
-            break
-        if evals + 2 * _N_SCRAMBLES * n_points > problem.max_evals:
-            log_value = math.log(value) if value > 0.0 else -math.inf
-            return ProbResult(value=value, err_est=err, evals=evals,
-                              log_value=log_value, budget_exhausted=True)
-        n_points *= 2
-
-    log_value = math.log(value) if value > 0.0 else -math.inf
-    return ProbResult(value=value, err_est=err, evals=evals, log_value=log_value)
+    results, error = mvn_rect_probs([problem], seed)
+    if error is not None:
+        raise error[1]
+    return results[0]

@@ -32,7 +32,7 @@ from .errors import (
     ModeSearchError,
     NotPositiveDefiniteError,
 )
-from .gaussian import MAX_DIM, MvnProblem, exact_block_log_probs, mvn_rect_prob
+from .gaussian import MAX_DIM, MvnProblem, exact_block_log_probs, mvn_rect_probs
 from .quadrature import choose_order
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -263,6 +263,29 @@ class LogLikOptions:
             raise ValueError("tolerances must be positive and gh_order at least 1")
 
 
+@dataclass(frozen=True)
+class QmcRecord:
+    """The QMC blocks (m >= 4) of one marginal evaluation: their count and cost, and the accuracy reached.
+
+    ``points`` counts the integrand points evaluated over all of them,
+    ``exhausted`` the blocks whose budget ran out before they met
+    ``mvn_tol``, and ``max_rel_err`` is the largest err_est / p, which is
+    about the error of that block's log probability.
+    """
+
+    blocks: int = 0
+    points: int = 0
+    exhausted: int = 0
+    max_rel_err: float = 0.0
+
+    def including(self, results):
+        """This record with the ``ProbResult`` list ``results`` added."""
+        rel = [r.err_est / r.value if r.value > 0.0 else math.inf for r in results]
+        return QmcRecord(self.blocks + len(results), self.points + sum(r.evals for r in results),
+                         self.exhausted + sum(r.budget_exhausted for r in results),
+                         max([self.max_rel_err, *rel]))
+
+
 def _reduced_factor(g):
     """Map u = A v with v ~ N(0, I_r) spanning the (possibly deficient) G."""
     vals, vecs = np.linalg.eigh(g)
@@ -449,6 +472,7 @@ class LikelihoodEvaluator:
         if bad.size:
             sid = self.subject_ids[self.row_subject[bad[0]]]
             raise DimensionError(f"subject {sid}: marker exceeds residual strata")
+        self.qmc_record = QmcRecord()
 
     # -- shared helpers -----------------------------------------------------
 
@@ -500,10 +524,12 @@ class LikelihoodEvaluator:
         the posterior (m, M) of :meth:`_posterior`. Blocks are grouped by
         their size m. Sizes 1, 2 and 3 are exact, with one batched
         :func:`gaussian.exact_block_log_probs` call per size; only blocks
-        with m >= 4 use Genz QMC, one block at a time. A failure names the
-        first failing subject.
+        with m >= 4 use Genz QMC, with one grouped call per size; what they
+        cost and the accuracy they reached go to ``qmc_record``. A failure
+        names the first failing subject.
         """
         self._check(theta)
+        self.qmc_record = QmcRecord()
         zf = self.z @ _reduced_factor(theta.g_matrix())
         logpdf, mean, chol = self._posterior(theta, zf, self.observed.astype(float))
         total = float(np.sum(logpdf))
@@ -529,7 +555,7 @@ class LikelihoodEvaluator:
             if m <= 3:
                 log_p, error = exact_block_log_probs(mu_c[rows], cov, upper[rows])
             else:
-                log_p, error = self._qmc_block_log_probs(blocks, mu_c[rows], cov, upper[rows])
+                log_p, error = self._qmc_block_log_probs(mu_c[rows], cov, upper[rows])
             if error is None and np.any(np.isnan(log_p)):
                 error = (int(np.argmax(np.isnan(log_p))),
                          IntegrationError("censored-block probability is not a number"))
@@ -542,26 +568,25 @@ class LikelihoodEvaluator:
             raise _subject_error(self.subject_ids[s], failures[s]) from failures[s]
         return total
 
-    def _qmc_block_log_probs(self, blocks, mean, cov, upper):
-        """Genz QMC for blocks of one size m >= 4, one block at a time.
+    def _qmc_block_log_probs(self, mean, cov, upper):
+        """Genz QMC for blocks of one size m >= 4, in one grouped call.
 
         Returns the log probabilities and None, or None and (index, error)
-        of the first failing block.
+        of the first failing block. Adds the blocks to ``qmc_record``.
         """
         m = mean.shape[1]
         if m > MAX_DIM:
             return None, (0, DimensionError(
                 f"{m} censored measures exceed the supported {MAX_DIM}"))
-        fixed = FIT_POINTS.get(m, FIT_POINTS_DEFAULT) if self.options.mvn_fixed_points else None
-        out = np.empty(blocks.size)
-        for i in range(blocks.size):
-            problem = MvnProblem(mean=mean[i], cov=cov[i], upper=upper[i], tol=self.options.mvn_tol,
-                                 rel_tol=self.options.mvn_tol, fixed_points=fixed)
-            try:
-                out[i] = mvn_rect_prob(problem, seed=self.options.seed).log_value
-            except (NotPositiveDefiniteError, DimensionError) as exc:
-                return None, (i, exc)
-        return out, None
+        opts = self.options
+        fixed = FIT_POINTS.get(m, FIT_POINTS_DEFAULT) if opts.mvn_fixed_points else None
+        problems = [MvnProblem(mean=mean[i], cov=cov[i], upper=upper[i], tol=opts.mvn_tol,
+                               rel_tol=opts.mvn_tol, fixed_points=fixed) for i in range(mean.shape[0])]
+        results, error = mvn_rect_probs(problems, seed=opts.seed)
+        if error is not None:
+            return None, error
+        self.qmc_record = self.qmc_record.including(results)
+        return np.array([r.log_value for r in results]), None
 
     # -- hierarchical path --------------------------------------------------
 

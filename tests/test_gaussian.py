@@ -6,15 +6,19 @@ import pytest
 from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import log_ndtr
+from scipy.stats import qmc
 
 from censlmm.errors import DimensionError, NotPositiveDefiniteError
 from censlmm.gaussian import (
     MvnProblem,
+    _CACHE_POINT_LIMIT,
+    _genz_qmc,
     _ordered_cholesky,
-    _scramble_means,
+    _stream_levels,
     log_orthant_probs,
     mvn_logpdf,
     mvn_rect_prob,
+    mvn_rect_probs,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -208,6 +212,104 @@ class TestRectProbProperties:
         assert nothing.value == pytest.approx(0.0, abs=1e-9)
 
 
+class TestNestedStreams:
+    @staticmethod
+    def group(rng, m=5):
+        """Problems of one size that stop at different levels, one with a fixed count."""
+        problems = []
+        for tol, shift, max_evals in [(1e-3, 1.0, 500_000), (1e-5, 0.5, 500_000),
+                                      (1e-6, 0.0, 500_000), (1e-9, -0.5, 100_000),
+                                      (1e-12, -1.0, 500_000)]:
+            a = rng.normal(size=(m, m))
+            problems.append(MvnProblem(mean=rng.normal(size=m), cov=a @ a.T + np.eye(m),
+                                       upper=shift + rng.normal(size=m), tol=tol, rel_tol=1.0,
+                                       max_evals=max_evals))
+        a = rng.normal(size=(m, m))
+        problems.append(MvnProblem(mean=np.zeros(m), cov=a @ a.T + np.eye(m),
+                                   upper=rng.normal(size=m), fixed_points=2048))
+        return problems
+
+    def test_grouped_estimate_equals_the_block_alone(self):
+        rng = np.random.default_rng(21)
+        problems = self.group(rng)
+        alone = [mvn_rect_prob(p, seed=3) for p in problems]
+        assert len({r.evals for r in alone}) >= 4  # the blocks stop at different levels
+        others = self.group(rng)
+        orders = [list(range(6)), list(range(5, -1, -1)), list(rng.permutation(6))]
+        for order in orders:
+            for extra in ([], others[:3]):
+                group = [problems[i] for i in order] + extra
+                results, error = mvn_rect_probs(group, seed=3)
+                assert error is None
+                for i, res in zip(order, results):
+                    assert res.value == pytest.approx(alone[i].value, abs=1e-12)
+                    assert res.err_est == pytest.approx(alone[i].err_est, abs=1e-12)
+                    assert (res.evals, res.budget_exhausted) == (alone[i].evals,
+                                                                alone[i].budget_exhausted)
+
+    @pytest.mark.parametrize("dim", [3, 9])
+    def test_stream_is_one_sobol_sequence(self, dim):
+        # past the cached prefix, too: its points come from fast-forwarded engines
+        n = 4 * _CACHE_POINT_LIMIT
+        drawn = [[] for _ in range(10)]
+        for end, level in _stream_levels(5, dim, 512):
+            for s, points in enumerate(level):
+                drawn[s].append(points)
+            if end == n:
+                break
+        for s in range(10):
+            engine = qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng([5, dim, s]))
+            want = engine.random_base2(int(math.log2(n)))
+            np.testing.assert_array_equal(np.concatenate(drawn[s], axis=1).T, want)
+
+    def test_capped_block_uses_the_largest_set(self):
+        cov = np.eye(4) + 0.4 * (np.ones((4, 4)) - np.eye(4))
+        res = mvn_rect_prob(MvnProblem(mean=np.zeros(4), cov=cov, upper=np.zeros(4),
+                                       tol=1e-15, rel_tol=1e-15))
+        assert res.evals == 10 * 32768 and res.budget_exhausted
+
+    def test_first_failing_problem_is_named(self):
+        good = MvnProblem(mean=np.zeros(4), cov=np.eye(4), upper=np.zeros(4))
+        bad = MvnProblem(mean=np.zeros(4), cov=np.ones((4, 4)), upper=np.zeros(4))
+        results, (index, error) = mvn_rect_probs([good, bad, bad], seed=0)
+        assert results is None and index == 1
+        assert isinstance(error, NotPositiveDefiniteError)
+        with pytest.raises(ValueError, match="power of two"):
+            mvn_rect_prob(MvnProblem(mean=np.zeros(4), cov=np.eye(4), upper=np.zeros(4),
+                                     fixed_points=1000))
+
+
+def factor_oracle(loadings, unique, upper, order=64):
+    """Pr(Y <= upper) for Y ~ N(0, R R^T + D) with R of shape (m, 2), D = diag(unique).
+
+    Given the two factors z, the variables are independent, so p is
+    E over z ~ N(0, I_2) of prod_i Phi((upper_i - R_i z) / sqrt(D_i)): a
+    2-D Gauss-Hermite tensor rule of ``order`` nodes per axis.
+    """
+    x, w = np.polynomial.hermite.hermgauss(order)
+    z = math.sqrt(2.0) * np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    t = (upper - z @ loadings.T) / np.sqrt(unique)
+    return float(np.sum(np.outer(w, w).ravel() / math.pi * np.exp(np.sum(log_ndtr(t), axis=1))))
+
+
+class TestFactorOracle:
+    # (m, shift of the limits): three central blocks, then deep tails with p < 1e-6
+    @pytest.mark.parametrize("m,shift", [(4, 0.3), (7, 0.6), (10, 1.0),
+                                         (4, -2.5), (7, -1.2), (10, -1.0)])
+    def test_adaptive_qmc_within_its_error_estimate(self, m, shift):
+        rng = np.random.default_rng([m, 0])
+        loadings = 0.6 * rng.normal(size=(m, 2))
+        unique = rng.uniform(0.5, 1.0, m)
+        upper = shift + 0.5 * rng.normal(size=m)
+        want = factor_oracle(loadings, unique, upper)
+        res = mvn_rect_prob(MvnProblem(mean=np.zeros(m), cov=loadings @ loadings.T + np.diag(unique),
+                                       upper=upper))
+        # the oracle itself has converged far inside the QMC error
+        assert abs(factor_oracle(loadings, unique, upper, order=96) - want) < 0.01 * res.err_est
+        assert shift > 0.0 or want < 1e-6
+        assert abs(res.value - want) <= 2.0 * res.err_est
+
+
 def corr3(r12, r13, r23):
     return np.array([[1.0, r12, r13], [r12, 1.0, r23], [r13, r23, 1.0]])
 
@@ -284,7 +386,8 @@ def tvn_oracle(b, corr):
 def qmc_value(limits, corr):
     """The quasi-Monte Carlo estimate that served m = 2 and 3 before the exact forms."""
     chol, b = _ordered_cholesky(corr, np.asarray(limits, dtype=float))
-    return float(np.mean(_scramble_means(chol, b, 0, 512)))
+    never = np.array([-np.inf])
+    return float(_genz_qmc(chol[None], b[None], 0, np.array([512]), never, never)[0][0])
 
 
 ORACLE_RHOS = (-0.95, -0.5, 0.0, 0.3, 0.9, 0.93, 0.99, 0.999)

@@ -449,17 +449,16 @@ def agq_reference(dataset, spec, theta, order):
     return total
 
 
-def dense_reference(dataset, spec, theta, options):
-    """Naive and marginal totals, subject by subject, from the dense moments."""
-    naive = marginal = 0.0
+def dense_terms(dataset, spec, theta, options):
+    """Per subject, from the dense moments: its naive log-density, the log-density
+    of its observed rows, and its censored block's MvnProblem (None if it has none)."""
     for subject in dataset.subjects:
         mu, v = marginal_moments(subject, spec, theta)
         obs, cens = partition_subject(subject)
         y = np.array([o.response if o.is_observed else o.threshold
                       for o in subject.observations])
-        naive += mvn_logpdf(y, mu, v)
-        if obs:
-            marginal += mvn_logpdf(y[obs], mu[obs], v[np.ix_(obs, obs)])
+        observed = mvn_logpdf(y[obs], mu[obs], v[np.ix_(obs, obs)]) if obs else 0.0
+        problem = None
         if cens:
             if obs:
                 mu_c, v_c = conditional_moments(mu, v, obs, cens, y[obs])
@@ -470,6 +469,16 @@ def dense_reference(dataset, spec, theta, options):
                 fixed = FIT_POINTS.get(len(cens), FIT_POINTS_DEFAULT)
             problem = MvnProblem(mean=mu_c, cov=v_c, upper=y[cens], tol=options.mvn_tol,
                                  rel_tol=options.mvn_tol, fixed_points=fixed)
+        yield mvn_logpdf(y, mu, v), observed, problem
+
+
+def dense_reference(dataset, spec, theta, options):
+    """Naive and marginal totals, subject by subject, from the dense moments."""
+    naive = marginal = 0.0
+    for naive_term, observed, problem in dense_terms(dataset, spec, theta, options):
+        naive += naive_term
+        marginal += observed
+        if problem is not None:
             marginal += mvn_rect_prob(problem, seed=options.seed).log_value
     return naive, marginal
 
@@ -517,3 +526,42 @@ class TestFlatEvaluatorAgainstDenseReference:
             make_subject("mixed", [0.0, 1.0, 2.0, 3.0], [2.9, 3.6, 2.9, 4.4], [0, 1, 0, 1], 2.9),
         ))
         self.check(d, is_spec, theta, options)
+
+
+def test_qmc_record_reports_exhausted_blocks(is_spec, truth):
+    # 100 subjects x 10 times at 50% censoring has blocks of up to m = 10,
+    # many of which cannot meet mvn_tol within the budget; the record of the
+    # grouped evaluation must count them as per-block calls do
+    d = simulate(SimConfig(n_subjects=100, n_per_subject=10, truth=truth,
+                           target_censoring=0.5, seed=7))
+    ev = LikelihoodEvaluator(d, is_spec)
+    ev.marginal(truth)
+    record = ev.qmc_record
+    options = LogLikOptions()
+    alone = [mvn_rect_prob(problem, seed=options.seed)
+             for _, _, problem in dense_terms(d, is_spec, truth, options)
+             if problem is not None and problem.dim >= 4]
+    assert record.exhausted > 0
+    assert record.exhausted == sum(r.budget_exhausted for r in alone)
+    assert record.blocks == len(alone)
+    assert record.points == sum(r.evals for r in alone)
+    assert record.max_rel_err == pytest.approx(max(r.err_est / r.value for r in alone), rel=1e-6)
+
+
+def test_qmc_record_describes_the_last_evaluation(is_spec, truth):
+    d = simulate(SimConfig(n_subjects=20, n_per_subject=8, truth=truth,
+                           target_censoring=0.6, seed=3))
+    ev = LikelihoodEvaluator(d, is_spec, LogLikOptions(mvn_fixed_points=True))
+    n_cens = np.diff(ev.start) - ev.n_obs
+    sizes = n_cens[n_cens >= 4]
+    assert sizes.size > 0
+    points = sum(10 * FIT_POINTS.get(m, FIT_POINTS_DEFAULT) for m in sizes)
+    for _ in range(2):
+        ev.marginal(truth)
+        assert ev.qmc_record.blocks == sizes.size and ev.qmc_record.points == points
+        assert ev.qmc_record.exhausted == 0 and 0.0 < ev.qmc_record.max_rel_err < 1.0
+    uncensored = simulate(SimConfig(n_subjects=5, n_per_subject=3, truth=truth,
+                                    threshold=-1e10, seed=3))
+    ev = LikelihoodEvaluator(uncensored, is_spec)
+    ev.marginal(truth)
+    assert ev.qmc_record == likelihood.QmcRecord()
