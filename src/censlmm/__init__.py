@@ -34,12 +34,9 @@ from .errors import (
     SchemaError,
 )
 from .gaussian import (
-    MvnProblem,
-    ProbResult,
     log_std_normal_cdf,
     log_std_normal_pdf,
     mvn_logpdf,
-    mvn_rect_prob,
     std_normal_cdf,
     std_normal_icdf,
     std_normal_pdf,

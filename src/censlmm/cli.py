@@ -45,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text):
+    """A nonnegative integer seed; the QMC streams and the simulator take no other."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, not {value}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="censlmm",
                      description="Mixed models for left-censored repeated measures")
@@ -53,19 +61,22 @@ def _build_parser():
     def add_common(p):
         p.add_argument("--model", choices=sorted(MODEL_TEMPLATES), default="is",
                        help="model template: ri=random intercept, is=intercept+slope, biv=bivariate")
+        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--threshold", type=float, default=None,
+                       help="global detection limit when the file has no limit column")
+        p.add_argument("--output", default=None, help="report/dataset destination")
+
+    def add_fit_options(p):
+        add_common(p)
+        p.add_argument("--input", required=True)
         p.add_argument("--gh-order", type=int, default=None,
                        help="pin the quadrature order, capped per random-effects dimension "
                             "(ignores --qtol); default: start at 10 and double")
         p.add_argument("--qtol", type=float, default=1e-6,
                        help="quadrature-order doubling tolerance")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threshold", type=float, default=None,
-                       help="global detection limit when the file has no limit column")
-        p.add_argument("--output", default=None, help="report/dataset destination")
 
     fit = sub.add_parser("fit", help="fit one or more likelihood methods to a dataset")
-    add_common(fit)
-    fit.add_argument("--input", required=True)
+    add_fit_options(fit)
     fit.add_argument("--method", action="append", choices=sorted(_METHODS),
                      help="repeatable; defaults to marginal")
 
@@ -77,8 +88,7 @@ def _build_parser():
                      help="censoring fraction used to calibrate the detection limit")
 
     cmp_ = sub.add_parser("compare", help="fit both censoring-aware formulations and diff them")
-    add_common(cmp_)
-    cmp_.add_argument("--input", required=True)
+    add_fit_options(cmp_)
     cmp_.add_argument("--tolerance", type=float, default=0.01,
                       help="max acceptable per-parameter difference")
     return parser

@@ -1,8 +1,13 @@
 """Normal-distribution primitives: densities, CDFs and rectangle probabilities.
 
-The rectangle probability Pr(Y <= upper) for Y ~ N(mean, cov) over a
-lower-infinite box is exact for up to three variables. One variable is the
-normal CDF. Two and three use fixed quadrature nodes on standardized limits,
+:func:`mvn_rect_probs` is the one entry point for the rectangle probability
+Pr(Y <= upper) for Y ~ N(mean, cov) over a lower-infinite box. It takes
+stacked blocks of one size m, checks them in one batched pass (the size cap,
+symmetry, the variance floor and positive definiteness), and picks the rule
+by m.
+
+Up to three variables the probability is exact. One variable is the normal
+CDF. Two and three use fixed quadrature nodes on standardized limits,
 batched over many blocks by :func:`log_orthant_probs`: Drezner and
 Wesolowsky's sum and Genz's transformed form for two (JSCS 1990; Stat.
 Comput. 2004), Plackett's path for three, and an endpoint Gauss-Laguerre rule
@@ -14,20 +19,20 @@ cube, which is then evaluated with randomized quasi-Monte Carlo on nested
 point streams. Each dimension m has one stream of ten independently scrambled
 Sobol sequences, seeded from the configured seed, m - 1 and the scramble index
 only; the spread of the ten per-scramble means gives the error estimate.
-Every problem of one dimension reads the same stream from its start, and
-:func:`mvn_rect_probs` evaluates a group of them together. The points come in
-doubling levels (512, 1024, ... per scramble); each level is drawn once and
-adds only its new points to the running sums of the problems that have not
-yet met their tolerance, so going from n to 2n points evaluates n. A problem
-stops when it meets its tolerance or when its budget of evaluated points runs
-out. The first 2^13 points of each stream are cached; later ones come from
-engines fast-forwarded past them. A problem's estimate does not depend on
-the rest of its group, repeated calls are reproducible, and the estimate
-varies smoothly with the problem's moments.
+Every block of one dimension reads the same stream from its start, and the
+blocks of one call are evaluated together. The points come in doubling
+levels (512, 1024, ... per scramble); each level is drawn once and adds only
+its new points to the running sums of the blocks that have not yet met their
+tolerance, so going from n to 2n points evaluates n. A block stops when its
+error estimate is at most ``tol`` times its probability, or at 32,768 points
+per scramble; with a fixed count, every block runs exactly that count. The
+first 2^13 points of each stream are cached; later ones come from engines
+fast-forwarded past them. A block's estimate does not depend on the rest of
+its group, repeated calls are reproducible, and with a fixed count the
+estimate varies smoothly with the block's moments.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,6 +53,8 @@ _TINY_P = 1e-300
 # points per scramble of the first QMC level, and the cached prefix of each stream
 _FIRST_POINTS = 512
 _CACHE_POINT_LIMIT = 2 ** 13
+# the most points per scramble an adaptive block evaluates
+_MAX_POINTS = 2 ** 15
 # blocks x coordinates x points evaluated in one batched pass of the Genz
 # integrand; bounds its temporaries to a few MB
 _GENZ_CHUNK = 2 ** 18
@@ -74,8 +81,6 @@ _FLAT = 0.02
 _FLAT_CANCEL = 0.1
 # a standardized limit beyond this is infinite to double precision
 _BIG = 40.0
-# relative error reported for the exact m = 2 and m = 3 probabilities
-_EXACT_REL_ERR = 1e-12
 
 
 def std_normal_pdf(x):
@@ -123,74 +128,6 @@ def mvn_logpdf(y, mean, cov):
     z = solve_triangular(chol, y - mean, lower=True)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     return float(-0.5 * (z @ z) - 0.5 * logdet - n * _LOG_SQRT_2PI)
-
-
-@dataclass(frozen=True)
-class MvnProblem:
-    """A lower-infinite rectangle probability problem.
-
-    Pr(Y_1 <= upper_1, ..., Y_m <= upper_m) for Y ~ N(mean, cov); all lower
-    limits are -inf.  ``tol`` is the requested absolute error and ``rel_tol``
-    an additional relative target; sampling stops once both are met.
-    ``max_evals`` is the budget of integrand points evaluated for this
-    problem, over all ten scrambles. The points per scramble double from 512
-    while ten times the next count fits, so the default allows up to 32,768
-    per scramble; if the budget runs out first, the result has
-    ``budget_exhausted`` set. When ``fixed_points`` (a power of two) is set,
-    exactly the first that many points of each scramble's stream are used
-    with no adaptive escalation; likelihood evaluation relies on this to keep
-    the objective a smooth function of the model parameters.  The sampling
-    settings apply only from dimension 4 on: up to dimension 3 the
-    probability is exact and no QMC runs.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-    upper: np.ndarray
-    tol: float = 1e-6
-    rel_tol: float = 1e-6
-    max_evals: int = 500_000
-    fixed_points: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, dtype=float)))
-        object.__setattr__(self, "cov", np.atleast_2d(np.asarray(self.cov, dtype=float)))
-        object.__setattr__(self, "upper", np.atleast_1d(np.asarray(self.upper, dtype=float)))
-
-    @property
-    def dim(self):
-        return self.mean.shape[0]
-
-
-@dataclass(frozen=True)
-class ProbResult:
-    """Estimated probability with error estimate and cost accounting."""
-
-    value: float
-    err_est: float
-    evals: int
-    log_value: float
-    budget_exhausted: bool = False
-
-
-def _validate(problem):
-    m = problem.dim
-    if m < 1:
-        raise DimensionError("empty problem")
-    if m > MAX_DIM:
-        raise DimensionError(f"dimension {m} exceeds the supported maximum of {MAX_DIM}")
-    if problem.cov.shape != (m, m) or problem.upper.shape != (m,):
-        raise DimensionError("mean, cov and upper dimensions do not match")
-    if problem.tol <= 0.0:
-        raise ValueError("tol must be positive")
-    n = problem.fixed_points
-    if n is not None and (n < 1 or n & (n - 1)):
-        raise ValueError("fixed_points must be a power of two")
-    if not np.allclose(problem.cov, problem.cov.T, rtol=1e-8, atol=1e-12):
-        raise NotPositiveDefiniteError("covariance is not symmetric")
-    variances = np.diag(problem.cov)
-    if np.any(variances < VARIANCE_FLOOR):
-        raise NotPositiveDefiniteError(_FLOOR_MESSAGE)
 
 
 def _ordered_cholesky(cov, b):
@@ -300,16 +237,15 @@ def _genz_sums(chol, b, w):
     return out
 
 
-def _genz_qmc(chol, b, seed, n_max, tol, rel_tol):
+def _genz_qmc(chol, b, seed, n_max, tol):
     """Genz QMC for a group of blocks of one size m on the shared stream of dimension m - 1.
 
     ``chol`` (B, m, m) and ``b`` (B, m) are as in :func:`_genz_sums`, and
-    ``n_max`` (B,) holds each block's largest point count per scramble, a
-    power of two. Each level doubles the points per scramble, from
-    ``_FIRST_POINTS`` (or the smallest ``n_max`` if below it), and adds the
-    new points to the running sums of every block still active. A block
-    stops at its ``n_max``, or once its error estimate meets both ``tol``
-    and ``rel_tol`` (B,) times its estimate. Returns the estimates, their
+    ``n_max`` is the largest point count per scramble, a power of two. Each
+    level doubles the points per scramble, from ``_FIRST_POINTS`` (or
+    ``n_max`` if below it), and adds the new points to the running sums of
+    every block still active. A block stops at ``n_max``, or once its error
+    estimate meets ``tol`` times its estimate. Returns the estimates, their
     errors (three standard errors over the scrambles), the points per
     scramble each block used, and whether each met its tolerance.
     """
@@ -319,7 +255,7 @@ def _genz_qmc(chol, b, seed, n_max, tol, rel_tol):
     value, err, used = np.zeros(n_blocks), np.zeros(n_blocks), np.zeros(n_blocks, dtype=int)
     met = np.zeros(n_blocks, dtype=bool)
     active = np.ones(n_blocks, dtype=bool)
-    for hi, level in _stream_levels(seed, dim, min(_FIRST_POINTS, int(np.min(n_max)))):
+    for hi, level in _stream_levels(seed, dim, min(_FIRST_POINTS, n_max)):
         idx = np.flatnonzero(active)
         chol_a, b_a = chol[idx], b[idx]
         for s, w in enumerate(level):
@@ -328,8 +264,8 @@ def _genz_qmc(chol, b, seed, n_max, tol, rel_tol):
         value[idx] = means.mean(axis=1)
         err[idx] = 3.0 * means.std(axis=1, ddof=1) / math.sqrt(_N_SCRAMBLES)
         used[idx] = hi
-        met[idx] = (err[idx] <= tol[idx]) & (err[idx] <= rel_tol[idx] * np.maximum(value[idx], _TINY_P))
-        active[idx] = ~met[idx] & (n_max[idx] > hi)
+        met[idx] = err[idx] <= tol * np.maximum(value[idx], _TINY_P)
+        active[idx] = ~met[idx] & (n_max > hi)
         if not np.any(active):
             return value, err, used, met
 
@@ -574,99 +510,73 @@ def log_orthant_probs(limits, corr):
     return out
 
 
-def exact_block_log_probs(mean, cov, upper):
-    """log Pr(Y <= upper) for (S, m) blocks with m <= 3, batched and exact.
+def mvn_rect_probs(mean, cov, upper, tol=1e-6, seed=0, points=None):
+    """log Pr(Y <= upper) for Y ~ N(mean, cov), over B blocks of one size m.
 
-    ``mean`` and ``upper`` are (S, m), ``cov`` is (S, m, m). Checks the
-    variance floor and positive definiteness. Returns the S log
-    probabilities and None, or None and (index, error) of the first
-    failing block.
+    ``mean`` and ``upper`` are (B, m) and ``cov`` is (B, m, m), for m from 1
+    to ``MAX_DIM``; all lower limits are -inf. Sizes 1 to 3 are exact: the
+    normal CDF, or :func:`log_orthant_probs` on the standardized limits, to
+    about 1e-12 relative. From m = 4 on, each block is factored by Genz's
+    ordered Cholesky and the group runs the transformed quasi-Monte Carlo
+    rule on the size's shared stream (see the module docstring). There a
+    block stops once its error estimate, three standard errors over the
+    scrambles, is at most ``tol`` times its probability, or at 32,768
+    points per scramble (``_MAX_POINTS``), when it is flagged exhausted. With
+    ``points`` (a power of two), every block uses exactly that many points
+    per scramble instead, and none is flagged.
+
+    Returns ``(log_p, err_est, points, exhausted)`` as (B,) arrays, where
+    ``points`` counts the points evaluated over all scrambles and the last
+    three are None for m <= 3, and None; or None and (index, error) of the
+    first block whose size or covariance fails: an asymmetric covariance, a
+    variance below ``VARIANCE_FLOOR``, or one that is not positive definite.
     """
+    mean, cov, upper = (np.asarray(a, dtype=float) for a in (mean, cov, upper))
+    n_blocks, m = mean.shape
+    if cov.shape != (n_blocks, m, m) or upper.shape != (n_blocks, m):
+        raise DimensionError("mean, cov and upper dimensions do not match")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if points is not None and (points < 1 or points & (points - 1)):
+        raise ValueError("points must be a power of two")
+    if not 1 <= m <= MAX_DIM:
+        exc = DimensionError(f"{m} censored measures are outside the supported 1 to {MAX_DIM}")
+        return None, (0, exc)
+
     var = np.diagonal(cov, axis1=1, axis2=2)
     low = np.any(var < VARIANCE_FLOOR, axis=1)
-    if np.any(low):
-        return None, (int(np.argmax(low)), NotPositiveDefiniteError(_FLOOR_MESSAGE))
-    sd = np.sqrt(var)
-    limits = (upper - mean) / sd
-    if mean.shape[1] == 1:
-        return log_ndtr(limits[:, 0]), None
-    corr = cov / (sd[:, :, None] * sd[:, None, :])
-    singular = np.linalg.eigvalsh(corr)[:, 0] <= 0.0
-    if np.any(singular):
-        return None, (int(np.argmax(singular)),
-                      NotPositiveDefiniteError("covariance is not positive definite"))
-    return log_orthant_probs(limits, corr), None
-
-
-def _budget_points(max_evals):
-    """Largest points per scramble whose doubling from ``_FIRST_POINTS`` fits ``max_evals``."""
-    n = _FIRST_POINTS
-    while 2 * n * _N_SCRAMBLES <= max_evals:
-        n *= 2
-    return n
-
-
-def mvn_rect_probs(problems, seed=0):
-    """Pr(Y <= upper) for each of a group of problems of one dimension.
-
-    Dimensions 1 to 3 go through :func:`exact_block_log_probs` (the scalar
-    CDF, or :func:`log_orthant_probs`); these are exact to about 1e-12
-    relative (``err_est``), take one evaluation and ignore the sampling
-    settings. From dimension 4 on, each problem is factored by Genz's ordered
-    Cholesky and the group runs the transformed quasi-Monte Carlo rule on the
-    dimension's shared stream (see the module docstring). Each ``err_est`` is
-    three standard errors over the independent scramblings and ``evals`` the
-    points evaluated for that problem. If a problem's budget runs out before
-    its tolerance is met, its best estimate is returned with
-    ``budget_exhausted`` set. Returns the results and None, or None and
-    (index, error) of the first problem whose covariance or dimension fails.
-    """
-    problems = list(problems)
-    if not problems:
-        return [], None
-    m = problems[0].dim
-    chols, limits = [], []
-    for i, problem in enumerate(problems):
-        try:
-            if problem.dim != m:
-                raise DimensionError(f"a group of dimension {m} holds one of dimension {problem.dim}")
-            _validate(problem)
-            if m > 3:
-                chol, b = _ordered_cholesky(problem.cov, problem.upper - problem.mean)
-                chols.append(chol)
-                limits.append(b)
-        except (NotPositiveDefiniteError, DimensionError) as exc:
-            return None, (i, exc)
+    # np.isclose's test (NaN fails it), written out: np.isclose takes 3x as long
+    cov_t = np.swapaxes(cov, 1, 2)
+    asym = np.any(~(np.abs(cov - cov_t) <= 1e-12 + 1e-8 * np.abs(cov_t)), axis=(1, 2))
+    checks = [(asym, "covariance is not symmetric"), (low, _FLOOR_MESSAGE)]
+    if m <= 3:
+        sd = np.sqrt(np.maximum(var, VARIANCE_FLOOR)[:, :, None])
+        limits = (upper - mean) / sd[:, :, 0]
+        corr = cov / (sd * np.swapaxes(sd, 1, 2))
+        if m > 1:
+            checks.append((np.linalg.eigvalsh(corr)[:, 0] <= 0.0, "covariance is not positive definite"))
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    first = int(np.argmax(bad)) if bad.any() else n_blocks
+    if m > 3:
+        # the ordered Cholesky is the positive-definiteness check
+        factors = []
+        for i in range(first):
+            try:
+                factors.append(_ordered_cholesky(cov[i], upper[i] - mean[i]))
+            except NotPositiveDefiniteError as exc:
+                return None, (i, exc)
+    if first < n_blocks:
+        message = next(message for mask, message in checks if mask[first])
+        return None, (first, NotPositiveDefiniteError(message))
 
     if m <= 3:
-        mean, cov, upper = (np.stack([getattr(p, k) for p in problems])
-                            for k in ("mean", "cov", "upper"))
-        log_p, error = exact_block_log_probs(mean, cov, upper)
-        if error is not None:
-            return None, error
-        return [ProbResult(value=math.exp(lv), err_est=_EXACT_REL_ERR * math.exp(lv), evals=1,
-                           log_value=lv) for lv in log_p.tolist()], None
-
-    fixed = np.array([p.fixed_points is not None for p in problems])
-    n_max = np.array([_budget_points(p.max_evals) if p.fixed_points is None else p.fixed_points
-                      for p in problems])
+        log_p = log_ndtr(limits[:, 0]) if m == 1 else log_orthant_probs(limits, corr)
+        return (log_p, None, None, None), None
+    chol, b = (np.array(f) for f in zip(*factors))
+    adaptive = points is None
     # a tolerance of -inf is never met: fixed counts run to the end
-    tol = np.where(fixed, -np.inf, [p.tol for p in problems])
-    rel_tol = np.where(fixed, -np.inf, [p.rel_tol for p in problems])
-    value, err, used, met = _genz_qmc(np.array(chols), np.array(limits), seed, n_max, tol, rel_tol)
+    value, err, used, met = _genz_qmc(chol, b, seed, _MAX_POINTS if adaptive else points,
+                                      tol if adaptive else -np.inf)
     with np.errstate(divide="ignore"):
-        log_value = np.log(np.maximum(value, 0.0))
-    return [ProbResult(value=v, err_est=e, evals=_N_SCRAMBLES * n, log_value=lv, budget_exhausted=x)
-            for v, e, n, lv, x in zip(value.tolist(), err.tolist(), used.tolist(),
-                                      log_value.tolist(), (~fixed & ~met).tolist())], None
-
-
-def mvn_rect_prob(problem, seed=0):
-    """Pr(Y <= upper) for Y ~ N(mean, cov) with all lower limits at -inf.
-
-    :func:`mvn_rect_probs` on a group of one; raises its error.
-    """
-    results, error = mvn_rect_probs([problem], seed)
-    if error is not None:
-        raise error[1]
-    return results[0]
+        log_p = np.log(np.maximum(value, 0.0))
+    return (log_p, err, _N_SCRAMBLES * used, ~met & adaptive), None

@@ -32,7 +32,7 @@ from .errors import (
     ModeSearchError,
     NotPositiveDefiniteError,
 )
-from .gaussian import MAX_DIM, MvnProblem, exact_block_log_probs, mvn_rect_probs
+from .gaussian import mvn_rect_probs
 from .quadrature import choose_order
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -64,7 +64,7 @@ _GRID_CHUNK = 2 ** 18
 
 def max_agq_order(q):
     """Largest usable Gauss-Hermite order for a q-dimensional tensor grid."""
-    return _AGQ_ORDER_CAP.get(q, 20)
+    return _AGQ_ORDER_CAP[q]
 
 
 class Method(Enum):
@@ -256,11 +256,12 @@ class LogLikOptions:
     gh_order: int = 10
     qtol: float = 1e-6
     seed: int = 0
-    mvn_fixed_points: bool = False
 
     def __post_init__(self):
         if self.mvn_tol <= 0 or self.gh_order < 1:
             raise ValueError("tolerances must be positive and gh_order at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -277,13 +278,6 @@ class QmcRecord:
     points: int = 0
     exhausted: int = 0
     max_rel_err: float = 0.0
-
-    def including(self, results):
-        """This record with the ``ProbResult`` list ``results`` added."""
-        rel = [r.err_est / r.value if r.value > 0.0 else math.inf for r in results]
-        return QmcRecord(self.blocks + len(results), self.points + sum(r.evals for r in results),
-                         self.exhausted + sum(r.budget_exhausted for r in results),
-                         max([self.max_rel_err, *rel]))
 
 
 def _reduced_factor(g):
@@ -516,17 +510,18 @@ class LikelihoodEvaluator:
 
     # -- marginal path ------------------------------------------------------
 
-    def marginal(self, theta):
+    def marginal(self, theta, fixed=False):
         """Observed-rows density times each censored block's rectangle probability.
 
         Given the observed rows, a censored block is Gaussian with mean
         X_c beta + Z_c A m and covariance Z_c A M^{-1} A^T Z_c^T + R_c, from
         the posterior (m, M) of :meth:`_posterior`. Blocks are grouped by
-        their size m. Sizes 1, 2 and 3 are exact, with one batched
-        :func:`gaussian.exact_block_log_probs` call per size; only blocks
-        with m >= 4 use Genz QMC, with one grouped call per size; what they
-        cost and the accuracy they reached go to ``qmc_record``. A failure
-        names the first failing subject.
+        their size m, with one :func:`gaussian.mvn_rect_probs` call per size:
+        sizes 1 to 3 are exact, and from 4 on Genz QMC runs to ``mvn_tol``,
+        or on the ``FIT_POINTS`` counts when ``fixed`` is set, which keeps
+        the total a smooth function of theta. What the QMC blocks cost and
+        the accuracy they reached go to ``qmc_record``. A failure names the
+        first failing subject.
         """
         self._check(theta)
         self.qmc_record = QmcRecord()
@@ -546,47 +541,35 @@ class LikelihoodEvaluator:
         upper = self.y[cens]
         n_cens = np.diff(self.start) - self.n_obs
         first = np.concatenate([[0], np.cumsum(n_cens)[:-1]])
+        opts = self.options
         failures = {}
+        qmc = []
         for m in np.unique(n_cens[n_cens > 0]):
             blocks = np.flatnonzero(n_cens == m)
             rows = first[blocks][:, None] + np.arange(m)
             root_m = root[rows]
             cov = root_m @ np.swapaxes(root_m, 1, 2) + var_c[rows][:, :, None] * np.eye(m)
-            if m <= 3:
-                log_p, error = exact_block_log_probs(mu_c[rows], cov, upper[rows])
-            else:
-                log_p, error = self._qmc_block_log_probs(mu_c[rows], cov, upper[rows])
-            if error is None and np.any(np.isnan(log_p)):
-                error = (int(np.argmax(np.isnan(log_p))),
+            probs, error = mvn_rect_probs(mu_c[rows], cov, upper[rows], opts.mvn_tol, opts.seed,
+                                          FIT_POINTS.get(m, FIT_POINTS_DEFAULT) if fixed else None)
+            if error is None and np.any(np.isnan(probs[0])):
+                error = (int(np.argmax(np.isnan(probs[0]))),
                          IntegrationError("censored-block probability is not a number"))
             if error is not None:
                 failures[blocks[error[0]]] = error[1]
-            else:
-                total += float(np.sum(log_p))
+                continue
+            total += float(np.sum(probs[0]))
+            if probs[1] is not None:  # a QMC size, m >= 4, with its cost and accuracy
+                qmc.append(probs)
+        if qmc:
+            log_p, err, points, exhausted = (np.concatenate(a) for a in zip(*qmc))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = np.where(log_p > -np.inf, err / np.exp(log_p), np.inf)
+            self.qmc_record = QmcRecord(log_p.size, int(points.sum()), int(exhausted.sum()),
+                                        float(rel.max()))
         if failures:
             s = min(failures)
             raise _subject_error(self.subject_ids[s], failures[s]) from failures[s]
         return total
-
-    def _qmc_block_log_probs(self, mean, cov, upper):
-        """Genz QMC for blocks of one size m >= 4, in one grouped call.
-
-        Returns the log probabilities and None, or None and (index, error)
-        of the first failing block. Adds the blocks to ``qmc_record``.
-        """
-        m = mean.shape[1]
-        if m > MAX_DIM:
-            return None, (0, DimensionError(
-                f"{m} censored measures exceed the supported {MAX_DIM}"))
-        opts = self.options
-        fixed = FIT_POINTS.get(m, FIT_POINTS_DEFAULT) if opts.mvn_fixed_points else None
-        problems = [MvnProblem(mean=mean[i], cov=cov[i], upper=upper[i], tol=opts.mvn_tol,
-                               rel_tol=opts.mvn_tol, fixed_points=fixed) for i in range(mean.shape[0])]
-        results, error = mvn_rect_probs(problems, seed=opts.seed)
-        if error is not None:
-            return None, error
-        self.qmc_record = self.qmc_record.including(results)
-        return np.array([r.log_value for r in results]), None
 
     # -- hierarchical path --------------------------------------------------
 
@@ -607,9 +590,6 @@ class LikelihoodEvaluator:
         if r == 0:
             total = float(np.sum(logpdf) + np.sum(log_ndtr(resid[cens] / sde[cens])))
             return lambda order: total
-        if r > quadrature.MAX_DIM:
-            exc = DimensionError(f"integration dimension {r} outside [1, {quadrature.MAX_DIM}]")
-            raise _subject_error(self.subject_ids[0], exc) from exc
 
         n_cens = np.diff(self.start) - self.n_obs
         has = np.flatnonzero(n_cens)

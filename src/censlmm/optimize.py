@@ -10,7 +10,7 @@ observed information by the delta method.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -270,16 +270,17 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     likelihood is optimized over the unconstrained parameterization by
     ``quasi_newton_maximize`` (BFGS on central-difference gradients). On the
     marginal path, censored blocks of up to three measures are exact and
-    only larger ones run quasi-random QMC, with fixed point counts so the
-    objective is smooth; the AGQ order is the one
-    ``LikelihoodEvaluator.agq_order`` picks at the start point.  A
+    only larger ones run quasi-random QMC, on the fixed ``FIT_POINTS``
+    counts (``ev.marginal(theta, fixed=True)``) so that the objective is
+    smooth and ``llopt.mvn_tol`` does not enter the fit; the AGQ order is
+    the one ``LikelihoodEvaluator.agq_order`` picks at the start point.  A
     likelihood error at the start point, such as an ``EvaluationError``
     naming the subject, propagates; later ones, and NaN values, count as a
     non-finite objective.  Standard errors are delta-method images of
     the inverse observed information (central finite differences at the
     optimum).
     """
-    ev = LikelihoodEvaluator(dataset, spec, replace(llopt, mvn_fixed_points=True))
+    ev = LikelihoodEvaluator(dataset, spec, llopt)
 
     if cfg.start is not None:
         start_theta = cfg.start
@@ -295,8 +296,10 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     if llopt.method is Method.AGQ:
         gh_order, _ = ev.agq_order(start_theta)
         target = lambda th: ev.agq(th, order=gh_order)
+    elif llopt.method is Method.MARGINAL:
+        target = lambda th: ev.marginal(th, fixed=True)
     else:
-        target = ev.marginal if llopt.method is Method.MARGINAL else ev.naive
+        target = ev.naive
 
     objective = _wrap_objective(lambda x: target(theta_from_vector(x, spec)))
     x_start = theta_to_vector(start_theta)

@@ -51,6 +51,8 @@ class SimConfig:
             raise ValueError("need at least one subject and one measure per subject")
         if (self.threshold is None) == (self.target_censoring is None):
             raise ValueError("give exactly one of threshold and target_censoring")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         times = self.times
         if times is None:
             times = np.arange(self.n_per_subject, dtype=float)

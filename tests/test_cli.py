@@ -53,6 +53,24 @@ class TestArgumentParsing:
         assert run(argv) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "fit", "compare"])
+    def test_negative_seed_is_a_usage_error(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run([command, *self.REQUIRED[command], "--threshold", "2.9", "--output", str(out),
+                    "--seed", "-1"])
+        assert code == 1
+        assert "argument --seed: must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--gh-order", "3"], ["--qtol", "5"]])
+    def test_simulate_takes_no_quadrature_settings(self, flag, tmp_path, capsys):
+        # nothing in simulate reads them
+        out = tmp_path / "d.csv"
+        code = run(["simulate", "--threshold", "2.9", "--output", str(out), *flag])
+        assert code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_is_exit_0(self, capsys):
         assert run(["fit", "--help"]) == 0
         assert "--threshold" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,14 +11,12 @@ from scipy.stats import qmc
 
 from censlmm.errors import DimensionError, NotPositiveDefiniteError
 from censlmm.gaussian import (
-    MvnProblem,
     _CACHE_POINT_LIMIT,
     _genz_qmc,
     _ordered_cholesky,
     _stream_levels,
     log_orthant_probs,
     mvn_logpdf,
-    mvn_rect_prob,
     mvn_rect_probs,
     std_normal_cdf,
     std_normal_pdf,
@@ -84,22 +83,42 @@ def orthant_probability(rho):
     return 0.25 + math.asin(rho) / (2.0 * math.pi)
 
 
+class Block(NamedTuple):
+    """One block's results from :func:`mvn_rect_probs`; the last three are None for m <= 3."""
+
+    value: float
+    log_value: float
+    err_est: float | None
+    points: int | None
+    exhausted: bool | None
+
+
+def rect_prob(mean, cov, upper, **kwargs):
+    """:func:`mvn_rect_probs` on a group of one; raises its error."""
+    probs, error = mvn_rect_probs(*(np.asarray(a, dtype=float)[None] for a in (mean, cov, upper)),
+                                  **kwargs)
+    if error is not None:
+        raise error[1]
+    log_p, err_est, points, exhausted = (None if a is None else a[0].item() for a in probs)
+    return Block(math.exp(log_p), log_p, err_est, points, exhausted)
+
+
 class TestRectProb:
     def test_dim1_exact(self):
-        res = mvn_rect_prob(MvnProblem(mean=[0.0], cov=[[1.0]], upper=[0.0]))
+        res = rect_prob([0.0], [[1.0]], [0.0])
         assert res.value == 0.5
-        assert res.evals == 1
+        assert res.points is None
 
     def test_dim2_independent(self):
-        res = mvn_rect_prob(MvnProblem(mean=[0, 0], cov=np.eye(2), upper=[0, 0]))
+        res = rect_prob([0, 0], np.eye(2), [0, 0])
         assert res.value == pytest.approx(0.25, abs=1e-6)
 
     @pytest.mark.parametrize("rho", [-0.8, -0.3, 0.5, 0.9])
     def test_bivariate_orthant(self, rho):
         cov = np.array([[1.0, rho], [rho, 1.0]])
-        res = mvn_rect_prob(MvnProblem(mean=[0, 0], cov=cov, upper=[0, 0]))
+        res = rect_prob([0, 0], cov, [0, 0])
         assert res.value == pytest.approx(orthant_probability(rho), abs=1e-6)
-        assert res.err_est <= 1e-6
+        assert res.err_est is None
 
     def test_dim3_against_monte_carlo(self):
         rng = np.random.default_rng(42)
@@ -107,50 +126,42 @@ class TestRectProb:
         cov = a @ a.T + 0.5 * np.eye(3)
         mean = rng.standard_normal(3)
         upper = mean + rng.standard_normal(3) * np.sqrt(np.diag(cov))
-        res = mvn_rect_prob(MvnProblem(mean=mean, cov=cov, upper=upper))
+        res = rect_prob(mean, cov, upper)
         draws = rng.multivariate_normal(mean, cov, size=1_000_000)
         mc = float(np.mean(np.all(draws <= upper, axis=1)))
         assert res.value == pytest.approx(mc, abs=3e-3)
 
     def test_log_value_consistent(self):
-        res = mvn_rect_prob(MvnProblem(mean=[1.0], cov=[[0.25]], upper=[-2.0]))
+        res = rect_prob([1.0], [[0.25]], [-2.0])
         assert res.log_value == pytest.approx(math.log(res.value), rel=1e-10)
-        deep = mvn_rect_prob(MvnProblem(mean=[0.0], cov=[[1.0]], upper=[-40.0]))
+        deep = rect_prob([0.0], [[1.0]], [-40.0])
         assert deep.value == 0.0
         assert deep.log_value < -700  # log_ndtr keeps resolving where value underflows
 
     def test_reproducible(self):
-        problem = MvnProblem(mean=[0, 0, 0], cov=np.eye(3) + 0.3, upper=[0.3, -0.2, 0.5])
-        r1 = mvn_rect_prob(problem, seed=7)
-        r2 = mvn_rect_prob(problem, seed=7)
-        assert r1.value == r2.value
-
-    def test_budget_exhaustion_flag(self):
-        cov = np.eye(4) + 0.4 * (np.ones((4, 4)) - np.eye(4))
-        problem = MvnProblem(mean=[0, 0, 0, 0], cov=cov, upper=[0, 0, 0, 0],
-                             tol=1e-13, rel_tol=1e-13, max_evals=20_000)
-        res = mvn_rect_prob(problem)
-        assert res.budget_exhausted
-        assert 0.0 <= res.value <= 1.0
+        cov = np.eye(4) + 0.3
+        r1 = rect_prob([0, 0, 0, 0], cov, [0.3, -0.2, 0.5, 0.1], seed=7)
+        r2 = rect_prob([0, 0, 0, 0], cov, [0.3, -0.2, 0.5, 0.1], seed=7)
+        assert r1 == r2
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionError):
-            mvn_rect_prob(MvnProblem(mean=np.zeros(11), cov=np.eye(11), upper=np.zeros(11)))
+            rect_prob(np.zeros(11), np.eye(11), np.zeros(11))
 
     def test_not_positive_definite(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError):
-            mvn_rect_prob(MvnProblem(mean=[0, 0], cov=cov, upper=[0, 0]))
+            rect_prob([0, 0], cov, [0, 0])
 
     def test_variance_floor_rejected(self):
         cov = np.diag([1.0, 1e-14])
         with pytest.raises(NotPositiveDefiniteError):
-            mvn_rect_prob(MvnProblem(mean=[0, 0], cov=cov, upper=[0, 0]))
+            rect_prob([0, 0], cov, [0, 0])
 
     def test_asymmetric_cov_rejected(self):
         cov = np.array([[1.0, 0.2], [0.4, 1.0]])
         with pytest.raises(NotPositiveDefiniteError):
-            mvn_rect_prob(MvnProblem(mean=[0, 0], cov=cov, upper=[0, 0]))
+            rect_prob([0, 0], cov, [0, 0])
 
 
 class TestRectProbProperties:
@@ -166,19 +177,20 @@ class TestRectProbProperties:
         for _ in range(10):
             m = int(rng.integers(2, 5))
             mean, cov, upper = self._random_problem(rng, m)
-            base = mvn_rect_prob(MvnProblem(mean=mean, cov=cov, upper=upper))
+            base = rect_prob(mean, cov, upper)
             k = int(rng.integers(0, m))
             bumped = upper.copy()
             bumped[k] += 0.5
-            more = mvn_rect_prob(MvnProblem(mean=mean, cov=cov, upper=bumped))
-            assert more.value >= base.value - 2.0 * (base.err_est + more.err_est)
+            more = rect_prob(mean, cov, bumped)
+            # the exact sizes, up to 3, carry no error estimate
+            assert more.value >= base.value - 2.0 * ((base.err_est or 0.0) + (more.err_est or 0.0))
 
     def test_bounds(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             m = int(rng.integers(1, 6))
             mean, cov, upper = self._random_problem(rng, m)
-            res = mvn_rect_prob(MvnProblem(mean=mean, cov=cov, upper=upper))
+            res = rect_prob(mean, cov, upper)
             assert 0.0 <= res.value <= 1.0
 
     def test_block_independence(self):
@@ -189,63 +201,62 @@ class TestRectProbProperties:
         c2 = b @ b.T + 0.5 * np.eye(2)
         cov = np.block([[c1, np.zeros((2, 2))], [np.zeros((2, 2)), c2]])
         upper = np.array([0.3, -0.1, 0.6, 0.2])
-        whole = mvn_rect_prob(MvnProblem(mean=np.zeros(4), cov=cov, upper=upper))
-        p1 = mvn_rect_prob(MvnProblem(mean=np.zeros(2), cov=c1, upper=upper[:2]))
-        p2 = mvn_rect_prob(MvnProblem(mean=np.zeros(2), cov=c2, upper=upper[2:]))
-        combined_err = whole.err_est + p1.err_est + p2.err_est + 1e-8
+        whole = rect_prob(np.zeros(4), cov, upper)
+        p1 = rect_prob(np.zeros(2), c1, upper[:2])
+        p2 = rect_prob(np.zeros(2), c2, upper[2:])
+        combined_err = whole.err_est + 1e-8
         assert whole.value == pytest.approx(p1.value * p2.value, abs=5 * combined_err)
 
     def test_affine_consistency(self):
         rng = np.random.default_rng(14)
         mean, cov, upper = self._random_problem(rng, 3)
-        raw = mvn_rect_prob(MvnProblem(mean=mean, cov=cov, upper=upper))
+        raw = rect_prob(mean, cov, upper)
         sds = np.sqrt(np.diag(cov))
         corr = cov / np.outer(sds, sds)
-        std = mvn_rect_prob(MvnProblem(mean=np.zeros(3), cov=corr, upper=(upper - mean) / sds))
-        assert raw.value == pytest.approx(std.value, abs=3 * (raw.err_est + std.err_est) + 1e-9)
+        std = rect_prob(np.zeros(3), corr, (upper - mean) / sds)
+        assert raw.value == pytest.approx(std.value, abs=1e-9)
 
     def test_limit_consistency(self):
         cov = np.eye(2) + 0.3 * (np.ones((2, 2)) - np.eye(2))
-        everything = mvn_rect_prob(MvnProblem(mean=[0, 0], cov=cov, upper=[40.0, 40.0]))
+        everything = rect_prob([0, 0], cov, [40.0, 40.0])
         assert everything.value == pytest.approx(1.0, abs=1e-9)
-        nothing = mvn_rect_prob(MvnProblem(mean=[0, 0], cov=cov, upper=[-40.0, 3.0]))
+        nothing = rect_prob([0, 0], cov, [-40.0, 3.0])
         assert nothing.value == pytest.approx(0.0, abs=1e-9)
 
 
 class TestNestedStreams:
     @staticmethod
     def group(rng, m=5):
-        """Problems of one size that stop at different levels, one with a fixed count."""
-        problems = []
-        for tol, shift, max_evals in [(1e-3, 1.0, 500_000), (1e-5, 0.5, 500_000),
-                                      (1e-6, 0.0, 500_000), (1e-9, -0.5, 100_000),
-                                      (1e-12, -1.0, 500_000)]:
+        """Blocks of one size, with limits from 3 SDs above the mean to 2 below."""
+        mean, cov, upper = [], [], []
+        for shift in [3.0, 2.0, 1.0, 0.0, -1.0, -2.0]:
             a = rng.normal(size=(m, m))
-            problems.append(MvnProblem(mean=rng.normal(size=m), cov=a @ a.T + np.eye(m),
-                                       upper=shift + rng.normal(size=m), tol=tol, rel_tol=1.0,
-                                       max_evals=max_evals))
-        a = rng.normal(size=(m, m))
-        problems.append(MvnProblem(mean=np.zeros(m), cov=a @ a.T + np.eye(m),
-                                   upper=rng.normal(size=m), fixed_points=2048))
-        return problems
+            c = a @ a.T + np.eye(m)
+            mean.append(np.zeros(m))
+            cov.append(c)
+            upper.append(shift * np.sqrt(np.diag(c)) + 0.3 * rng.normal(size=m))
+        return np.array(mean), np.array(cov), np.array(upper)
 
     def test_grouped_estimate_equals_the_block_alone(self):
-        rng = np.random.default_rng(21)
-        problems = self.group(rng)
-        alone = [mvn_rect_prob(p, seed=3) for p in problems]
-        assert len({r.evals for r in alone}) >= 4  # the blocks stop at different levels
+        rng = np.random.default_rng(20)
+        blocks = self.group(rng)
         others = self.group(rng)
         orders = [list(range(6)), list(range(5, -1, -1)), list(rng.permutation(6))]
-        for order in orders:
-            for extra in ([], others[:3]):
-                group = [problems[i] for i in order] + extra
-                results, error = mvn_rect_probs(group, seed=3)
-                assert error is None
-                for i, res in zip(order, results):
-                    assert res.value == pytest.approx(alone[i].value, abs=1e-12)
-                    assert res.err_est == pytest.approx(alone[i].err_est, abs=1e-12)
-                    assert (res.evals, res.budget_exhausted) == (alone[i].evals,
-                                                                alone[i].budget_exhausted)
+        for settings in ({"tol": 1e-4}, {"points": 2048}):
+            alone = [rect_prob(*(a[i] for a in blocks), seed=3, **settings) for i in range(6)]
+            if "tol" in settings:
+                # six stopping levels: one past the cached prefix, one at the cap
+                assert len({r.points for r in alone}) == 6
+                assert [r.exhausted for r in alone] == [False] * 4 + [True, False]
+            for order in orders:
+                for extra in (0, 3):
+                    group = [np.concatenate([a[order], b[:extra]]) for a, b in zip(blocks, others)]
+                    (log_p, err, points, exhausted), error = mvn_rect_probs(*group, seed=3, **settings)
+                    assert error is None
+                    for k, i in enumerate(order):
+                        assert math.exp(log_p[k]) == pytest.approx(alone[i].value, abs=1e-12)
+                        assert err[k] == pytest.approx(alone[i].err_est, abs=1e-12)
+                        assert (points[k], exhausted[k]) == (alone[i].points, alone[i].exhausted)
 
     @pytest.mark.parametrize("dim", [3, 9])
     def test_stream_is_one_sobol_sequence(self, dim):
@@ -264,19 +275,26 @@ class TestNestedStreams:
 
     def test_capped_block_uses_the_largest_set(self):
         cov = np.eye(4) + 0.4 * (np.ones((4, 4)) - np.eye(4))
-        res = mvn_rect_prob(MvnProblem(mean=np.zeros(4), cov=cov, upper=np.zeros(4),
-                                       tol=1e-15, rel_tol=1e-15))
-        assert res.evals == 10 * 32768 and res.budget_exhausted
+        res = rect_prob(np.zeros(4), cov, np.zeros(4), tol=1e-15)
+        assert res.points == 10 * 32768 and res.exhausted
+        assert 0.0 <= res.value <= 1.0
 
     def test_first_failing_problem_is_named(self):
-        good = MvnProblem(mean=np.zeros(4), cov=np.eye(4), upper=np.zeros(4))
-        bad = MvnProblem(mean=np.zeros(4), cov=np.ones((4, 4)), upper=np.zeros(4))
-        results, (index, error) = mvn_rect_probs([good, bad, bad], seed=0)
-        assert results is None and index == 1
-        assert isinstance(error, NotPositiveDefiniteError)
+        # the blocks fail different checks: the first failing one is named,
+        # for the exact sizes and for QMC
+        for m in (2, 4):
+            low = np.eye(m)
+            low[1, 1] = 1e-14
+            cov = np.stack([np.eye(m), np.ones((m, m)), low])
+            zeros = np.zeros((3, m))
+            results, (index, error) = mvn_rect_probs(zeros, cov, zeros)
+            assert results is None and index == 1
+            assert isinstance(error, NotPositiveDefiniteError)
+            assert "positive definite" in str(error)
+            _, (index, error) = mvn_rect_probs(zeros, cov[[0, 2, 1]], zeros)
+            assert index == 1 and "floor" in str(error)
         with pytest.raises(ValueError, match="power of two"):
-            mvn_rect_prob(MvnProblem(mean=np.zeros(4), cov=np.eye(4), upper=np.zeros(4),
-                                     fixed_points=1000))
+            mvn_rect_probs(zeros, cov, zeros, points=1000)
 
 
 def factor_oracle(loadings, unique, upper, order=64):
@@ -302,8 +320,7 @@ class TestFactorOracle:
         unique = rng.uniform(0.5, 1.0, m)
         upper = shift + 0.5 * rng.normal(size=m)
         want = factor_oracle(loadings, unique, upper)
-        res = mvn_rect_prob(MvnProblem(mean=np.zeros(m), cov=loadings @ loadings.T + np.diag(unique),
-                                       upper=upper))
+        res = rect_prob(np.zeros(m), loadings @ loadings.T + np.diag(unique), upper)
         # the oracle itself has converged far inside the QMC error
         assert abs(factor_oracle(loadings, unique, upper, order=96) - want) < 0.01 * res.err_est
         assert shift > 0.0 or want < 1e-6
@@ -386,8 +403,7 @@ def tvn_oracle(b, corr):
 def qmc_value(limits, corr):
     """The quasi-Monte Carlo estimate that served m = 2 and 3 before the exact forms."""
     chol, b = _ordered_cholesky(corr, np.asarray(limits, dtype=float))
-    never = np.array([-np.inf])
-    return float(_genz_qmc(chol[None], b[None], 0, np.array([512]), never, never)[0][0])
+    return float(_genz_qmc(chol[None], b[None], 0, 512, -np.inf)[0][0])
 
 
 ORACLE_RHOS = (-0.95, -0.5, 0.0, 0.3, 0.9, 0.93, 0.99, 0.999)
@@ -486,8 +502,8 @@ class TestExactOrthantProbs:
         cov = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.5]])
         mean = np.array([0.5, -1.0, 0.2])
         upper = np.array([1.0, 0.0, -0.4])
-        res = mvn_rect_prob(MvnProblem(mean=mean, cov=cov, upper=upper, fixed_points=512))
+        res = rect_prob(mean, cov, upper, points=512)
         sd = np.sqrt(np.diag(cov))
         want = tvn_oracle((upper - mean) / sd, cov / np.outer(sd, sd))
         assert res.log_value == pytest.approx(want, abs=1e-10)
-        assert res.evals == 1 and not res.budget_exhausted
+        assert res.err_est is None and res.points is None and res.exhausted is None

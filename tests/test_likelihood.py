@@ -23,7 +23,7 @@ from censlmm.errors import (
     NotPositiveDefiniteError,
 )
 from censlmm import likelihood
-from censlmm.gaussian import MvnProblem, mvn_logpdf, mvn_rect_prob
+from censlmm.gaussian import mvn_logpdf, mvn_rect_probs
 from censlmm.likelihood import (
     FIT_POINTS,
     FIT_POINTS_DEFAULT,
@@ -215,14 +215,13 @@ class TestMarginalLoglik:
             loglik_marginal(d, is_spec, truth)
         assert err.value.subject_id == "a"
 
-    @pytest.mark.parametrize("options", [LogLikOptions(), LogLikOptions(mvn_fixed_points=True)],
-                             ids=["adaptive", "fixed-points"])
-    def test_exact_blocks_agree_with_agq(self, is_spec, truth, benchmark_dataset, options):
+    @pytest.mark.parametrize("fixed", [False, True], ids=["adaptive", "fixed-points"])
+    def test_exact_blocks_agree_with_agq(self, is_spec, truth, benchmark_dataset, fixed):
         # every censored block of the benchmark data has m <= 3, so the
         # marginal path runs no QMC and equals the hierarchical path
-        ev = LikelihoodEvaluator(benchmark_dataset, is_spec, options)
+        ev = LikelihoodEvaluator(benchmark_dataset, is_spec)
         assert np.max(np.diff(ev.start) - ev.n_obs) <= 3
-        assert ev.marginal(truth) == pytest.approx(ev.agq(truth, 64), abs=1e-8)
+        assert ev.marginal(truth, fixed) == pytest.approx(ev.agq(truth, 64), abs=1e-8)
 
     def test_block_failure_names_first_subject(self, is_spec):
         # With G = 0 and sigma_e = 1e-7 every censored variance, 1e-14, is
@@ -449,63 +448,68 @@ def agq_reference(dataset, spec, theta, order):
     return total
 
 
-def dense_terms(dataset, spec, theta, options):
+def dense_terms(dataset, spec, theta):
     """Per subject, from the dense moments: its naive log-density, the log-density
-    of its observed rows, and its censored block's MvnProblem (None if it has none)."""
+    of its observed rows, and its censored block's (mean, cov, upper) (None if it has none)."""
     for subject in dataset.subjects:
         mu, v = marginal_moments(subject, spec, theta)
         obs, cens = partition_subject(subject)
         y = np.array([o.response if o.is_observed else o.threshold
                       for o in subject.observations])
         observed = mvn_logpdf(y[obs], mu[obs], v[np.ix_(obs, obs)]) if obs else 0.0
-        problem = None
+        block = None
         if cens:
             if obs:
                 mu_c, v_c = conditional_moments(mu, v, obs, cens, y[obs])
             else:
                 mu_c, v_c = mu[cens], v[np.ix_(cens, cens)]
-            fixed = None
-            if options.mvn_fixed_points and len(cens) >= 2:
-                fixed = FIT_POINTS.get(len(cens), FIT_POINTS_DEFAULT)
-            problem = MvnProblem(mean=mu_c, cov=v_c, upper=y[cens], tol=options.mvn_tol,
-                                 rel_tol=options.mvn_tol, fixed_points=fixed)
-        yield mvn_logpdf(y, mu, v), observed, problem
+            block = (mu_c, v_c, y[cens])
+        yield mvn_logpdf(y, mu, v), observed, block
 
 
-def dense_reference(dataset, spec, theta, options):
+def block_alone(block, options, fixed=False):
+    """The censored block's (log p, err_est, points, exhausted) from a group of one."""
+    m = block[0].size
+    points = FIT_POINTS.get(m, FIT_POINTS_DEFAULT) if fixed else None
+    probs, error = mvn_rect_probs(*(a[None] for a in block), options.mvn_tol, options.seed, points)
+    assert error is None
+    return [None if a is None else a[0] for a in probs]
+
+
+def dense_reference(dataset, spec, theta, options, fixed):
     """Naive and marginal totals, subject by subject, from the dense moments."""
     naive = marginal = 0.0
-    for naive_term, observed, problem in dense_terms(dataset, spec, theta, options):
+    for naive_term, observed, block in dense_terms(dataset, spec, theta):
         naive += naive_term
         marginal += observed
-        if problem is not None:
-            marginal += mvn_rect_prob(problem, seed=options.seed).log_value
+        if block is not None:
+            marginal += block_alone(block, options, fixed)[0]
     return naive, marginal
 
 
-@pytest.mark.parametrize("options", [LogLikOptions(), LogLikOptions(mvn_fixed_points=True, seed=3)],
+@pytest.mark.parametrize("options,fixed", [(LogLikOptions(), False), (LogLikOptions(seed=3), True)],
                          ids=["adaptive", "fixed-points"])
 class TestFlatEvaluatorAgainstDenseReference:
-    def check(self, dataset, spec, theta, options):
+    def check(self, dataset, spec, theta, options, fixed):
         ev = LikelihoodEvaluator(dataset, spec, options)
-        naive, marginal = dense_reference(dataset, spec, theta, options)
+        naive, marginal = dense_reference(dataset, spec, theta, options, fixed)
         assert ev.naive(theta) == pytest.approx(naive, abs=1e-10)
-        assert ev.marginal(theta) == pytest.approx(marginal, abs=1e-10)
+        assert ev.marginal(theta, fixed) == pytest.approx(marginal, abs=1e-10)
         # a singular G puts the integral in fewer dimensions than the u-space oracle
         if np.linalg.matrix_rank(theta.g_matrix()) == theta.q:
             order = min(40, max_agq_order(theta.q))
             assert ev.agq(theta, order) == pytest.approx(
                 agq_reference(dataset, spec, theta, order), abs=1e-9)
 
-    def test_random_small_datasets(self, options):
+    def test_random_small_datasets(self, options, fixed):
         rng = np.random.default_rng(202)
         for trial in range(8):
             q = 1 + trial % 2
             spec = random_intercept_model() if q == 1 else intercept_slope_model()
             d = random_small_dataset(rng, spec, random_theta(rng, q))
-            self.check(d, spec, random_theta(rng, q), options)
+            self.check(d, spec, random_theta(rng, q), options, fixed)
 
-    def test_bivariate_two_strata(self, options):
+    def test_bivariate_two_strata(self, options, fixed):
         spec = bivariate_model()
         g = np.diag([0.5, 0.1, 0.5, 0.1])
         g[0, 2] = g[2, 0] = 0.1
@@ -513,11 +517,11 @@ class TestFlatEvaluatorAgainstDenseReference:
         d = simulate(SimConfig(n_subjects=6, n_per_subject=3, truth=theta,
                                target_censoring=0.3, seed=5, model=spec))
         assert d.n_censored > 0
-        self.check(d, spec, theta, options)
+        self.check(d, spec, theta, options, fixed)
 
     @pytest.mark.parametrize("chol", [[[0.7, 0.0], [-0.2, 0.0]], [[0.7, 0.0], [-0.2, 0.3]]],
                              ids=["rank-1-g", "full-g"])
-    def test_all_censored_and_single_measure_subjects(self, is_spec, options, chol):
+    def test_all_censored_and_single_measure_subjects(self, is_spec, options, fixed, chol):
         theta = Theta([3.0, 0.5], chol, [0.45])
         d = Dataset(subjects=(
             make_subject("all-censored", [0.0, 1.0, 2.0], [2.9] * 3, [0, 0, 0], 2.9),
@@ -525,39 +529,41 @@ class TestFlatEvaluatorAgainstDenseReference:
             make_subject("one-censored", [2.0], [2.9], [0], 2.9),
             make_subject("mixed", [0.0, 1.0, 2.0, 3.0], [2.9, 3.6, 2.9, 4.4], [0, 1, 0, 1], 2.9),
         ))
-        self.check(d, is_spec, theta, options)
+        self.check(d, is_spec, theta, options, fixed)
 
 
 def test_qmc_record_reports_exhausted_blocks(is_spec, truth):
     # 100 subjects x 10 times at 50% censoring has blocks of up to m = 10,
     # many of which cannot meet mvn_tol within the budget; the record of the
-    # grouped evaluation must count them as per-block calls do
+    # grouped evaluation must count them as calls on each block alone do
     d = simulate(SimConfig(n_subjects=100, n_per_subject=10, truth=truth,
                            target_censoring=0.5, seed=7))
     ev = LikelihoodEvaluator(d, is_spec)
-    ev.marginal(truth)
+    # pinned: a change to the QMC streams or rule moves this total
+    assert ev.marginal(truth) == pytest.approx(-602.1559563319042, abs=1e-9)
     record = ev.qmc_record
-    options = LogLikOptions()
-    alone = [mvn_rect_prob(problem, seed=options.seed)
-             for _, _, problem in dense_terms(d, is_spec, truth, options)
-             if problem is not None and problem.dim >= 4]
+    alone = [block_alone(block, LogLikOptions())
+             for _, _, block in dense_terms(d, is_spec, truth)
+             if block is not None and block[0].size >= 4]
     assert record.exhausted > 0
-    assert record.exhausted == sum(r.budget_exhausted for r in alone)
+    assert record.exhausted == sum(exhausted for _, _, _, exhausted in alone)
     assert record.blocks == len(alone)
-    assert record.points == sum(r.evals for r in alone)
-    assert record.max_rel_err == pytest.approx(max(r.err_est / r.value for r in alone), rel=1e-6)
+    assert record.points == sum(points for _, _, points, _ in alone)
+    assert record.max_rel_err == pytest.approx(
+        max(err * math.exp(-log_p) for log_p, err, _, _ in alone), rel=1e-6)
 
 
 def test_qmc_record_describes_the_last_evaluation(is_spec, truth):
     d = simulate(SimConfig(n_subjects=20, n_per_subject=8, truth=truth,
                            target_censoring=0.6, seed=3))
-    ev = LikelihoodEvaluator(d, is_spec, LogLikOptions(mvn_fixed_points=True))
+    ev = LikelihoodEvaluator(d, is_spec)
     n_cens = np.diff(ev.start) - ev.n_obs
     sizes = n_cens[n_cens >= 4]
     assert sizes.size > 0
     points = sum(10 * FIT_POINTS.get(m, FIT_POINTS_DEFAULT) for m in sizes)
     for _ in range(2):
-        ev.marginal(truth)
+        # pinned: a change to the QMC streams or rule moves this total
+        assert ev.marginal(truth, fixed=True) == pytest.approx(-89.35815290417091, abs=1e-9)
         assert ev.qmc_record.blocks == sizes.size and ev.qmc_record.points == points
         assert ev.qmc_record.exhausted == 0 and 0.0 < ev.qmc_record.max_rel_err < 1.0
     uncensored = simulate(SimConfig(n_subjects=5, n_per_subject=3, truth=truth,

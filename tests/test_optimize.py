@@ -185,15 +185,14 @@ class TestFitModel:
     def test_local_maximum_probe(self, is_spec, small_dataset):
         res = fit_model(small_dataset, is_spec, LogLikOptions(method=Method.MARGINAL),
                         OptConfig(compute_se=False))
-        ev = LikelihoodEvaluator(small_dataset, is_spec,
-                                 LogLikOptions(mvn_fixed_points=True))
+        ev = LikelihoodEvaluator(small_dataset, is_spec)
         x_hat = theta_to_vector(res.theta_hat)
-        base = ev.marginal(res.theta_hat)
+        base = ev.marginal(res.theta_hat, fixed=True)
         for k in range(x_hat.shape[0]):
             for sign in (1.0, -1.0):
                 x = x_hat.copy()
                 x[k] += sign * 1e-3
-                assert ev.marginal(theta_from_vector(x, is_spec)) <= base + 1e-6
+                assert ev.marginal(theta_from_vector(x, is_spec), fixed=True) <= base + 1e-6
 
     def test_start_point_robustness(self, is_spec, small_dataset, truth):
         rng = np.random.default_rng(42)

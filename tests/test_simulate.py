@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtri
 
 from censlmm.data import bivariate_model
-from censlmm.likelihood import Theta
+from censlmm.likelihood import LogLikOptions, Theta
 from censlmm.simulate import SimConfig, calibrate_threshold, default_truth, simulate
 
 
@@ -83,6 +83,13 @@ class TestSimulate:
         with pytest.raises(ValueError):
             SimConfig(n_subjects=2, n_per_subject=2, truth=default_truth(),
                       threshold=1.0, target_censoring=0.2, seed=0)
+
+    def test_negative_seed_rejected(self):
+        # the generator and the QMC streams take only nonnegative seeds
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(n_subjects=2, n_per_subject=2, truth=default_truth(), threshold=1.0, seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            LogLikOptions(seed=-1)
 
     def test_bivariate_rows_per_marker(self):
         spec = bivariate_model()
