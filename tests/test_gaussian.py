@@ -144,6 +144,15 @@ class TestRectProb:
         r2 = rect_prob([0, 0, 0, 0], cov, [0.3, -0.2, 0.5, 0.1], seed=7)
         assert r1 == r2
 
+    def test_budget_exhaustion_flag(self):
+        # an unreachable tolerance runs out of points and says so; a loose one does not
+        cov = np.eye(4) + 0.4 * (np.ones((4, 4)) - np.eye(4))
+        res = rect_prob([0, 0, 0, 0], cov, [0, 0, 0, 0], tol=1e-13)
+        assert res.exhausted
+        assert 0.0 <= res.value <= 1.0
+        loose = rect_prob([0, 0, 0, 0], cov, [0, 0, 0, 0], tol=1e-2)
+        assert not loose.exhausted and loose.points < res.points
+
     def test_dimension_cap(self):
         with pytest.raises(DimensionError):
             rect_prob(np.zeros(11), np.eye(11), np.zeros(11))
