@@ -33,24 +33,14 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .gaussian import (
-    log_std_normal_cdf,
-    log_std_normal_pdf,
-    mvn_logpdf,
-    std_normal_cdf,
-    std_normal_icdf,
-    std_normal_pdf,
-)
 from .likelihood import (
     LikelihoodEvaluator,
     LogLikOptions,
     Method,
     Theta,
-    conditional_moments,
     loglik_agq,
     loglik_marginal,
     loglik_naive,
-    marginal_moments,
     natural_names,
     natural_values,
     theta_from_vector,
@@ -64,7 +54,7 @@ from .optimize import (
     fit_model,
     quasi_newton_maximize,
 )
-from .quadrature import GhRule, agq_log_integral, choose_order, find_mode, gh_rule
+from .quadrature import choose_order, gh_rule
 from .simulate import SimConfig, calibrate_threshold, default_truth, simulate
 
 __version__ = "0.1.0"

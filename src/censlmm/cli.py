@@ -9,7 +9,6 @@ difference beyond tolerance.
 """
 
 import argparse
-import math
 import re
 import sys
 
@@ -19,7 +18,7 @@ from .data import CsvSchema, MODEL_TEMPLATES, read_long_csv, write_long_csv
 from .errors import CensLmmError
 from .likelihood import LogLikOptions, Method
 from .optimize import fit_model
-from .simulate import SimConfig, calibrate_threshold, default_truth, simulate
+from .simulate import SimConfig, default_truth, simulate
 
 _METHODS = {m.value: m for m in Method}
 
@@ -189,7 +188,7 @@ def run_simulate(args):
     config = SimConfig(
         n_subjects=args.n_subjects,
         n_per_subject=args.n_per_subject,
-        truth=default_truth() if args.model == "is" else _default_truth_for(args.model),
+        truth=default_truth(args.model),
         threshold=args.threshold,
         target_censoring=args.target_censoring,
         seed=args.seed,
@@ -201,18 +200,6 @@ def run_simulate(args):
     print(f"wrote {dataset.n_rows} rows ({dataset.n_subjects} subjects) to {args.output}")
     print(f"censoring fraction: {fraction:.4f}")
     return 0
-
-
-def _default_truth_for(model):
-    from .likelihood import Theta
-
-    if model == "ri":
-        return Theta.from_moments([3.0], [[0.5]], [math.sqrt(0.2)])
-    # bivariate: two intercept/slope pairs with a weak cross-marker link
-    g = np.diag([0.5, 0.1, 0.5, 0.1]).astype(float)
-    g[0, 2] = g[2, 0] = 0.1
-    beta = [3.0, 0.5, 2.5, 0.3]
-    return Theta.from_moments(beta, g, [math.sqrt(0.2), math.sqrt(0.2)])
 
 
 def run_compare(args):

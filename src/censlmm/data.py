@@ -10,7 +10,7 @@ All containers are immutable after construction.
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -1,4 +1,4 @@
-"""Normal-distribution primitives: densities, CDFs and rectangle probabilities.
+"""Multivariate normal rectangle probabilities of the censored blocks.
 
 :func:`mvn_rect_probs` is the one entry point for the rectangle probability
 Pr(Y <= upper) for Y ~ N(mean, cov) over a lower-infinite box. It takes
@@ -28,15 +28,18 @@ error estimate is at most ``tol`` times its probability, or at 32,768 points
 per scramble; with a fixed count, every block runs exactly that count. The
 first 2^13 points of each stream are cached; later ones come from engines
 fast-forwarded past them. A block's estimate does not depend on the rest of
-its group, repeated calls are reproducible, and with a fixed count the
-estimate varies smoothly with the block's moments.
+its group, and repeated calls are reproducible. With a fixed count the
+estimate varies smoothly with the block's moments only while the block's
+variable order stays the same. That order is picked from the moments, so it
+is a step function of them, and where it switches the estimate jumps: on 100
+subjects x 10 times at 50% censoring, two switches moved the total
+log-likelihood by -1.74e-4 and +2.19e-4.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import log_ndtr, ndtr, ndtri
 from scipy.stats import qmc
 
@@ -83,53 +86,6 @@ _FLAT_CANCEL = 0.1
 _BIG = 40.0
 
 
-def std_normal_pdf(x):
-    """Standard normal density phi(x) = exp(-x^2/2)/sqrt(2*pi)."""
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x - _LOG_SQRT_2PI)
-    return float(out) if out.ndim == 0 else out
-
-
-def log_std_normal_pdf(x):
-    """log phi(x), safe for large |x|."""
-    x = np.asarray(x, dtype=float)
-    out = -0.5 * x * x - _LOG_SQRT_2PI
-    return float(out) if out.ndim == 0 else out
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF Phi(x); accepts +-inf."""
-    out = ndtr(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def log_std_normal_cdf(x):
-    """log Phi(x) without underflow in the left tail."""
-    out = log_ndtr(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def std_normal_icdf(p):
-    """Inverse standard normal CDF."""
-    out = ndtri(np.asarray(p, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def mvn_logpdf(y, mean, cov):
-    """Log density of N(mean, cov) at y via Cholesky factorization."""
-    y = np.asarray(y, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    n = y.shape[0]
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"covariance of dimension {n} is not positive definite") from exc
-    z = solve_triangular(chol, y - mean, lower=True)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return float(-0.5 * (z @ z) - 0.5 * logdet - n * _LOG_SQRT_2PI)
-
-
 def _ordered_cholesky(cov, b):
     """Cholesky factor of a permuted covariance, most restrictive variable first.
 
@@ -168,7 +124,7 @@ def _ordered_cholesky(cov, b):
             chol[i, k] = (a[i, k] - chol[i, :k] @ chol[k, :k]) / ckk
         alpha = (b[k] - chol[k, :k] @ y[:k]) / ckk
         p = max(ndtr(alpha), _TINY_P)
-        y[k] = -std_normal_pdf(alpha) / p
+        y[k] = -np.exp(-0.5 * alpha * alpha - _LOG_SQRT_2PI) / p
     return chol, b
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import erfcx, log_ndtr, logsumexp
 
 from . import quadrature
@@ -30,7 +29,6 @@ from .errors import (
     IntegrationError,
     InvalidParameterError,
     ModeSearchError,
-    NotPositiveDefiniteError,
 )
 from .gaussian import mvn_rect_probs
 from .quadrature import choose_order
@@ -41,8 +39,9 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # quasi-random sample sizes per censored-block dimension m >= 4 used while
-# fitting; fixed counts keep the objective smooth in the parameters (m <= 3 is
-# exact)
+# fitting (m <= 3 is exact); fixed counts keep the objective smooth in the
+# parameters only between switches of a block's Genz variable order, where it
+# jumps (see the gaussian module)
 FIT_POINTS = {4: 2048}
 FIT_POINTS_DEFAULT = 4096
 
@@ -150,15 +149,24 @@ def theta_to_vector(theta):
     """Map a valid Theta to the unconstrained optimization vector.
 
     The vector is beta, then the lower triangle of L row by row, then the
-    residual SDs, all as raw values; the inverse map reflects negative
-    diagonal entries and SDs back.
+    residual SDs, all as raw values. The inverse map accepts any vector:
+    it flips the sign of each column of L whose diagonal entry is negative
+    and takes the absolute value of each SD.
     """
     tri = theta.chol[np.tril_indices(theta.q)]
     return np.concatenate([theta.beta, tri, theta.sigma_e])
 
 
 def theta_from_vector(vec, spec):
-    """Inverse of :func:`theta_to_vector`; reflection maps signs away."""
+    """Inverse of :func:`theta_to_vector`, defined on every vector.
+
+    A column of L whose diagonal entry is negative changes sign as a whole.
+    That leaves G = L L^T equal to the raw vector's L L^T, so G is smooth in
+    the vector, also where a diagonal entry crosses 0. Reflecting only the
+    diagonal entry would put a kink in G_ij = |L_jj| L_ij there, where a
+    central difference reads 0. The residual SDs enter only squared, so
+    their absolute value keeps the likelihood smooth.
+    """
     vec = np.asarray(vec, dtype=float)
     if vec.shape[0] != n_free_params(spec):
         raise DimensionError(f"vector has {vec.shape[0]} entries, expected {n_free_params(spec)}")
@@ -166,8 +174,7 @@ def theta_from_vector(vec, spec):
     k = spec.q * (spec.q + 1) // 2
     chol = np.zeros((spec.q, spec.q))
     chol[np.tril_indices(spec.q)] = vec[spec.p : spec.p + k]
-    diag = np.abs(np.diag(chol))
-    np.fill_diagonal(chol, diag)
+    chol *= np.where(np.diag(chol) < 0.0, -1.0, 1.0)
     sigma_e = np.abs(vec[spec.p + k :])
     return Theta(beta, chol, sigma_e)
 
@@ -204,47 +211,6 @@ def natural_values(theta):
 
 def natural_from_vector(vec, spec):
     return natural_values(theta_from_vector(vec, spec))
-
-
-# ---------------------------------------------------------------------------
-# Moments
-# ---------------------------------------------------------------------------
-
-
-def marginal_moments(subject, spec, theta):
-    """Marginal mean X beta and covariance Z G Z^T + R of one subject."""
-    theta.validate_for(spec)
-    x, z = build_designs(subject, spec)
-    mu = x @ theta.beta
-    strata = np.array([o.marker - 1 for o in subject.observations])
-    if np.any(strata >= spec.n_strata):
-        raise DimensionError("marker index exceeds the number of residual strata")
-    resid_var = theta.sigma_e[strata] ** 2
-    v = z @ theta.g_matrix() @ z.T + np.diag(resid_var)
-    return mu, v
-
-
-def conditional_moments(mu, v, obs_idx, cens_idx, y_obs):
-    """Gaussian conditional moments of the censored block given the observed one."""
-    mu = np.asarray(mu, dtype=float)
-    v = np.asarray(v, dtype=float)
-    obs_idx = np.asarray(obs_idx, dtype=int)
-    cens_idx = np.asarray(cens_idx, dtype=int)
-    y_obs = np.asarray(y_obs, dtype=float)
-    if obs_idx.size == 0:
-        raise ValueError("conditioning requires at least one observed measure")
-    v_oo = v[np.ix_(obs_idx, obs_idx)]
-    v_co = v[np.ix_(cens_idx, obs_idx)]
-    v_cc = v[np.ix_(cens_idx, cens_idx)]
-    try:
-        solve = cho_factor(v_oo, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("observed-block covariance is singular") from exc
-    gain = cho_solve(solve, v_co.T).T
-    mu_c = mu[cens_idx] + gain @ (y_obs - mu[obs_idx])
-    v_c = v_cc - gain @ v_co.T
-    v_c = 0.5 * (v_c + v_c.T)
-    return mu_c, v_c
 
 
 @dataclass(frozen=True)
@@ -518,10 +484,12 @@ class LikelihoodEvaluator:
         the posterior (m, M) of :meth:`_posterior`. Blocks are grouped by
         their size m, with one :func:`gaussian.mvn_rect_probs` call per size:
         sizes 1 to 3 are exact, and from 4 on Genz QMC runs to ``mvn_tol``,
-        or on the ``FIT_POINTS`` counts when ``fixed`` is set, which keeps
-        the total a smooth function of theta. What the QMC blocks cost and
-        the accuracy they reached go to ``qmc_record``. A failure names the
-        first failing subject.
+        or on the ``FIT_POINTS`` counts when ``fixed`` is set. A fixed count
+        keeps the total smooth in theta only while each block's Genz
+        variable order stays the same; where an order switches, the total
+        jumps, by about 2e-4 on 100 subjects x 10 times at 50% censoring.
+        What the QMC blocks cost and the accuracy they reached go to
+        ``qmc_record``. A failure names the first failing subject.
         """
         self._check(theta)
         self.qmc_record = QmcRecord()

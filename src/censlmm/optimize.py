@@ -271,9 +271,12 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     ``quasi_newton_maximize`` (BFGS on central-difference gradients). On the
     marginal path, censored blocks of up to three measures are exact and
     only larger ones run quasi-random QMC, on the fixed ``FIT_POINTS``
-    counts (``ev.marginal(theta, fixed=True)``) so that the objective is
-    smooth and ``llopt.mvn_tol`` does not enter the fit; the AGQ order is
-    the one ``LikelihoodEvaluator.agq_order`` picks at the start point.  A
+    counts (``ev.marginal(theta, fixed=True)``), so ``llopt.mvn_tol`` does
+    not enter the fit. The objective is then smooth only while each block's
+    Genz variable order stays the same; it jumps where an order switches,
+    and a gradient or Hessian probe pair that straddles a switch is off by
+    the jump over the step. The AGQ order is the one
+    ``LikelihoodEvaluator.agq_order`` picks at the start point.  A
     likelihood error at the start point, such as an ``EvaluationError``
     naming the subject, propagates; later ones, and NaN values, count as a
     non-finite objective.  Standard errors are delta-method images of

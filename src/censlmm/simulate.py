@@ -17,15 +17,28 @@ from .errors import InvalidParameterError
 from .likelihood import Theta
 
 
-def default_truth():
-    """Benchmark generating values for the intercept-slope template.
+def default_truth(model="is"):
+    """Benchmark generating values for a model template of ``data.MODEL_TEMPLATES``.
 
-    Intercept 3, slope 0.5, random-effect covariance [[0.5, -0.1], [-0.1, 0.1]],
-    residual variance 0.2 - the standard simulation-study configuration for
-    this model.
+    - "is", intercept-slope: intercept 3, slope 0.5, random-effect
+      covariance [[0.5, -0.1], [-0.1, 0.1]], residual variance 0.2 - the
+      standard simulation-study configuration for this model;
+    - "ri", random intercept: intercept 3, random-intercept variance 0.5,
+      residual variance 0.2;
+    - "biv", bivariate: intercept-slope pairs (3, 0.5) and (2.5, 0.3), each
+      with variances 0.5 and 0.1, a weak cross-marker link of covariance
+      0.1 between the intercepts, and residual variance 0.2 per marker.
     """
-    g = np.array([[0.5, -0.1], [-0.1, 0.1]])
-    return Theta.from_moments([3.0, 0.5], g, [math.sqrt(0.2)])
+    if model == "is":
+        g = np.array([[0.5, -0.1], [-0.1, 0.1]])
+        return Theta.from_moments([3.0, 0.5], g, [math.sqrt(0.2)])
+    if model == "ri":
+        return Theta.from_moments([3.0], [[0.5]], [math.sqrt(0.2)])
+    if model == "biv":
+        g = np.diag([0.5, 0.1, 0.5, 0.1])
+        g[0, 2] = g[2, 0] = 0.1
+        return Theta.from_moments([3.0, 0.5, 2.5, 0.3], g, [math.sqrt(0.2), math.sqrt(0.2)])
+    raise ValueError(f"no model template named {model!r}")
 
 
 @dataclass(frozen=True)

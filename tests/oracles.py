@@ -1,0 +1,324 @@
+"""Reference implementations that the tests compare the library against.
+
+None of this runs in the library. Each piece computes a quantity the
+library also computes, by a separate and plainer route:
+
+- :func:`find_mode` and :func:`agq_log_integral`, a generic adaptive
+  Gauss-Hermite quadrature for any log-valued callable that accepts an
+  ``(..., q)`` array of points and broadcasts over the leading axes. They
+  take derivatives by batched finite-difference stencils, where the
+  likelihood evaluator uses closed forms. Accumulation happens in log space
+  throughout so that products of many small cumulative normal factors
+  cannot underflow.
+- :func:`marginal_moments`, :func:`conditional_moments` and
+  :func:`mvn_logpdf`, the dense per-subject Gaussian moments, where the
+  evaluator works on the r x r posterior of the random effects.
+- :func:`agq_reference` and :func:`dense_terms`, the hierarchical and the
+  naive and marginal terms of a dataset, subject by subject, built from
+  the two above.
+"""
+
+import math
+
+import numpy as np
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.special import log_ndtr
+
+from censlmm.data import build_designs, partition_subject
+from censlmm.errors import DimensionError, IntegrationError, ModeSearchError, NotPositiveDefiniteError
+from censlmm.quadrature import scale_factor, tensor_grid
+
+MAX_DIM = 4
+
+_H_GRAD = 6.0e-6     # ~eps^(1/3), central gradients
+_H_HESS = 6.0e-3     # large step: cancellation-safe curvature (exact on quadratics)
+_LOG2 = math.log(2.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+LOG_2PI = math.log(2.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# Generic adaptive Gauss-Hermite quadrature
+# ---------------------------------------------------------------------------
+
+
+def _logsumexp(v):
+    m = np.max(v)
+    if not np.isfinite(m):
+        return float(m)
+    return float(m + math.log(np.sum(np.exp(v - m))))
+
+
+def _stencil(x, h_grad, h_hess):
+    """Probe points for one batched gradient+Hessian evaluation."""
+    q = x.shape[0]
+    n_cross = 4 * (q * (q - 1)) // 2
+    pts = np.tile(x, (1 + 4 * q + n_cross, 1))
+    for i in range(q):
+        base = 1 + 4 * i
+        pts[base, i] += h_grad[i]
+        pts[base + 1, i] -= h_grad[i]
+        pts[base + 2, i] += h_hess[i]
+        pts[base + 3, i] -= h_hess[i]
+    k = 1 + 4 * q
+    for i in range(q):
+        for j in range(i + 1, q):
+            pts[k, [i, j]] += (h_hess[i], h_hess[j])
+            pts[k + 1, i] += h_hess[i]
+            pts[k + 1, j] -= h_hess[j]
+            pts[k + 2, i] -= h_hess[i]
+            pts[k + 2, j] += h_hess[j]
+            pts[k + 3, [i, j]] -= (h_hess[i], h_hess[j])
+            k += 4
+    return pts
+
+
+def _grad_hess(logf, x, h_grad, h_hess):
+    """Central-difference gradient and Hessian from a single batched call."""
+    q = x.shape[0]
+    vals = np.asarray(logf(_stencil(x, h_grad, h_hess)), dtype=float)
+    f0 = vals[0]
+    grad = np.empty(q)
+    hess = np.empty((q, q))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(q):
+            base = 1 + 4 * i
+            gp, gm, hp, hm = vals[base : base + 4]
+            grad[i] = (gp - gm) / (2.0 * h_grad[i])
+            hess[i, i] = (hp - 2.0 * f0 + hm) / (h_hess[i] ** 2)
+        k = 1 + 4 * q
+        for i in range(q):
+            for j in range(i + 1, q):
+                fpp, fpm, fmp, fmm = vals[k : k + 4]
+                k += 4
+                hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h_hess[i] * h_hess[j])
+    return f0, grad, hess
+
+
+def _ascent_direction(grad, hess):
+    """Newton direction from the negated Hessian, eigenvalue-clamped to PD."""
+    neg = -hess
+    try:
+        chol = np.linalg.cholesky(neg)
+        d = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
+        return d
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(neg)
+        floor = max(1e-8, 1e-8 * float(np.max(np.abs(vals))))
+        vals = np.maximum(vals, floor)
+        return vecs @ ((vecs.T @ grad) / vals)
+
+
+def find_mode(logf, start, gtol=1e-8, max_iter=100):
+    """Locate the maximum of ``logf`` by safeguarded Newton iteration.
+
+    Derivatives come from central differences (batched); steps are halved
+    until the objective improves.  Returns the mode and the numeric Hessian
+    there, the latter re-estimated with curvature-scaled steps so it is
+    cancellation-safe even for very flat or very tight integrands.
+
+    Raises ModeSearchError (carrying the last iterate) when the gradient norm
+    cannot be brought below ``gtol`` within ``max_iter`` iterations, beyond
+    the resolution of the finite differences.
+    """
+    x = np.atleast_1d(np.asarray(start, dtype=float)).copy()
+    q = x.shape[0]
+    scale = np.maximum(1.0, np.abs(x))
+    f0, grad, hess = _grad_hess(logf, x, _H_GRAD * scale, _H_HESS * scale)
+    if not np.isfinite(f0):
+        raise ModeSearchError("objective not finite at the starting point", last_iterate=x)
+
+    eps = float(np.finfo(float).eps)
+    polish_left = 5
+    converged = False
+    for _ in range(max_iter):
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= gtol:
+            converged = True
+            break
+        d = _ascent_direction(grad, hess)
+        slope = float(grad @ d)
+        if slope <= 0.0:
+            d = grad
+            slope = float(grad @ grad)
+
+        if slope <= 8.0 * eps * (1.0 + abs(f0)):
+            # expected improvement below float resolution of f: the line
+            # search is uninformative, so polish with plain Newton steps
+            # (the gradient remains resolvable even when f is not)
+            if polish_left == 0:
+                if gnorm <= 1e3 * gtol:
+                    converged = True
+                    break
+                raise ModeSearchError(
+                    f"gradient stalled at norm {gnorm:.3e} at float resolution",
+                    last_iterate=x,
+                )
+            polish_left -= 1
+            x = x + d
+        else:
+            t = 1.0
+            accepted = False
+            while t >= 1e-12:
+                cand = x + t * d
+                f_new = float(np.asarray(logf(cand[None, :]))[0])
+                if np.isfinite(f_new) and f_new >= f0 + 1e-4 * t * slope:
+                    x = cand
+                    f0 = f_new
+                    accepted = True
+                    break
+                t *= 0.5
+            if not accepted:
+                if gnorm <= 1e3 * gtol:
+                    converged = True
+                    break
+                raise ModeSearchError(
+                    f"no ascent step found at gradient norm {gnorm:.3e}", last_iterate=x
+                )
+        scale = np.maximum(1.0, np.abs(x))
+        f0, grad, hess = _grad_hess(logf, x, _H_GRAD * scale, _H_HESS * scale)
+    if not converged:
+        raise ModeSearchError(
+            f"mode search did not converge in {max_iter} iterations", last_iterate=x
+        )
+
+    # curvature-adapted final pass: relative steps keep the second difference
+    # well above rounding error whatever the integrand's length scale
+    h_curv = _H_HESS / np.sqrt(np.maximum(np.abs(np.diag(hess)), 1e-12))
+    _, grad, hess = _grad_hess(logf, x, _H_GRAD * scale, h_curv)
+    return x, hess
+
+
+def agq_log_integral(logf, q, order, start):
+    """log of the adaptive Gauss-Hermite approximation to int exp(logf(u)) du.
+
+    The grid is recentred at the integrand's mode, found by :func:`find_mode`
+    from ``start``, and rescaled by its curvature; order 1 reproduces the
+    Laplace approximation.
+    """
+    if not 1 <= q <= MAX_DIM:
+        raise DimensionError(f"integration dimension {q} outside [1, {MAX_DIM}]")
+    start = np.atleast_1d(np.asarray(start, dtype=float))
+    if start.shape != (q,):
+        raise DimensionError(f"start has shape {start.shape}, expected ({q},)")
+    u_hat, hess = find_mode(logf, start)
+    chol = scale_factor(hess)
+    nodes, factor = tensor_grid(order, q)
+    pts = u_hat[None, :] + math.sqrt(2.0) * nodes @ chol.T
+    vals = np.asarray(logf(pts), dtype=float)
+    bad = ~(np.isfinite(vals) | (vals == -np.inf))
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        raise IntegrationError(f"integrand not finite at node {idx}: {pts[idx]}")
+    logdet = float(np.sum(np.log(np.diag(chol))))
+    return 0.5 * q * _LOG2 + logdet + _logsumexp(factor + vals)
+
+
+# ---------------------------------------------------------------------------
+# Dense Gaussian moments
+# ---------------------------------------------------------------------------
+
+
+def mvn_logpdf(y, mean, cov):
+    """Log density of N(mean, cov) at y via Cholesky factorization."""
+    y = np.asarray(y, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    n = y.shape[0]
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"covariance of dimension {n} is not positive definite") from exc
+    z = solve_triangular(chol, y - mean, lower=True)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return float(-0.5 * (z @ z) - 0.5 * logdet - n * _LOG_SQRT_2PI)
+
+
+def marginal_moments(subject, spec, theta):
+    """Marginal mean X beta and covariance Z G Z^T + R of one subject."""
+    theta.validate_for(spec)
+    x, z = build_designs(subject, spec)
+    mu = x @ theta.beta
+    strata = np.array([o.marker - 1 for o in subject.observations])
+    if np.any(strata >= spec.n_strata):
+        raise DimensionError("marker index exceeds the number of residual strata")
+    resid_var = theta.sigma_e[strata] ** 2
+    v = z @ theta.g_matrix() @ z.T + np.diag(resid_var)
+    return mu, v
+
+
+def conditional_moments(mu, v, obs_idx, cens_idx, y_obs):
+    """Gaussian conditional moments of the censored block given the observed one."""
+    mu = np.asarray(mu, dtype=float)
+    v = np.asarray(v, dtype=float)
+    obs_idx = np.asarray(obs_idx, dtype=int)
+    cens_idx = np.asarray(cens_idx, dtype=int)
+    y_obs = np.asarray(y_obs, dtype=float)
+    if obs_idx.size == 0:
+        raise ValueError("conditioning requires at least one observed measure")
+    v_oo = v[np.ix_(obs_idx, obs_idx)]
+    v_co = v[np.ix_(cens_idx, obs_idx)]
+    v_cc = v[np.ix_(cens_idx, cens_idx)]
+    try:
+        solve = cho_factor(v_oo, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("observed-block covariance is singular") from exc
+    gain = cho_solve(solve, v_co.T).T
+    mu_c = mu[cens_idx] + gain @ (y_obs - mu[obs_idx])
+    v_c = v_cc - gain @ v_co.T
+    v_c = 0.5 * (v_c + v_c.T)
+    return mu_c, v_c
+
+
+# ---------------------------------------------------------------------------
+# Dataset totals, subject by subject
+# ---------------------------------------------------------------------------
+
+
+def agq_reference(dataset, spec, theta, order):
+    """Hierarchical total, subject by subject, by generic AGQ over u ~ N(0, G).
+
+    Each subject's integrand is the model's joint log-density in u: the
+    normal prior of u, the observed rows' normal densities given u and the
+    censored rows' log Phi terms. G must be nonsingular.
+    """
+    g = theta.g_matrix()
+    g_inv = np.linalg.inv(g)
+    log_prior = -0.5 * (np.linalg.slogdet(g)[1] + theta.q * LOG_2PI)
+    total = 0.0
+    for subject in dataset.subjects:
+        x, z = build_designs(subject, spec)
+        obs, cens = partition_subject(subject)
+        y = np.array([o.response if o.is_observed else o.threshold
+                      for o in subject.observations])
+        sde = theta.sigma_e[[o.marker - 1 for o in subject.observations]]
+        mu = x @ theta.beta
+
+        def logf(u):
+            fitted = mu + u @ z.T
+            std = (y - fitted) / sde
+            dens = -0.5 * std[..., obs] ** 2 - np.log(sde[obs]) - 0.5 * LOG_2PI
+            return (log_prior - 0.5 * np.einsum("...i,ij,...j->...", u, g_inv, u)
+                    + np.sum(dens, axis=-1) + np.sum(log_ndtr(std[..., cens]), axis=-1))
+
+        total += agq_log_integral(logf, theta.q, order, np.zeros(theta.q))
+    return total
+
+
+def dense_terms(dataset, spec, theta):
+    """Per subject, from the dense moments: its naive log-density, the log-density
+    of its observed rows, and its censored block's (mean, cov, upper) (None if it has none)."""
+    for subject in dataset.subjects:
+        mu, v = marginal_moments(subject, spec, theta)
+        obs, cens = partition_subject(subject)
+        y = np.array([o.response if o.is_observed else o.threshold
+                      for o in subject.observations])
+        observed = mvn_logpdf(y[obs], mu[obs], v[np.ix_(obs, obs)]) if obs else 0.0
+        block = None
+        if cens:
+            if obs:
+                mu_c, v_c = conditional_moments(mu, v, obs, cens, y[obs])
+            else:
+                mu_c, v_c = mu[cens], v[np.ix_(cens, cens)]
+            block = (mu_c, v_c, y[cens])
+        yield mvn_logpdf(y, mu, v), observed, block

@@ -16,52 +16,9 @@ from censlmm.gaussian import (
     _ordered_cholesky,
     _stream_levels,
     log_orthant_probs,
-    mvn_logpdf,
     mvn_rect_probs,
-    std_normal_cdf,
-    std_normal_pdf,
 )
-
-
-def erf_series_cdf(x, terms=120):
-    """Independent oracle: Phi via the Taylor series of the error function."""
-    total = 0.0
-    for k in range(terms):
-        total += (-1) ** k * x ** (2 * k + 1) / (math.factorial(k) * 2**k * (2 * k + 1))
-    return 0.5 + total / math.sqrt(2.0 * math.pi)
-
-
-class TestScalarNormal:
-    def test_pdf_at_zero(self):
-        assert std_normal_pdf(0.0) == pytest.approx(0.3989422804, abs=1e-10)
-
-    def test_pdf_symmetry(self):
-        assert std_normal_pdf(1.0) == std_normal_pdf(-1.0)
-
-    def test_pdf_at_two_against_high_precision(self):
-        import mpmath
-
-        mpmath.mp.dps = 40
-        oracle = float(mpmath.npdf(2))
-        assert std_normal_pdf(2.0) == pytest.approx(oracle, abs=1e-12)
-
-    def test_cdf_at_zero(self):
-        assert std_normal_cdf(0.0) == 0.5
-
-    def test_cdf_limits(self):
-        assert std_normal_cdf(-math.inf) == 0.0
-        assert std_normal_cdf(math.inf) == 1.0
-
-    def test_cdf_against_erf_series(self):
-        assert std_normal_cdf(1.0) == pytest.approx(erf_series_cdf(1.0), abs=1e-12)
-        assert std_normal_cdf(1.0) == pytest.approx(0.8413447461, abs=1e-10)
-
-    def test_cdf_tail_accuracy(self):
-        import mpmath
-
-        mpmath.mp.dps = 40
-        for x in (-3.0, -1.2, 0.3, 2.5, 4.0):
-            assert std_normal_cdf(x) == pytest.approx(float(mpmath.ncdf(x)), abs=1e-12)
+from oracles import mvn_logpdf
 
 
 class TestMvnLogpdf:

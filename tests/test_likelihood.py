@@ -10,9 +10,7 @@ from censlmm.data import (
     Observation,
     SubjectData,
     bivariate_model,
-    build_designs,
     intercept_slope_model,
-    partition_subject,
     random_intercept_model,
 )
 from censlmm.errors import (
@@ -23,18 +21,16 @@ from censlmm.errors import (
     NotPositiveDefiniteError,
 )
 from censlmm import likelihood
-from censlmm.gaussian import mvn_logpdf, mvn_rect_probs
+from censlmm.gaussian import mvn_rect_probs
 from censlmm.likelihood import (
     FIT_POINTS,
     FIT_POINTS_DEFAULT,
     LikelihoodEvaluator,
     LogLikOptions,
     Theta,
-    conditional_moments,
     loglik_agq,
     loglik_marginal,
     loglik_naive,
-    marginal_moments,
     max_agq_order,
     n_free_params,
     natural_names,
@@ -42,9 +38,10 @@ from censlmm.likelihood import (
     theta_from_vector,
     theta_to_vector,
 )
-from censlmm.quadrature import agq_log_integral
+from censlmm.optimize import fd_gradient
 from censlmm.simulate import SimConfig, simulate
 from conftest import make_subject, random_small_dataset, random_theta
+from oracles import agq_reference, conditional_moments, dense_terms, marginal_moments
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -86,6 +83,30 @@ class TestTheta:
         theta = theta_from_vector(vec, is_spec)
         assert np.all(np.diag(theta.chol) >= 0)
         assert np.all(theta.sigma_e >= 0)
+        # the sign flips take whole columns, so G is the raw vector's L L^T
+        raw = np.array([[-0.7, 0.0], [-0.2, -0.3]])
+        assert theta.g_matrix() == pytest.approx(raw @ raw.T, abs=1e-15)
+
+    def test_gradient_is_smooth_where_a_diagonal_entry_of_l_is_zero(self, is_spec, truth,
+                                                                      benchmark_dataset):
+        # With L11 = 0 and L21 != 0, G12 = L11 L21 changes sign with L11. A
+        # map that reflected only the diagonal entry made G12 = |L11| L21, a
+        # kink at which the central difference read 0.
+        ev = LikelihoodEvaluator(benchmark_dataset, is_spec)
+        x = theta_to_vector(truth)
+        k = is_spec.p  # L11
+        x[k] = 0.0
+        assert truth.chol[1, 0] != 0.0
+
+        def f(v):
+            return ev.naive(theta_from_vector(v, is_spec))
+
+        central = fd_gradient(f, x)[k]
+        e = np.eye(x.size)[k] * 1e-5
+        forward, backward = (f(x + e) - f(x)) / 1e-5, (f(x) - f(x - e)) / 1e-5
+        assert central != 0.0
+        assert central == pytest.approx(forward, rel=1e-2)
+        assert central == pytest.approx(backward, rel=1e-2)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -416,55 +437,6 @@ class TestCrossMethodProperties:
             d2 = Dataset(subjects=(SubjectData(subject_id="a", observations=obs),))
             assert loglik_marginal(d2, is_spec, truth) == pytest.approx(base_m, abs=1e-10)
             assert loglik_agq(d2, is_spec, truth) == pytest.approx(base_a, abs=1e-10)
-
-
-def agq_reference(dataset, spec, theta, order):
-    """Hierarchical total, subject by subject, by generic AGQ over u ~ N(0, G).
-
-    Each subject's integrand is the model's joint log-density in u: the
-    normal prior of u, the observed rows' normal densities given u and the
-    censored rows' log Phi terms. G must be nonsingular.
-    """
-    g = theta.g_matrix()
-    g_inv = np.linalg.inv(g)
-    log_prior = -0.5 * (np.linalg.slogdet(g)[1] + theta.q * LOG_2PI)
-    total = 0.0
-    for subject in dataset.subjects:
-        x, z = build_designs(subject, spec)
-        obs, cens = partition_subject(subject)
-        y = np.array([o.response if o.is_observed else o.threshold
-                      for o in subject.observations])
-        sde = theta.sigma_e[[o.marker - 1 for o in subject.observations]]
-        mu = x @ theta.beta
-
-        def logf(u):
-            fitted = mu + u @ z.T
-            std = (y - fitted) / sde
-            dens = -0.5 * std[..., obs] ** 2 - np.log(sde[obs]) - 0.5 * LOG_2PI
-            return (log_prior - 0.5 * np.einsum("...i,ij,...j->...", u, g_inv, u)
-                    + np.sum(dens, axis=-1) + np.sum(log_ndtr(std[..., cens]), axis=-1))
-
-        total += agq_log_integral(logf, theta.q, order, np.zeros(theta.q))
-    return total
-
-
-def dense_terms(dataset, spec, theta):
-    """Per subject, from the dense moments: its naive log-density, the log-density
-    of its observed rows, and its censored block's (mean, cov, upper) (None if it has none)."""
-    for subject in dataset.subjects:
-        mu, v = marginal_moments(subject, spec, theta)
-        obs, cens = partition_subject(subject)
-        y = np.array([o.response if o.is_observed else o.threshold
-                      for o in subject.observations])
-        observed = mvn_logpdf(y[obs], mu[obs], v[np.ix_(obs, obs)]) if obs else 0.0
-        block = None
-        if cens:
-            if obs:
-                mu_c, v_c = conditional_moments(mu, v, obs, cens, y[obs])
-            else:
-                mu_c, v_c = mu[cens], v[np.ix_(cens, cens)]
-            block = (mu_c, v_c, y[cens])
-        yield mvn_logpdf(y, mu, v), observed, block
 
 
 def block_alone(block, options, fixed=False):

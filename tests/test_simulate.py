@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from censlmm.data import bivariate_model
+from censlmm.data import MODEL_TEMPLATES, bivariate_model
 from censlmm.likelihood import LogLikOptions, Theta
 from censlmm.simulate import SimConfig, calibrate_threshold, default_truth, simulate
 
@@ -100,6 +100,16 @@ class TestSimulate:
         assert d.n_rows == 4 * 3 * 2
         markers = {o.marker for s in d.subjects for o in s.observations}
         assert markers == {1, 2}
+
+
+class TestDefaultTruth:
+    @pytest.mark.parametrize("model", sorted(MODEL_TEMPLATES))
+    def test_fits_its_template(self, model):
+        default_truth(model).validate_for(MODEL_TEMPLATES[model]())
+
+    def test_unknown_template_rejected(self):
+        with pytest.raises(ValueError, match="no model template"):
+            default_truth("quadratic")
 
 
 class TestCalibrateThreshold:
