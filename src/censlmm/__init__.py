@@ -15,7 +15,6 @@ from .data import (
     bivariate_model,
     build_designs,
     intercept_slope_model,
-    partition_subject,
     random_intercept_model,
     read_long_csv,
     write_long_csv,

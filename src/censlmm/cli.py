@@ -44,12 +44,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _seed(text):
-    """A nonnegative integer seed; the QMC streams and the simulator take no other."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, not {value}")
-    return value
+def _bounded(convert, ok, rule):
+    """An argparse type: ``convert`` the text, then reject a value the library would reject."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, not {value:g}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" message
+    return parse
+
+
+_SEED = _bounded(int, lambda v: v >= 0, "nonnegative")
+_COUNT = _bounded(int, lambda v: v >= 1, "at least 1")  # also a GH order
+_TOLERANCE = _bounded(float, lambda v: v > 0.0, "positive")  # qtol <= 0 would pin the GH order
+_FRACTION = _bounded(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 
 
 def _build_parser():
@@ -60,7 +69,7 @@ def _build_parser():
     def add_common(p):
         p.add_argument("--model", choices=sorted(MODEL_TEMPLATES), default="is",
                        help="model template: ri=random intercept, is=intercept+slope, biv=bivariate")
-        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--seed", type=_SEED, default=0)
         p.add_argument("--threshold", type=float, default=None,
                        help="global detection limit when the file has no limit column")
         p.add_argument("--output", default=None, help="report/dataset destination")
@@ -68,10 +77,10 @@ def _build_parser():
     def add_fit_options(p):
         add_common(p)
         p.add_argument("--input", required=True)
-        p.add_argument("--gh-order", type=int, default=None,
+        p.add_argument("--gh-order", type=_COUNT, default=None,
                        help="pin the quadrature order, capped per random-effects dimension "
                             "(ignores --qtol); default: start at 10 and double")
-        p.add_argument("--qtol", type=float, default=1e-6,
+        p.add_argument("--qtol", type=_TOLERANCE, default=1e-6,
                        help="quadrature-order doubling tolerance")
 
     fit = sub.add_parser("fit", help="fit one or more likelihood methods to a dataset")
@@ -81,9 +90,9 @@ def _build_parser():
 
     sim = sub.add_parser("simulate", help="write a synthetic left-censored dataset")
     add_common(sim)
-    sim.add_argument("--n-subjects", type=int, default=50)
-    sim.add_argument("--n-per-subject", type=int, default=5)
-    sim.add_argument("--target-censoring", type=float, default=None,
+    sim.add_argument("--n-subjects", type=_COUNT, default=50)
+    sim.add_argument("--n-per-subject", type=_COUNT, default=5)
+    sim.add_argument("--target-censoring", type=_FRACTION, default=None,
                      help="censoring fraction used to calibrate the detection limit")
 
     cmp_ = sub.add_parser("compare", help="fit both censoring-aware formulations and diff them")

@@ -216,17 +216,13 @@ MODEL_TEMPLATES = {
 # ---------------------------------------------------------------------------
 
 
-def partition_subject(subject):
-    """Index lists of observed and censored measurements, input order kept."""
-    observed = [i for i, o in enumerate(subject.observations) if o.is_observed]
-    censored = [i for i, o in enumerate(subject.observations) if not o.is_observed]
-    return observed, censored
+def build_designs(observations, spec):
+    """X (n x p) and Z (n x q) of a sequence of observations, rows in input order.
 
-
-def build_designs(subject, spec):
-    """Stack the per-observation design rows into X (n x p) and Z (n x q)."""
+    The only code that runs the design rules of ``spec``.
+    """
     x_rows, z_rows = [], []
-    for obs in subject.observations:
+    for obs in observations:
         fr = tuple(spec.fixed_design(obs))
         zr = tuple(spec.random_design(obs))
         if len(fr) != spec.p or len(zr) != spec.q:
@@ -325,20 +321,26 @@ def read_long_csv(path, schema=CsvSchema()):
             if has_marker:
                 raw_m = (row[schema.marker_col] or "").strip()
                 if raw_m != "":
-                    marker = int(_parse_float(raw_m, schema.marker_col, line_no))
+                    marker = _parse_float(raw_m, schema.marker_col, line_no)
+                    if not marker.is_integer():
+                        raise ParseError(f"line {line_no}: marker {raw_m!r} is not an integer", row=line_no)
+                    marker = int(marker)
 
             covs = tuple(
                 _parse_float(row[c], c, line_no) for c in schema.covariate_cols
             )
-            obs = Observation(
-                subject_id=sid,
-                time=time,
-                response=response,
-                is_observed=is_observed,
-                threshold=threshold,
-                marker=marker,
-                covariates=covs,
-            )
+            try:
+                obs = Observation(
+                    subject_id=sid,
+                    time=time,
+                    response=response,
+                    is_observed=is_observed,
+                    threshold=threshold,
+                    marker=marker,
+                    covariates=covs,
+                )
+            except ValueError as exc:
+                raise ParseError(f"line {line_no}: {exc}", row=line_no) from None
             if sid not in groups:
                 groups[sid] = []
                 order.append(sid)

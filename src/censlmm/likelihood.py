@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import erfcx, log_ndtr, logsumexp
 
 from . import quadrature
-from .data import build_designs, partition_subject
+from .data import build_designs
 from .errors import (
     DimensionError,
     EvaluationError,
@@ -393,12 +393,14 @@ class _Integrands:
 class LikelihoodEvaluator:
     """Evaluates the three likelihood paths on one long-format layout.
 
-    All subjects' rows are stacked once in flat arrays: designs ``x`` and
-    ``z``, responses ``y`` (the detection limit on a censored row),
-    ``strata`` and the ``observed`` mask. Subject ``s`` owns rows
-    ``start[s]:start[s + 1]``, its ``n_obs[s]`` observed rows first, each
-    group in input order. One evaluator serves every evaluation of a fit, and
-    every path reads its Gaussian moments from :meth:`_posterior`.
+    All subjects' rows are stacked once, in one pass, in flat arrays: designs
+    ``x`` and ``z`` (one :func:`data.build_designs` call), responses ``y``
+    (the detection limit on a censored row), ``strata`` and the ``observed``
+    mask. Subject ``s`` owns rows ``start[s]:start[s + 1]``, its ``n_obs[s]``
+    observed rows first and then its ``n_cens[s]`` censored ones, each group
+    in input order; ``cens_blocks`` groups the censored blocks by size. One
+    evaluator serves every evaluation of a fit, and every path reads its
+    Gaussian moments from :meth:`_posterior`.
 
     The hierarchical path works on all subjects at once. Batched Newton steps
     with the closed-form gradient and Hessian of each integrand find every
@@ -410,24 +412,26 @@ class LikelihoodEvaluator:
         self.spec = spec
         self.options = options
         self.subject_ids = [subject.subject_id for subject in dataset.subjects]
-        xs, zs, rows, n_obs = [], [], [], []
-        for subject in dataset.subjects:
-            obs_idx, cens_idx = partition_subject(subject)
-            order = obs_idx + cens_idx
-            x, z = build_designs(subject, spec)
-            xs.append(x[order])
-            zs.append(z[order])
-            rows.extend(subject.observations[i] for i in order)
-            n_obs.append(len(obs_idx))
-        self.x = np.concatenate(xs)
-        self.z = np.concatenate(zs)
-        self.y = np.array([o.response if o.is_observed else o.threshold for o in rows])
-        self.observed = np.array([o.is_observed for o in rows])
-        self.strata = np.array([o.marker - 1 for o in rows], dtype=int)
-        sizes = np.array([x.shape[0] for x in xs])
+        rows = [o for subject in dataset.subjects for o in subject.observations]
+        sizes = np.array([len(subject.observations) for subject in dataset.subjects])
         self.start = np.concatenate([[0], np.cumsum(sizes)])
-        self.n_obs = np.array(n_obs)
-        self.row_subject = np.repeat(np.arange(len(sizes)), sizes)
+        self.row_subject = np.repeat(np.arange(sizes.size), sizes)
+        observed = np.array([o.is_observed for o in rows])
+        # each subject's observed rows first; lexsort is stable, so each group keeps input order
+        order = np.lexsort((~observed, self.row_subject))
+        x, z = build_designs(rows, spec)
+        self.x, self.z = x[order], z[order]
+        self.y = np.array([o.response if o.is_observed else o.threshold for o in rows])[order]
+        self.observed = observed[order]
+        self.strata = np.array([o.marker - 1 for o in rows], dtype=int)[order]
+        self.n_obs = np.add.reduceat(self.observed.astype(int), self.start[:-1])
+        self.n_cens = sizes - self.n_obs
+        # per block size m: (m, the blocks' subjects, their (B, m) indexes among the censored rows)
+        first = np.concatenate([[0], np.cumsum(self.n_cens)[:-1]])
+        self.cens_blocks = []
+        for m in np.unique(self.n_cens[self.n_cens > 0]):
+            blocks = np.flatnonzero(self.n_cens == m)
+            self.cens_blocks.append((m, blocks, first[blocks][:, None] + np.arange(m)))
         bad = np.flatnonzero(self.strata >= spec.n_strata)
         if bad.size:
             sid = self.subject_ids[self.row_subject[bad[0]]]
@@ -507,14 +511,10 @@ class LikelihoodEvaluator:
         root = np.linalg.solve(chol[subject], zf_c[:, :, None])[:, :, 0]
         var_c = theta.sigma_e[self.strata[cens]] ** 2
         upper = self.y[cens]
-        n_cens = np.diff(self.start) - self.n_obs
-        first = np.concatenate([[0], np.cumsum(n_cens)[:-1]])
         opts = self.options
         failures = {}
         qmc = []
-        for m in np.unique(n_cens[n_cens > 0]):
-            blocks = np.flatnonzero(n_cens == m)
-            rows = first[blocks][:, None] + np.arange(m)
+        for m, blocks, rows in self.cens_blocks:
             root_m = root[rows]
             cov = root_m @ np.swapaxes(root_m, 1, 2) + var_c[rows][:, :, None] * np.eye(m)
             probs, error = mvn_rect_probs(mu_c[rows], cov, upper[rows], opts.mvn_tol, opts.seed,
@@ -559,16 +559,15 @@ class LikelihoodEvaluator:
             total = float(np.sum(logpdf) + np.sum(log_ndtr(resid[cens] / sde[cens])))
             return lambda order: total
 
-        n_cens = np.diff(self.start) - self.n_obs
-        has = np.flatnonzero(n_cens)
-        exact = float(np.sum(logpdf[n_cens == 0]))
+        has = np.flatnonzero(self.n_cens)
+        exact = float(np.sum(logpdf[self.n_cens == 0]))
         if has.size == 0:
             return lambda order: exact
         const = logpdf + np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
         const -= 0.5 * r * _LOG_2PI
         _, v0, _ = self._posterior(theta, zf, np.ones_like(resid))
         integrands = _Integrands(
-            [self.subject_ids[s] for s in has], n_cens[has], const[has], mean[has], chol[has],
+            [self.subject_ids[s] for s in has], self.n_cens[has], const[has], mean[has], chol[has],
             resid[cens] / sde[cens], zf[cens] / sde[cens, None], v0[has])
         return lambda order: exact + float(np.sum(integrands.log_integrals(order)))
 

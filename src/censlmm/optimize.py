@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import build_designs
 from .errors import CensLmmError, GradientError, OptimizationStall
 from .likelihood import (
     LikelihoodEvaluator,
@@ -227,13 +228,10 @@ class FitResult:
 
 def moment_start(dataset, spec):
     """Crude starting values: pooled least squares plus an even variance split."""
-    rows, ys = [], []
-    for subject in dataset.subjects:
-        for obs in subject.observations:
-            rows.append(spec.fixed_design(obs))
-            ys.append(obs.response if obs.is_observed else obs.threshold)
-    x = np.array(rows, dtype=float)
-    y = np.array(ys, dtype=float)
+    # input order: the evaluator's row order moves the start, and a fit's path, in the last bits
+    rows = [o for subject in dataset.subjects for o in subject.observations]
+    x, _ = build_designs(rows, spec)
+    y = np.array([o.response if o.is_observed else o.threshold for o in rows], dtype=float)
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)
     dof = max(1, y.shape[0] - spec.p)
     s2 = float(np.sum((y - x @ beta) ** 2)) / dof

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, ModelSpec, Observation, SubjectData, intercept_slope_model
+from .data import (Dataset, ModelSpec, Observation, SubjectData, build_designs,
+                   intercept_slope_model)
 from .errors import InvalidParameterError
 from .likelihood import Theta
 
@@ -76,23 +77,23 @@ class SimConfig:
         self.truth.validate_for(self.model)
 
 
-def _template_observation(spec, time, marker):
-    return Observation(subject_id="_", time=float(time), response=0.0,
-                       is_observed=True, threshold=math.nan, marker=marker)
+def _schedule_designs(spec, times):
+    """X and Z rows of the measurement schedule: markers in order, each at every time in order."""
+    templates = [Observation(subject_id="_", time=float(t), response=0.0, is_observed=True,
+                             marker=marker)
+                 for marker in range(1, spec.n_strata + 1) for t in times]
+    return build_designs(templates, spec)
 
 
 def _schedule_moments(truth, times, spec):
     """Marginal mean and SD of each scheduled measurement (all markers)."""
     g = truth.g_matrix()
+    xs, zs = _schedule_designs(spec, times)
     mus, sds = [], []
-    for marker in range(1, spec.n_strata + 1):
-        for t in times:
-            obs = _template_observation(spec, t, marker)
-            x = np.asarray(spec.fixed_design(obs), dtype=float)
-            z = np.asarray(spec.random_design(obs), dtype=float)
-            mus.append(float(x @ truth.beta))
-            var = float(z @ g @ z) + float(truth.sigma_e[marker - 1] ** 2)
-            sds.append(math.sqrt(var))
+    for k in range(len(xs)):
+        mus.append(float(xs[k] @ truth.beta))
+        var = float(zs[k] @ g @ zs[k]) + float(truth.sigma_e[k // len(times)] ** 2)
+        sds.append(math.sqrt(var))
     return np.array(mus), np.array(sds)
 
 
@@ -165,6 +166,7 @@ def simulate(config, return_latent=False):
         c = calibrate_threshold(truth, config.times, config.target_censoring, model=spec)
         thr = np.full(config.n_per_subject, c)
 
+    xs, zs = _schedule_designs(spec, config.times)
     subjects = []
     latents = []
     for i in range(config.n_subjects):
@@ -174,10 +176,8 @@ def simulate(config, return_latent=False):
         for marker in range(1, spec.n_strata + 1):
             sde = float(truth.sigma_e[marker - 1])
             for j, t in enumerate(config.times):
-                template = _template_observation(spec, t, marker)
-                x = np.asarray(spec.fixed_design(template), dtype=float)
-                z = np.asarray(spec.random_design(template), dtype=float)
-                latent = float(x @ truth.beta + z @ gamma + sde * rng.standard_normal())
+                k = (marker - 1) * config.n_per_subject + j
+                latent = float(xs[k] @ truth.beta + zs[k] @ gamma + sde * rng.standard_normal())
                 latents.append(latent)
                 censored = latent < thr[j]
                 observations.append(

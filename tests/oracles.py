@@ -13,9 +13,12 @@ library also computes, by a separate and plainer route:
 - :func:`marginal_moments`, :func:`conditional_moments` and
   :func:`mvn_logpdf`, the dense per-subject Gaussian moments, where the
   evaluator works on the r x r posterior of the random effects.
+- :func:`partition_subject` and :func:`subject_layout`, a subject's
+  observed and censored rows and the evaluator's flat row layout built
+  subject by subject, where the evaluator builds it in one pass.
 - :func:`agq_reference` and :func:`dense_terms`, the hierarchical and the
   naive and marginal terms of a dataset, subject by subject, built from
-  the two above.
+  the pieces above.
 """
 
 import math
@@ -24,7 +27,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import log_ndtr
 
-from censlmm.data import build_designs, partition_subject
+from censlmm.data import build_designs
 from censlmm.errors import DimensionError, IntegrationError, ModeSearchError, NotPositiveDefiniteError
 from censlmm.quadrature import scale_factor, tensor_grid
 
@@ -237,7 +240,7 @@ def mvn_logpdf(y, mean, cov):
 def marginal_moments(subject, spec, theta):
     """Marginal mean X beta and covariance Z G Z^T + R of one subject."""
     theta.validate_for(spec)
-    x, z = build_designs(subject, spec)
+    x, z = build_designs(subject.observations, spec)
     mu = x @ theta.beta
     strata = np.array([o.marker - 1 for o in subject.observations])
     if np.any(strata >= spec.n_strata):
@@ -275,6 +278,43 @@ def conditional_moments(mu, v, obs_idx, cens_idx, y_obs):
 # ---------------------------------------------------------------------------
 
 
+def partition_subject(subject):
+    """Index lists of observed and censored measurements, input order kept."""
+    observed = [i for i, o in enumerate(subject.observations) if o.is_observed]
+    censored = [i for i, o in enumerate(subject.observations) if not o.is_observed]
+    return observed, censored
+
+
+def subject_layout(dataset, spec):
+    """The evaluator's flat row layout, built subject by subject.
+
+    Each subject's rows are reordered to its observed rows, then its censored
+    ones, by :func:`partition_subject`, and its designs come from its own
+    ``build_designs`` call. Returns the arrays the evaluator stores under the
+    same names.
+    """
+    xs, zs, rows, n_obs = [], [], [], []
+    for subject in dataset.subjects:
+        obs_idx, cens_idx = partition_subject(subject)
+        order = obs_idx + cens_idx
+        x, z = build_designs(subject.observations, spec)
+        xs.append(x[order])
+        zs.append(z[order])
+        rows.extend(subject.observations[i] for i in order)
+        n_obs.append(len(obs_idx))
+    sizes = np.array([x.shape[0] for x in xs])
+    return {
+        "x": np.concatenate(xs),
+        "z": np.concatenate(zs),
+        "y": np.array([o.response if o.is_observed else o.threshold for o in rows]),
+        "observed": np.array([o.is_observed for o in rows]),
+        "strata": np.array([o.marker - 1 for o in rows], dtype=int),
+        "start": np.concatenate([[0], np.cumsum(sizes)]),
+        "n_obs": np.array(n_obs),
+        "row_subject": np.repeat(np.arange(len(sizes)), sizes),
+    }
+
+
 def agq_reference(dataset, spec, theta, order):
     """Hierarchical total, subject by subject, by generic AGQ over u ~ N(0, G).
 
@@ -287,7 +327,7 @@ def agq_reference(dataset, spec, theta, order):
     log_prior = -0.5 * (np.linalg.slogdet(g)[1] + theta.q * LOG_2PI)
     total = 0.0
     for subject in dataset.subjects:
-        x, z = build_designs(subject, spec)
+        x, z = build_designs(subject.observations, spec)
         obs, cens = partition_subject(subject)
         y = np.array([o.response if o.is_observed else o.threshold
                       for o in subject.observations])

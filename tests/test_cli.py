@@ -62,6 +62,28 @@ class TestArgumentParsing:
         assert "argument --seed: must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("simulate", "--n-subjects", "0", "must be at least 1"),
+        ("simulate", "--n-per-subject", "0", "must be at least 1"),
+        ("simulate", "--target-censoring", "1.5", "must be strictly between 0 and 1"),
+        ("simulate", "--target-censoring", "0", "must be strictly between 0 and 1"),
+        ("fit", "--gh-order", "0", "must be at least 1"),
+        ("compare", "--gh-order", "0", "must be at least 1"),
+        ("fit", "--qtol", "-1", "must be positive"),
+        ("compare", "--qtol", "0", "must be positive"),
+    ])
+    def test_value_the_library_rejects_is_a_usage_error(self, command, flag, value, message,
+                                                        tmp_path, capsys):
+        # "--qtol 0" or below would silently pin the GH order at 10
+        out = tmp_path / "out"
+        argv = [command, *self.REQUIRED[command], "--output", str(out), flag, value]
+        if command == "simulate" and flag != "--target-censoring":
+            argv += ["--target-censoring", "0.2"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"censlmm {command}: error: argument {flag}: {message}, not {value}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", [["--gh-order", "3"], ["--qtol", "5"]])
     def test_simulate_takes_no_quadrature_settings(self, flag, tmp_path, capsys):
         # nothing in simulate reads them
@@ -109,6 +131,13 @@ class TestFitCommand:
         code = run(["fit", "--input", str(tmp_path / "absent.csv"), "--output", str(out)])
         assert code == 1
         assert not out.exists()
+
+    def test_malformed_row_is_exit_1_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,time,y,obs\n1,0,nan,1\n", encoding="utf-8")
+        assert run(["fit", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: subject 1: observed response is not finite\n")
 
     def test_three_method_table(self, simulated_file, tmp_path, capsys):
         out = tmp_path / "report.txt"

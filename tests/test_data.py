@@ -11,13 +11,13 @@ from censlmm.data import (
     bivariate_model,
     build_designs,
     intercept_slope_model,
-    partition_subject,
     random_intercept_model,
     read_long_csv,
     write_long_csv,
 )
 from censlmm.errors import DimensionError, ParseError, SchemaError
 from conftest import make_subject
+from oracles import partition_subject
 
 
 def write_rows(path, header, rows):
@@ -81,14 +81,14 @@ class TestBuildDesigns:
     def test_intercept_slope_rows(self):
         spec = intercept_slope_model()
         s = make_subject("a", [2.0], [3.0], [1], 0.0)
-        x, z = build_designs(s, spec)
+        x, z = build_designs(s.observations, spec)
         assert x.tolist() == [[1.0, 2.0]]
         assert z.tolist() == [[1.0, 2.0]]
 
     def test_intercept_only_rows(self):
         spec = random_intercept_model()
         s = make_subject("a", [7.5], [3.0], [1], 0.0)
-        x, z = build_designs(s, spec)
+        x, z = build_designs(s.observations, spec)
         assert x.tolist() == [[1.0]]
         assert z.tolist() == [[1.0]]
 
@@ -96,7 +96,7 @@ class TestBuildDesigns:
         spec = bivariate_model()
         obs = Observation(subject_id="a", time=1.0, response=2.0, is_observed=True, marker=2)
         s = SubjectData(subject_id="a", observations=(obs,))
-        x, z = build_designs(s, spec)
+        x, z = build_designs(s.observations, spec)
         assert x.tolist() == [[0.0, 0.0, 1.0, 1.0]]
         assert z.tolist() == [[0.0, 0.0, 1.0, 1.0]]
 
@@ -105,7 +105,7 @@ class TestBuildDesigns:
         obs = Observation(subject_id="a", time=1.0, response=2.0, is_observed=True,
                           covariates=(34.0,))
         s = SubjectData(subject_id="a", observations=(obs,))
-        x, z = build_designs(s, spec)
+        x, z = build_designs(s.observations, spec)
         assert x.tolist() == [[1.0, 1.0, 34.0]]
         assert z.shape == (1, 2)
 
@@ -114,7 +114,7 @@ class TestBuildDesigns:
         obs = Observation(subject_id="a", time=1.0, response=2.0, is_observed=True)
         s = SubjectData(subject_id="a", observations=(obs,))
         with pytest.raises(DimensionError):
-            build_designs(s, spec)
+            build_designs(s.observations, spec)
 
     def test_dimensions_on_random_subjects(self):
         rng = np.random.default_rng(4)
@@ -123,7 +123,7 @@ class TestBuildDesigns:
             n = int(rng.integers(1, 9))
             s = make_subject("a", rng.uniform(0, 4, n), rng.normal(3, 1, n),
                              np.ones(n, dtype=int), 0.0)
-            x, z = build_designs(s, spec)
+            x, z = build_designs(s.observations, spec)
             assert x.shape == (n, spec.p)
             assert z.shape == (n, spec.q)
 
@@ -161,6 +161,22 @@ class TestReadLongCsv:
         with pytest.raises(ParseError) as err:
             read_long_csv(path)
         assert err.value.row == 3
+
+    @pytest.mark.parametrize("y,marker,message", [
+        ("nan", 1, "observed response is not finite"),
+        ("inf", 1, "observed response is not finite"),
+        (2.0, 0, "marker stratum index is 1-based"),
+        (2.0, 1.7, "is not an integer"),
+        (2.0, "inf", "is not an integer"),
+    ])
+    def test_invalid_row_is_parse_error_naming_line(self, tmp_path, y, marker, message):
+        path = tmp_path / "d.csv"
+        write_rows(path, ["id", "time", "y", "obs", "marker"],
+                   [[1, 0, 3.0, 1, 1], [1, 1, y, 1, marker]])
+        with pytest.raises(ParseError, match=message) as err:
+            read_long_csv(path)
+        assert err.value.row == 3
+        assert str(err.value).startswith("line 3: ")
 
     def test_bad_indicator_value(self, tmp_path):
         path = tmp_path / "d.csv"

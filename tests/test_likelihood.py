@@ -39,9 +39,10 @@ from censlmm.likelihood import (
     theta_to_vector,
 )
 from censlmm.optimize import fd_gradient
-from censlmm.simulate import SimConfig, simulate
+from censlmm.simulate import SimConfig, default_truth, simulate
 from conftest import make_subject, random_small_dataset, random_theta
-from oracles import agq_reference, conditional_moments, dense_terms, marginal_moments
+from oracles import (agq_reference, conditional_moments, dense_terms, marginal_moments,
+                     subject_layout)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -53,7 +54,7 @@ def closed_form_loglik(dataset, spec, theta):
     g = theta.g_matrix()
     total = 0.0
     for subject in dataset.subjects:
-        x, z = build_designs(subject, spec)
+        x, z = build_designs(subject.observations, spec)
         y = np.array([o.response for o in subject.observations])
         sde = theta.sigma_e[[o.marker - 1 for o in subject.observations]]
         v = z @ g @ z.T + np.diag(sde**2)
@@ -502,6 +503,40 @@ class TestFlatEvaluatorAgainstDenseReference:
             make_subject("mixed", [0.0, 1.0, 2.0, 3.0], [2.9, 3.6, 2.9, 4.4], [0, 1, 0, 1], 2.9),
         ))
         self.check(d, is_spec, theta, options, fixed)
+
+
+def _subject(sid, flags, markers):
+    """One subject at times 0, 1, ... with the given observed flags and markers."""
+    return SubjectData(sid, tuple(
+        Observation(sid, float(j), 3.0 + 0.1 * j if o else 2.9, bool(o), 2.9, marker=mk)
+        for j, (o, mk) in enumerate(zip(flags, markers))))
+
+
+@pytest.mark.parametrize("model", ["ri", "is", "biv"])
+def test_flat_layout_matches_the_subject_by_subject_reference(model):
+    spec = MODEL_TEMPLATES[model]()
+    simulated = simulate(SimConfig(n_subjects=12, n_per_subject=4, truth=default_truth(model),
+                                   target_censoring=0.4, seed=11, model=spec))
+    markers = [1, 2] * 3 if model == "biv" else [1] * 6
+    d = Dataset(subjects=simulated.subjects + (
+        _subject("all-censored", [0] * 6, markers),
+        _subject("none-censored", [1] * 6, markers),
+        _subject("interleaved", [0, 1, 1, 0, 1, 0], markers),
+    ))
+    ev = LikelihoodEvaluator(d, spec)
+    reference = subject_layout(d, spec)
+    for name, expected in reference.items():
+        actual = getattr(ev, name)
+        assert actual.dtype == expected.dtype, name
+        assert np.array_equal(actual, expected), name
+    # every censored block of size m lists its subjects and their m censored rows
+    n_cens = np.diff(ev.start) - ev.n_obs
+    assert np.array_equal(ev.n_cens, n_cens)
+    cens_subject = ev.row_subject[~ev.observed]
+    assert sum(blocks.size for _, blocks, _ in ev.cens_blocks) == np.count_nonzero(n_cens)
+    for m, blocks, rows in ev.cens_blocks:
+        assert np.all(n_cens[blocks] == m)
+        assert np.array_equal(cens_subject[rows], np.repeat(blocks[:, None], m, axis=1))
 
 
 def test_qmc_record_reports_exhausted_blocks(is_spec, truth):

@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from censlmm.data import MODEL_TEMPLATES, bivariate_model
+from censlmm.data import MODEL_TEMPLATES, bivariate_model, write_long_csv
 from censlmm.likelihood import LogLikOptions, Theta
 from censlmm.simulate import SimConfig, calibrate_threshold, default_truth, simulate
 
@@ -100,6 +101,23 @@ class TestSimulate:
         assert d.n_rows == 4 * 3 * 2
         markers = {o.marker for s in d.subjects for o in s.observations}
         assert markers == {1, 2}
+
+
+@pytest.mark.parametrize("n_subjects,n_per_subject,target,seed,n_censored,digest", [
+    (50, 5, 0.152, 2024, 38, "e7d02e6d8c575035"),
+    (1000, 5, 0.152, 7, 732, "72de78670d653aed"),
+    (100, 10, 0.50, 7, 523, "11f28335347608e8"),
+])
+def test_benchmark_datasets_are_pinned(tmp_path, n_subjects, n_per_subject, target, seed,
+                                       n_censored, digest):
+    # the benchmark's 50x5, 1000x5 and 100x10 workloads fit and evaluate these
+    # files; any change to what simulate draws changes the benchmark's inputs
+    d = simulate(SimConfig(n_subjects=n_subjects, n_per_subject=n_per_subject,
+                           truth=default_truth(), target_censoring=target, seed=seed))
+    assert d.n_censored == n_censored
+    path = tmp_path / "d.csv"
+    write_long_csv(d, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
 
 
 class TestDefaultTruth:
