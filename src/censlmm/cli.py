@@ -57,7 +57,8 @@ def _bounded(convert, ok, rule):
 
 _SEED = _bounded(int, lambda v: v >= 0, "nonnegative")
 _COUNT = _bounded(int, lambda v: v >= 1, "at least 1")  # also a GH order
-_TOLERANCE = _bounded(float, lambda v: v > 0.0, "positive")  # qtol <= 0 would pin the GH order
+_TOLERANCE = _bounded(float, lambda v: v > 0.0, "positive")
+_THRESHOLD = _bounded(float, lambda v: v < np.inf, "below inf")  # -inf censors nothing
 _FRACTION = _bounded(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 
 
@@ -70,7 +71,7 @@ def _build_parser():
         p.add_argument("--model", choices=sorted(MODEL_TEMPLATES), default="is",
                        help="model template: ri=random intercept, is=intercept+slope, biv=bivariate")
         p.add_argument("--seed", type=_SEED, default=0)
-        p.add_argument("--threshold", type=float, default=None,
+        p.add_argument("--threshold", type=_THRESHOLD, default=None,
                        help="global detection limit when the file has no limit column")
         p.add_argument("--output", default=None, help="report/dataset destination")
 
@@ -78,10 +79,10 @@ def _build_parser():
         add_common(p)
         p.add_argument("--input", required=True)
         p.add_argument("--gh-order", type=_COUNT, default=None,
-                       help="pin the quadrature order, capped per random-effects dimension "
-                            "(ignores --qtol); default: start at 10 and double")
+                       help="pin the quadrature order, capped at 64, 40 or 20 for q <= 2, 3 or 4 "
+                            "(ignores --qtol); default: start at 10 and double to --qtol")
         p.add_argument("--qtol", type=_TOLERANCE, default=1e-6,
-                       help="quadrature-order doubling tolerance")
+                       help="quadrature-order doubling tolerance on the total log-likelihood")
 
     fit = sub.add_parser("fit", help="fit one or more likelihood methods to a dataset")
     add_fit_options(fit)
@@ -103,13 +104,7 @@ def _build_parser():
 
 
 def _loglik_options(args, method):
-    """Likelihood settings; ``--gh-order`` pins the order through ``qtol=0``."""
-    return LogLikOptions(
-        method=method,
-        gh_order=args.gh_order if args.gh_order is not None else 10,
-        qtol=args.qtol if args.gh_order is None else 0.0,
-        seed=args.seed,
-    )
+    return LogLikOptions(method=method, gh_order=args.gh_order, qtol=args.qtol, seed=args.seed)
 
 
 def _read_dataset(args):
@@ -203,7 +198,11 @@ def run_simulate(args):
         seed=args.seed,
         model=MODEL_TEMPLATES[args.model](),
     )
-    dataset = simulate(config)
+    try:
+        dataset = simulate(config)
+    except ValueError as exc:  # a target censoring fraction that no limit reaches
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     write_long_csv(dataset, args.output)
     fraction = dataset.n_censored / dataset.n_rows
     print(f"wrote {dataset.n_rows} rows ({dataset.n_subjects} subjects) to {args.output}")

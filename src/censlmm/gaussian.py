@@ -25,8 +25,8 @@ levels (512, 1024, ... per scramble); each level is drawn once and adds only
 its new points to the running sums of the blocks that have not yet met their
 tolerance, so going from n to 2n points evaluates n. A block stops when its
 error estimate is at most ``tol`` times its probability, or at 32,768 points
-per scramble; with a fixed count, every block runs exactly that count. The
-first 2^13 points of each stream are cached; later ones come from engines
+per scramble; with a fixed count, every block runs ``FIT_POINTS`` of its m.
+The first 2^13 points of each stream are cached; later ones come from engines
 fast-forwarded past them. A block's estimate does not depend on the rest of
 its group, and repeated calls are reproducible. With a fixed count the
 estimate varies smoothly with the block's moments only while the block's
@@ -53,11 +53,15 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG2 = math.log(2.0)
 _N_SCRAMBLES = 10
 _TINY_P = 1e-300
+MVN_TOL = 1e-6  # the relative error an adaptive block is asked to meet
 # points per scramble of the first QMC level, and the cached prefix of each stream
 _FIRST_POINTS = 512
 _CACHE_POINT_LIMIT = 2 ** 13
 # the most points per scramble an adaptive block evaluates
 _MAX_POINTS = 2 ** 15
+# points per scramble of each block size m with a fixed count, as in the fits
+FIT_POINTS = {4: 2048}
+FIT_POINTS_DEFAULT = 4096
 # blocks x coordinates x points evaluated in one batched pass of the Genz
 # integrand; bounds its temporaries to a few MB
 _GENZ_CHUNK = 2 ** 18
@@ -466,7 +470,7 @@ def log_orthant_probs(limits, corr):
     return out
 
 
-def mvn_rect_probs(mean, cov, upper, tol=1e-6, seed=0, points=None):
+def mvn_rect_probs(mean, cov, upper, tol=MVN_TOL, seed=0, fixed=False):
     """log Pr(Y <= upper) for Y ~ N(mean, cov), over B blocks of one size m.
 
     ``mean`` and ``upper`` are (B, m) and ``cov`` is (B, m, m), for m from 1
@@ -478,8 +482,8 @@ def mvn_rect_probs(mean, cov, upper, tol=1e-6, seed=0, points=None):
     block stops once its error estimate, three standard errors over the
     scrambles, is at most ``tol`` times its probability, or at 32,768
     points per scramble (``_MAX_POINTS``), when it is flagged exhausted. With
-    ``points`` (a power of two), every block uses exactly that many points
-    per scramble instead, and none is flagged.
+    ``fixed``, every block uses exactly ``FIT_POINTS`` points per scramble
+    for its m instead, and none is flagged.
 
     Returns ``(log_p, err_est, points, exhausted)`` as (B,) arrays, where
     ``points`` counts the points evaluated over all scrambles and the last
@@ -493,8 +497,6 @@ def mvn_rect_probs(mean, cov, upper, tol=1e-6, seed=0, points=None):
         raise DimensionError("mean, cov and upper dimensions do not match")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if points is not None and (points < 1 or points & (points - 1)):
-        raise ValueError("points must be a power of two")
     if not 1 <= m <= MAX_DIM:
         exc = DimensionError(f"{m} censored measures are outside the supported 1 to {MAX_DIM}")
         return None, (0, exc)
@@ -529,10 +531,10 @@ def mvn_rect_probs(mean, cov, upper, tol=1e-6, seed=0, points=None):
         log_p = log_ndtr(limits[:, 0]) if m == 1 else log_orthant_probs(limits, corr)
         return (log_p, None, None, None), None
     chol, b = (np.array(f) for f in zip(*factors))
-    adaptive = points is None
     # a tolerance of -inf is never met: fixed counts run to the end
-    value, err, used, met = _genz_qmc(chol, b, seed, _MAX_POINTS if adaptive else points,
-                                      tol if adaptive else -np.inf)
+    value, err, used, met = _genz_qmc(chol, b, seed,
+                                      FIT_POINTS.get(m, FIT_POINTS_DEFAULT) if fixed else _MAX_POINTS,
+                                      -np.inf if fixed else tol)
     with np.errstate(divide="ignore"):
         log_p = np.log(np.maximum(value, 0.0))
-    return (log_p, err, _N_SCRAMBLES * used, ~met & adaptive), None
+    return (log_p, err, _N_SCRAMBLES * used, ~met & (not fixed)), None

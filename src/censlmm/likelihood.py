@@ -31,22 +31,11 @@ from .errors import (
     ModeSearchError,
 )
 from .gaussian import mvn_rect_probs
-from .quadrature import choose_order
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-# quasi-random sample sizes per censored-block dimension m >= 4 used while
-# fitting (m <= 3 is exact); fixed counts keep the objective smooth in the
-# parameters only between switches of a block's Genz variable order, where it
-# jumps (see the gaussian module)
-FIT_POINTS = {4: 2048}
-FIT_POINTS_DEFAULT = 4096
-
-# tensor-grid budget: largest quadrature order per integration dimension
-_AGQ_ORDER_CAP = {1: 64, 2: 64, 3: 40, 4: 20}
 
 # Newton mode search of the hierarchical integrands: gradient-norm tolerance,
 # iteration cap, smallest step fraction, and the rounding slack (relative to
@@ -59,11 +48,6 @@ _F_SLACK = 8.0 * np.finfo(float).eps
 # censored-row x node entries evaluated at once on the quadrature grid; bounds
 # the temporaries of one chunk to a few MB
 _GRID_CHUNK = 2 ** 18
-
-
-def max_agq_order(q):
-    """Largest usable Gauss-Hermite order for a q-dimensional tensor grid."""
-    return _AGQ_ORDER_CAP[q]
 
 
 class Method(Enum):
@@ -215,17 +199,20 @@ def natural_from_vector(vec, spec):
 
 @dataclass(frozen=True)
 class LogLikOptions:
-    """Evaluation settings shared by the likelihood paths; ``qtol <= 0`` pins the GH order."""
+    """Evaluation settings shared by the likelihood paths.
+
+    ``gh_order`` pins the GH order, capped per q; None leaves it to the
+    doubling rule, run to ``qtol`` (see the ``quadrature`` module).
+    """
 
     method: Method = Method.MARGINAL
-    mvn_tol: float = 1e-6
-    gh_order: int = 10
+    gh_order: int | None = None
     qtol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        if self.mvn_tol <= 0 or self.gh_order < 1:
-            raise ValueError("tolerances must be positive and gh_order at least 1")
+        if not (self.qtol > 0.0 and (self.gh_order is None or self.gh_order >= 1)):
+            raise ValueError("qtol must be positive and gh_order at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -236,8 +223,8 @@ class QmcRecord:
 
     ``points`` counts the integrand points evaluated over all of them,
     ``exhausted`` the blocks whose budget ran out before they met
-    ``mvn_tol``, and ``max_rel_err`` is the largest err_est / p, which is
-    about the error of that block's log probability.
+    ``gaussian.MVN_TOL``, and ``max_rel_err`` is the largest err_est / p,
+    which is about the error of that block's log probability.
     """
 
     blocks: int = 0
@@ -487,11 +474,11 @@ class LikelihoodEvaluator:
         X_c beta + Z_c A m and covariance Z_c A M^{-1} A^T Z_c^T + R_c, from
         the posterior (m, M) of :meth:`_posterior`. Blocks are grouped by
         their size m, with one :func:`gaussian.mvn_rect_probs` call per size:
-        sizes 1 to 3 are exact, and from 4 on Genz QMC runs to ``mvn_tol``,
-        or on the ``FIT_POINTS`` counts when ``fixed`` is set. A fixed count
-        keeps the total smooth in theta only while each block's Genz
-        variable order stays the same; where an order switches, the total
-        jumps, by about 2e-4 on 100 subjects x 10 times at 50% censoring.
+        sizes 1 to 3 are exact, and from 4 on Genz QMC runs to its tolerance,
+        or on its fixed counts when ``fixed`` is set. A fixed count keeps the
+        total smooth in theta only while each block's Genz variable order
+        stays the same; where an order switches, the total jumps, by about
+        2e-4 on 100 subjects x 10 times at 50% censoring.
         What the QMC blocks cost and the accuracy they reached go to
         ``qmc_record``. A failure names the first failing subject.
         """
@@ -511,14 +498,13 @@ class LikelihoodEvaluator:
         root = np.linalg.solve(chol[subject], zf_c[:, :, None])[:, :, 0]
         var_c = theta.sigma_e[self.strata[cens]] ** 2
         upper = self.y[cens]
-        opts = self.options
+        seed = self.options.seed
         failures = {}
         qmc = []
         for m, blocks, rows in self.cens_blocks:
             root_m = root[rows]
             cov = root_m @ np.swapaxes(root_m, 1, 2) + var_c[rows][:, :, None] * np.eye(m)
-            probs, error = mvn_rect_probs(mu_c[rows], cov, upper[rows], opts.mvn_tol, opts.seed,
-                                          FIT_POINTS.get(m, FIT_POINTS_DEFAULT) if fixed else None)
+            probs, error = mvn_rect_probs(mu_c[rows], cov, upper[rows], seed=seed, fixed=fixed)
             if error is None and np.any(np.isnan(probs[0])):
                 error = (int(np.argmax(np.isnan(probs[0]))),
                          IntegrationError("censored-block probability is not a number"))
@@ -572,11 +558,14 @@ class LikelihoodEvaluator:
         return lambda order: exact + float(np.sum(integrands.log_integrals(order)))
 
     def agq_order(self, theta):
-        """``(order, total)`` of the GH order rule at ``theta``, capped by :func:`max_agq_order`."""
+        """``(order, total)`` at the pinned ``gh_order`` or the doubling rule's, capped per q."""
         self._check(theta)
-        opts = self.options
-        return choose_order(self._agq_total_at(theta), opts.gh_order, opts.qtol,
-                            max_agq_order(self.spec.q))
+        total_at = self._agq_total_at(theta)
+        cap = quadrature.max_order(self.spec.q)
+        if self.options.gh_order is None:
+            return quadrature.choose_order(total_at, self.options.qtol, cap)
+        order = min(self.options.gh_order, cap)
+        return order, total_at(order)
 
     def agq(self, theta, order=None):
         """Hierarchical-path total at ``order``, or at the order :meth:`agq_order` picks."""

@@ -28,8 +28,10 @@ from .likelihood import (
 )
 
 _CONVERGED = "function change and gradient norm below tolerance"
-# relative step of the central-difference gradient
+# relative central-difference steps: the gradient, the SE Hessian, the natural-scale Jacobian
 _FD_STEP = 6e-6
+_HESS_STEP = 1e-3
+_JAC_STEP = 1e-6
 # relative function change below which, with the gradient test, a run converges
 _F_TOL = 1e-8
 
@@ -85,11 +87,11 @@ def fd_gradient(f, x):
     return grad
 
 
-def fd_hessian(f, x, rel_step=1e-3):
+def fd_hessian(f, x):
     """Central finite-difference Hessian from function values only."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    h = rel_step * np.maximum(1.0, np.abs(x))
+    h = _HESS_STEP * np.maximum(1.0, np.abs(x))
     f0 = f(x)
     hess = np.empty((n, n))
     fp = np.empty(n)
@@ -268,10 +270,10 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     likelihood is optimized over the unconstrained parameterization by
     ``quasi_newton_maximize`` (BFGS on central-difference gradients). On the
     marginal path, censored blocks of up to three measures are exact and
-    only larger ones run quasi-random QMC, on the fixed ``FIT_POINTS``
-    counts (``ev.marginal(theta, fixed=True)``), so ``llopt.mvn_tol`` does
-    not enter the fit. The objective is then smooth only while each block's
-    Genz variable order stays the same; it jumps where an order switches,
+    only larger ones run quasi-random QMC, on the fixed point counts of the
+    ``gaussian`` module (``ev.marginal(theta, fixed=True)``). The objective
+    is then smooth only while each block's Genz variable order stays the
+    same; it jumps where an order switches,
     and a gradient or Hessian probe pair that straddles a switch is off by
     the jump over the step. The AGQ order is the one
     ``LikelihoodEvaluator.agq_order`` picks at the start point.  A
@@ -350,10 +352,10 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     )
 
 
-def _natural_jacobian(x, spec, rel_step=1e-6):
+def _natural_jacobian(x, spec):
     """Central-difference Jacobian of the natural-scale map at ``x``."""
     x = np.asarray(x, dtype=float)
-    h = rel_step * np.maximum(1.0, np.abs(x))
+    h = _JAC_STEP * np.maximum(1.0, np.abs(x))
     cols = []
     for k in range(x.shape[0]):
         xp, xm = x.copy(), x.copy()

@@ -5,7 +5,8 @@ JCGS 1995) recentres a tensor Gauss-Hermite grid at the integrand's mode and
 scales it by the lower Cholesky factor of the inverse negated Hessian there.
 :func:`tensor_grid` and :func:`scale_factor` are those two pieces; the
 likelihood evaluator combines them with its closed-form derivatives for all
-subjects at once. :func:`choose_order` is the order-doubling rule.
+subjects at once. The order is pinned, or picked by the doubling rule
+:func:`choose_order`; either way it is capped at :func:`max_order` of q.
 """
 
 from functools import lru_cache
@@ -16,6 +17,9 @@ from numpy.polynomial.hermite import hermgauss
 from .errors import DimensionError
 
 MAX_ORDER = 64
+START_ORDER = 10
+# tensor-grid budget: largest order per integration dimension q
+_ORDER_CAP = {1: 64, 2: 64, 3: 40, 4: 20}
 
 
 @lru_cache(maxsize=128)
@@ -64,20 +68,22 @@ def scale_factor(hess):
     return np.linalg.cholesky(cov)
 
 
-def choose_order(evaluate, start_order=10, qtol=1e-6, max_order=MAX_ORDER):
+def max_order(q):
+    """Largest usable Gauss-Hermite order for a q-dimensional tensor grid."""
+    return _ORDER_CAP[q]
+
+
+def choose_order(evaluate, qtol, max_order):
     """Pick a quadrature order by doubling until successive values agree.
 
     ``evaluate(order)`` must return the quantity of interest (typically a
-    total log-likelihood). The order starts at k = min(start_order,
+    total log-likelihood). The order starts at k = min(``START_ORDER``,
     max_order) and doubles while 2k <= max_order. At the first doubling that
     changes the value by less than ``qtol``, returns ``(k, evaluate(2k))``;
-    if none does, returns ``(max_order, evaluate(max_order))``. ``qtol <= 0``
-    pins the order: ``(k, evaluate(k))``.
+    if none does, returns ``(max_order, evaluate(max_order))``.
     """
-    k = min(start_order, max_order)
+    k = min(START_ORDER, max_order)
     f_k = evaluate(k)
-    if qtol <= 0.0:
-        return k, f_k
     while 2 * k <= max_order:
         f_2k = evaluate(2 * k)
         if abs(f_2k - f_k) < qtol:

@@ -48,7 +48,8 @@ class SimConfig:
 
     Exactly one of ``threshold`` (detection limit, scalar or one value per
     schedule time) and ``target_censoring`` (marginal censoring fraction used
-    to calibrate the limit) must be given.
+    to calibrate the limit) must be given. A limit of -inf censors nothing;
+    NaN and +inf are rejected with ValueError.
     """
 
     n_subjects: int
@@ -65,6 +66,8 @@ class SimConfig:
             raise ValueError("need at least one subject and one measure per subject")
         if (self.threshold is None) == (self.target_censoring is None):
             raise ValueError("give exactly one of threshold and target_censoring")
+        if self.threshold is not None and not np.all(np.asarray(self.threshold, dtype=float) < np.inf):
+            raise ValueError("threshold must be a number below +inf")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         times = self.times

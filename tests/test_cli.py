@@ -42,6 +42,25 @@ class TestArgumentParsing:
         assert args.threshold == value
 
     @pytest.mark.parametrize("command", ["simulate", "fit", "compare"])
+    @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "+inf"])
+    def test_threshold_that_is_no_limit_is_a_usage_error(self, command, text, tmp_path, capsys):
+        # neither is a detection limit: NaN would censor no row and +inf every row
+        out = tmp_path / "out"
+        assert run([command, *self.REQUIRED[command], "--output", str(out), "--threshold", text]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == (f"censlmm {command}: error: argument --threshold: "
+                           f"must be below inf, not {float(text):g}")
+        assert not out.exists()
+
+    def test_unreachable_target_censoring_is_a_one_line_error(self, tmp_path, capsys):
+        # no limit within 10 SDs of the schedule's means censors 1e-300 of it
+        out = tmp_path / "d.csv"
+        assert run(["simulate", "--output", str(out), "--target-censoring", "1e-300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: target 1e-300 outside") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "compare"])
     def test_option_after_threshold_is_not_a_value(self, command, capsys):
         code = run([command, *self.REQUIRED[command], "--threshold", "--seed", "1"])
         assert code == 1
@@ -74,7 +93,6 @@ class TestArgumentParsing:
     ])
     def test_value_the_library_rejects_is_a_usage_error(self, command, flag, value, message,
                                                         tmp_path, capsys):
-        # "--qtol 0" or below would silently pin the GH order at 10
         out = tmp_path / "out"
         argv = [command, *self.REQUIRED[command], "--output", str(out), flag, value]
         if command == "simulate" and flag != "--target-censoring":
@@ -172,6 +190,14 @@ class TestFitCommand:
             assert code == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+
+    def test_gh_order_pins_the_order(self, simulated_file, tmp_path):
+        # the doubling rule picks 10 on this file
+        out = tmp_path / "report.txt"
+        code = run(["fit", "--input", str(simulated_file), "--output", str(out),
+                    "--method", "agq", "--gh-order", "5"])
+        assert code == 0
+        assert read_report(out)[0]["gh_order"] == "5"
 
 
     def test_failure_at_start_names_the_subject(self, tmp_path, capsys):

@@ -21,17 +21,14 @@ from censlmm.errors import (
     NotPositiveDefiniteError,
 )
 from censlmm import likelihood
-from censlmm.gaussian import mvn_rect_probs
+from censlmm.gaussian import FIT_POINTS, FIT_POINTS_DEFAULT, mvn_rect_probs
 from censlmm.likelihood import (
-    FIT_POINTS,
-    FIT_POINTS_DEFAULT,
     LikelihoodEvaluator,
     LogLikOptions,
     Theta,
     loglik_agq,
     loglik_marginal,
     loglik_naive,
-    max_agq_order,
     n_free_params,
     natural_names,
     natural_values,
@@ -39,6 +36,7 @@ from censlmm.likelihood import (
     theta_to_vector,
 )
 from censlmm.optimize import fd_gradient
+from censlmm.quadrature import max_order
 from censlmm.simulate import SimConfig, default_truth, simulate
 from conftest import make_subject, random_small_dataset, random_theta
 from oracles import (agq_reference, conditional_moments, dense_terms, marginal_moments,
@@ -442,9 +440,7 @@ class TestCrossMethodProperties:
 
 def block_alone(block, options, fixed=False):
     """The censored block's (log p, err_est, points, exhausted) from a group of one."""
-    m = block[0].size
-    points = FIT_POINTS.get(m, FIT_POINTS_DEFAULT) if fixed else None
-    probs, error = mvn_rect_probs(*(a[None] for a in block), options.mvn_tol, options.seed, points)
+    probs, error = mvn_rect_probs(*(a[None] for a in block), seed=options.seed, fixed=fixed)
     assert error is None
     return [None if a is None else a[0] for a in probs]
 
@@ -470,7 +466,7 @@ class TestFlatEvaluatorAgainstDenseReference:
         assert ev.marginal(theta, fixed) == pytest.approx(marginal, abs=1e-10)
         # a singular G puts the integral in fewer dimensions than the u-space oracle
         if np.linalg.matrix_rank(theta.g_matrix()) == theta.q:
-            order = min(40, max_agq_order(theta.q))
+            order = min(40, max_order(theta.q))
             assert ev.agq(theta, order) == pytest.approx(
                 agq_reference(dataset, spec, theta, order), abs=1e-9)
 
@@ -541,7 +537,7 @@ def test_flat_layout_matches_the_subject_by_subject_reference(model):
 
 def test_qmc_record_reports_exhausted_blocks(is_spec, truth):
     # 100 subjects x 10 times at 50% censoring has blocks of up to m = 10,
-    # many of which cannot meet mvn_tol within the budget; the record of the
+    # many of which cannot meet MVN_TOL within the budget; the record of the
     # grouped evaluation must count them as calls on each block alone do
     d = simulate(SimConfig(n_subjects=100, n_per_subject=10, truth=truth,
                            target_censoring=0.5, seed=7))
@@ -578,3 +574,57 @@ def test_qmc_record_describes_the_last_evaluation(is_spec, truth):
     ev = LikelihoodEvaluator(uncensored, is_spec)
     ev.marginal(truth)
     assert ev.qmc_record == likelihood.QmcRecord()
+
+
+@pytest.fixture(scope="module")
+def censored_20x8(truth):
+    """20 subjects x 8 times at 60% target censoring: censored blocks of m >= 4."""
+    d = simulate(SimConfig(n_subjects=20, n_per_subject=8, truth=truth,
+                           target_censoring=0.6, seed=3))
+    assert np.any(LikelihoodEvaluator(d, intercept_slope_model()).n_cens >= 4)
+    return d
+
+
+class TestEveryOptionChangesTheEvaluation:
+    """Each accuracy field of LogLikOptions moves what the evaluator computes."""
+
+    def test_seed_moves_the_fixed_count_total(self, censored_20x8, is_spec, truth):
+        totals = [LikelihoodEvaluator(censored_20x8, is_spec, LogLikOptions(seed=seed))
+                  .marginal(truth, fixed=True) for seed in (0, 3)]
+        assert totals[0] != totals[1]
+
+    def test_qtol_moves_the_picked_order(self, censored_20x8, is_spec, truth):
+        orders = [LikelihoodEvaluator(censored_20x8, is_spec, LogLikOptions(qtol=qtol))
+                  .agq_order(truth)[0] for qtol in (1e-6, 1e-3, 1e-1)]
+        assert orders == [64, 20, 10]
+
+    def test_pinned_order_moves_the_total(self, censored_20x8, is_spec, truth):
+        by_rule = LikelihoodEvaluator(censored_20x8, is_spec)
+        pinned = LikelihoodEvaluator(censored_20x8, is_spec, LogLikOptions(gh_order=5))
+        assert pinned.agq_order(truth) == (5, by_rule.agq(truth, 5))
+        assert pinned.agq(truth) != by_rule.agq(truth)
+
+    def test_pin_skips_the_doubling_rule(self, censored_20x8, is_spec, truth, monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("a pinned order must not run the doubling rule")
+
+        monkeypatch.setattr(likelihood.quadrature, "choose_order", no_rule)
+        ev = LikelihoodEvaluator(censored_20x8, is_spec, LogLikOptions(gh_order=10))
+        assert ev.agq_order(truth) == (10, ev.agq(truth, 10))
+
+    @pytest.mark.parametrize("model,pin,cap", [("is", 100, 64), ("biv", 40, 20)])
+    def test_pinned_order_capped_at_max_order(self, model, pin, cap):
+        spec, theta = MODEL_TEMPLATES[model](), default_truth(model)
+        d = simulate(SimConfig(n_subjects=6, n_per_subject=4, truth=theta,
+                               target_censoring=0.4, seed=5, model=spec))
+        assert max_order(spec.q) == cap
+        ev = LikelihoodEvaluator(d, spec, LogLikOptions(gh_order=pin))
+        assert ev.agq_order(theta) == (cap, ev.agq(theta, cap))
+
+
+@pytest.mark.parametrize("settings", [{"qtol": 0.0}, {"qtol": -1e-6}, {"qtol": math.nan},
+                                      {"gh_order": 0}])
+def test_options_reject_values_without_a_meaning(settings):
+    # gh_order is the pin, so a qtol <= 0 has no meaning
+    with pytest.raises(ValueError):
+        LogLikOptions(**settings)

@@ -265,7 +265,7 @@ class TestFitModel:
         # with the closed-form mode search the order-1 objective is smooth;
         # finite-difference curvature noise used to stall BFGS ("no progress")
         res = fit_model(benchmark_dataset, is_spec,
-                        LogLikOptions(method=Method.AGQ, gh_order=1, qtol=0), OptConfig())
+                        LogLikOptions(method=Method.AGQ, gh_order=1), OptConfig())
         assert res.gh_order_used == 1
         assert res.converged
         assert res.gradient_norm <= OptConfig().g_tol

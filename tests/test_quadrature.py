@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gamma, log_ndtr
 
 from censlmm.errors import DimensionError, IntegrationError, ModeSearchError
-from censlmm.quadrature import choose_order, gh_rule
+from censlmm.quadrature import START_ORDER, choose_order, gh_rule, max_order
 from oracles import agq_log_integral, find_mode
 
 SQRT_PI = math.sqrt(math.pi)
@@ -217,24 +217,26 @@ class TestAgqLogIntegral:
 
 class TestChooseOrder:
     def test_stops_at_agreement(self):
-        values = {5: 1.00, 10: 1.10, 20: 1.10 + 1e-9, 40: 1.10 + 2e-9}
-        order, value = choose_order(lambda k: values[k], start_order=5, qtol=1e-6, max_order=40)
-        assert (order, value) == (10, values[20])
+        values = {10: 1.00, 20: 1.10, 40: 1.10 + 1e-9}
+        order, value = choose_order(lambda k: values[k], qtol=1e-6, max_order=40)
+        assert (order, value) == (20, values[40])
 
     def test_caps_at_max_order(self):
-        order, value = choose_order(lambda k: float(k), start_order=10, qtol=1e-6, max_order=40)
+        order, value = choose_order(lambda k: float(k), qtol=1e-6, max_order=40)
         assert (order, value) == (40, 40.0)
 
     def test_cap_evaluated_when_doubling_overshoots(self):
         seen = []
-        order, value = choose_order(lambda k: seen.append(k) or float(k), start_order=10,
-                                    qtol=1e-6, max_order=64)
+        order, value = choose_order(lambda k: seen.append(k) or float(k), qtol=1e-6, max_order=64)
         assert (order, value) == (64, 64.0)
         assert seen == [10, 20, 40, 64]
 
-    def test_disabled_by_zero_qtol(self):
-        assert choose_order(lambda k: float(k), start_order=10, qtol=0.0) == (10, 10.0)
-
     def test_start_clamped_to_cap(self):
-        order = choose_order(lambda k: float(k), start_order=40, qtol=0.0, max_order=20)
-        assert order == (20, 20.0)
+        # a cap below START_ORDER: the rule evaluates the cap only
+        seen = []
+        order = choose_order(lambda k: seen.append(k) or float(k), qtol=1e-6, max_order=5)
+        assert order == (5, 5.0) and seen == [5]
+
+    def test_cap_table(self):
+        assert [max_order(q) for q in (1, 2, 3, 4)] == [64, 64, 40, 20]
+        assert START_ORDER == 10

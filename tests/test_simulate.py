@@ -92,6 +92,16 @@ class TestSimulate:
         with pytest.raises(ValueError, match="seed"):
             LogLikOptions(seed=-1)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, [2.0, math.nan]])
+    def test_threshold_that_is_no_limit_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            SimConfig(n_subjects=2, n_per_subject=2, truth=default_truth(), threshold=threshold)
+
+    def test_minus_inf_threshold_censors_nothing(self):
+        d = simulate(SimConfig(n_subjects=3, n_per_subject=2, truth=default_truth(),
+                               threshold=-math.inf, seed=1))
+        assert d.n_censored == 0
+
     def test_bivariate_rows_per_marker(self):
         spec = bivariate_model()
         g = np.diag([0.5, 0.1, 0.5, 0.1]).astype(float)
