@@ -58,6 +58,7 @@ def _bounded(convert, ok, rule):
 _SEED = _bounded(int, lambda v: v >= 0, "nonnegative")
 _COUNT = _bounded(int, lambda v: v >= 1, "at least 1")  # also a GH order
 _TOLERANCE = _bounded(float, lambda v: v > 0.0, "positive")
+_DIFFERENCE = _bounded(float, lambda v: v >= 0.0, "nonnegative")  # NaN compares false
 _THRESHOLD = _bounded(float, lambda v: v < np.inf, "below inf")  # -inf censors nothing
 _FRACTION = _bounded(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 
@@ -98,7 +99,7 @@ def _build_parser():
 
     cmp_ = sub.add_parser("compare", help="fit both censoring-aware formulations and diff them")
     add_fit_options(cmp_)
-    cmp_.add_argument("--tolerance", type=float, default=0.01,
+    cmp_.add_argument("--tolerance", type=_DIFFERENCE, default=0.01,
                       help="max acceptable per-parameter difference")
     return parser
 

@@ -31,6 +31,11 @@ class Observation:
     covariates: tuple = ()
 
     def __post_init__(self):
+        if not math.isfinite(self.time):
+            raise ValueError(f"subject {self.subject_id}: time is not finite")
+        # most data have no covariates, and simulated datasets build thousands of rows
+        if self.covariates and not all(math.isfinite(c) for c in self.covariates):
+            raise ValueError(f"subject {self.subject_id}: a covariate is not finite")
         if self.is_observed and not math.isfinite(self.response):
             raise ValueError(f"subject {self.subject_id}: observed response is not finite")
         if not self.is_observed and not math.isfinite(self.threshold):

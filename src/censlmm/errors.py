@@ -53,13 +53,7 @@ class GradientError(CensLmmError):
 
 
 class OptimizationStall(CensLmmError):
-    """The optimizer made no progress; carries the best iterate found."""
-
-    def __init__(self, message, best_x=None, best_f=None, trace=None):
-        super().__init__(message)
-        self.best_x = best_x
-        self.best_f = best_f
-        self.trace = trace
+    """A fit's objective is not finite at its starting parameters."""
 
 
 class EvaluationError(CensLmmError):

@@ -109,6 +109,16 @@ class Theta:
         """The random-effects covariance G."""
         return self.chol @ self.chol.T
 
+    def reduced_factor(self):
+        """A (q x r) with G = A A^T over the eigenvalues of G above 1e-12 relative.
+
+        u = A v with v ~ N(0, I_r) spans the random effects, also where G is
+        rank-deficient.
+        """
+        vals, vecs = np.linalg.eigh(self.g_matrix())
+        keep = vals > 1e-12 * max(1.0, float(vals.max()))
+        return vecs[:, keep] * np.sqrt(vals[keep])
+
     def validate_for(self, spec):
         if self.p != spec.p:
             raise DimensionError(f"{self.p} fixed effects, model expects {spec.p}")
@@ -231,14 +241,6 @@ class QmcRecord:
     points: int = 0
     exhausted: int = 0
     max_rel_err: float = 0.0
-
-
-def _reduced_factor(g):
-    """Map u = A v with v ~ N(0, I_r) spanning the (possibly deficient) G."""
-    vals, vecs = np.linalg.eigh(g)
-    scale = float(vals.max()) if vals.size else 0.0
-    keep = vals > max(1e-12, 1e-12 * scale)
-    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def _subject_error(sid, exc):
@@ -484,7 +486,7 @@ class LikelihoodEvaluator:
         """
         self._check(theta)
         self.qmc_record = QmcRecord()
-        zf = self.z @ _reduced_factor(theta.g_matrix())
+        zf = self.z @ theta.reduced_factor()
         logpdf, mean, chol = self._posterior(theta, zf, self.observed.astype(float))
         total = float(np.sum(logpdf))
         if total == -math.inf:
@@ -535,7 +537,7 @@ class LikelihoodEvaluator:
         from their posterior means given all rows (thresholds imputed), and
         every order reuses them.
         """
-        zf = self.z @ _reduced_factor(theta.g_matrix())
+        zf = self.z @ theta.reduced_factor()
         r = zf.shape[1]
         resid = self.y - self.x @ theta.beta
         sde = theta.sigma_e[self.strata]
@@ -578,7 +580,7 @@ class LikelihoodEvaluator:
 
     def naive(self, theta):
         self._check(theta)
-        zf = self.z @ _reduced_factor(theta.g_matrix())
+        zf = self.z @ theta.reduced_factor()
         logpdf, _, _ = self._posterior(theta, zf, np.ones(self.y.shape[0]))
         return float(np.sum(logpdf))
 

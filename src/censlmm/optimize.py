@@ -3,10 +3,11 @@
 One ascent driver, as in the default of SAS Proc NLMIXED: BFGS quasi-Newton
 with a backtracking line search on central finite-difference gradients. It
 converges when the relative function change is below 1e-8 and the gradient
-norm below ``g_tol``. ``fit_model`` wires it to the likelihood paths,
+norm below ``g_tol``; every run returns its last point, the value there
+and why it stopped. ``fit_model`` wires it to the likelihood paths,
 starting from the threshold-imputation fit as in the reference analysis
-workflow, and derives natural-scale standard errors from the inverse
-observed information by the delta method.
+workflow, and maps the inverse observed information to natural-scale
+standard errors by the delta method, on the exact Jacobian of that map.
 """
 
 import math
@@ -28,10 +29,9 @@ from .likelihood import (
 )
 
 _CONVERGED = "function change and gradient norm below tolerance"
-# relative central-difference steps: the gradient, the SE Hessian, the natural-scale Jacobian
+# relative central-difference steps: the gradient and the SE Hessian
 _FD_STEP = 6e-6
 _HESS_STEP = 1e-3
-_JAC_STEP = 1e-6
 # relative function change below which, with the gradient test, a run converges
 _F_TOL = 1e-8
 
@@ -40,8 +40,8 @@ _F_TOL = 1e-8
 class OptConfig:
     """Optimizer settings.
 
-    ``max_iter`` caps the BFGS iterations and ``g_tol`` is the gradient-norm
-    part of the stopping rule. ``start``, when given, is the Theta that
+    ``max_iter`` caps the points checked (``Trace.iterations``) and ``g_tol``
+    is the gradient-norm part of the stopping rule. ``start``, when given, is the Theta that
     ``fit_model`` starts from in place of its warm start. ``compute_se`` asks
     ``fit_model`` for standard errors at the optimum.
     """
@@ -58,7 +58,8 @@ class OptConfig:
 
 @dataclass
 class Trace:
-    """Iteration log of one maximization."""
+    """Iteration log of one maximization: the value and gradient norm (NaN
+    when no gradient was taken) at each point checked, the returned one last."""
 
     f_values: list = field(default_factory=list)
     gradient_norms: list = field(default_factory=list)
@@ -76,11 +77,8 @@ def fd_gradient(f, x):
     x = np.asarray(x, dtype=float)
     h = _FD_STEP * np.maximum(1.0, np.abs(x))
     grad = np.empty(x.shape[0])
-    for k in range(x.shape[0]):
-        xp, xm = x.copy(), x.copy()
-        xp[k] += h[k]
-        xm[k] -= h[k]
-        fp, fm = f(xp), f(xm)
+    for k, e in enumerate(np.diag(h)):
+        fp, fm = f(x + e), f(x - e)
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise GradientError(f"objective not finite at probe of coordinate {k}", coordinate=k)
         grad[k] = (fp - fm) / (2.0 * h[k])
@@ -92,33 +90,19 @@ def fd_hessian(f, x):
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     h = _HESS_STEP * np.maximum(1.0, np.abs(x))
+    e = np.diag(h)
     f0 = f(x)
     hess = np.empty((n, n))
-    fp = np.empty(n)
-    fm = np.empty(n)
     for i in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        fp[i], fm[i] = f(xp), f(xm)
-        hess[i, i] = (fp[i] - 2.0 * f0 + fm[i]) / h[i] ** 2
+        hess[i, i] = (f(x + e[i]) - 2.0 * f0 + f(x - e[i])) / h[i] ** 2
     for i in range(n):
         for j in range(i + 1, n):
-            xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
-            xpp[[i, j]] += h[[i, j]]
-            xmm[[i, j]] -= h[[i, j]]
-            xpm[i] += h[i]
-            xpm[j] -= h[j]
-            xmp[i] -= h[i]
-            xmp[j] += h[j]
-            hess[i, j] = hess[j, i] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (4.0 * h[i] * h[j])
+            diff = (f(x + e[i] + e[j]) - f(x + e[i] - e[j])
+                    - f(x - e[i] + e[j]) + f(x - e[i] - e[j]))
+            hess[i, j] = hess[j, i] = diff / (4.0 * h[i] * h[j])
     if not np.all(np.isfinite(hess)):
         raise GradientError("Hessian probe hit a non-finite objective value")
     return hess
-
-
-def _rel_change(f_new, f_old):
-    return abs(f_new - f_old) / max(1.0, abs(f_new), abs(f_old))
 
 
 def quasi_newton_maximize(f, x0, cfg=OptConfig()):
@@ -126,32 +110,53 @@ def quasi_newton_maximize(f, x0, cfg=OptConfig()):
 
     The inverse Hessian approximation is updated only when the curvature
     condition holds; the search direction falls back to the gradient when the
-    approximation loses ascent.  Raises OptimizationStall when 50 halvings
-    find no acceptable step.  An accepted step too small to change ``x`` at
-    float resolution ends the run, as every later iteration would repeat the
-    same state with no change in f: converged if the gradient norm is below
-    ``g_tol``, otherwise with stop reason "no progress".
+    approximation loses ascent.  Every run returns ``(x, trace)``, with ``x``
+    the last accepted point, and raises nothing of its own.  The run stops
+    when the stopping rule holds (``trace.converged``), when ``f`` is not
+    finite at the start, when a gradient probe is not finite (the
+    ``GradientError`` text, naming the coordinate), after 50 halvings with no
+    acceptable step, at ``max_iter`` points, or when an accepted step leaves
+    ``x`` unchanged at float resolution, as every later iteration would
+    repeat that state: converged if the gradient norm is below ``g_tol``,
+    otherwise "no progress".
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.shape[0]
     trace = Trace()
-    f0 = f(x)
-    trace.n_evals += 1
-    if not np.isfinite(f0):
-        raise OptimizationStall("objective not finite at the start", best_x=x, best_f=f0, trace=trace)
-    grad = fd_gradient(f, x)
-    trace.n_evals += 2 * n
 
+    def counted(z):
+        trace.n_evals += 1
+        return f(z)
+
+    f0 = counted(x)
     b_inv = np.eye(n)
     rel = math.inf
-    for _ in range(cfg.max_iter):
+    s = grad = None
+    while True:
+        if not np.isfinite(f0):  # only the start: accepted values are finite
+            gnorm, reason = math.nan, "objective not finite at the start"
+            break
+        try:
+            grad_new = fd_gradient(counted, x)
+        except GradientError as exc:
+            gnorm, reason = math.nan, str(exc)
+            break
+        if s is not None:
+            y = grad - grad_new  # gradient change of the negated objective
+            sy = float(s @ y)
+            if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+                rho = 1.0 / sy
+                sy_outer = np.outer(s, y)
+                b_inv = (np.eye(n) - rho * sy_outer) @ b_inv @ (np.eye(n) - rho * sy_outer.T)
+                b_inv += rho * np.outer(s, s)
+        grad = grad_new
         gnorm = float(np.linalg.norm(grad))
-        trace.f_values.append(f0)
-        trace.gradient_norms.append(gnorm)
         if gnorm <= cfg.g_tol and rel <= _F_TOL:
-            trace.converged = True
-            trace.stop_reason = _CONVERGED
-            return x, trace
+            trace.converged, reason = True, _CONVERGED
+            break
+        if trace.iterations + 1 == cfg.max_iter:
+            reason = "iteration limit reached"
+            break
 
         direction = b_inv @ grad
         slope = float(grad @ direction)
@@ -161,40 +166,30 @@ def quasi_newton_maximize(f, x0, cfg=OptConfig()):
             slope = float(grad @ grad)
 
         t = 1.0
-        f_new = -math.inf
-        cand = x
         for _ in range(50):
             cand = x + t * direction
-            f_new = f(cand)
-            trace.n_evals += 1
+            f_new = counted(cand)
             if np.isfinite(f_new) and f_new >= f0 + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
-            raise OptimizationStall(
-                f"line search failed after 50 halvings (gradient norm {gnorm:.3e})",
-                best_x=x, best_f=f0, trace=trace,
-            )
+            reason = f"line search failed after 50 halvings (gradient norm {gnorm:.3e})"
+            break
         if np.array_equal(cand, x):
             # every later iteration would repeat this state with f unchanged
             trace.converged = gnorm <= cfg.g_tol
-            trace.stop_reason = _CONVERGED if trace.converged else "no progress"
-            return x, trace
+            reason = _CONVERGED if trace.converged else "no progress"
+            break
 
-        grad_new = fd_gradient(f, cand)
-        trace.n_evals += 2 * n
+        trace.f_values.append(f0)
+        trace.gradient_norms.append(gnorm)
         s = cand - x
-        y = grad - grad_new  # gradient change of the negated objective
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            rho = 1.0 / sy
-            sy_outer = np.outer(s, y)
-            b_inv = (np.eye(n) - rho * sy_outer) @ b_inv @ (np.eye(n) - rho * sy_outer.T)
-            b_inv += rho * np.outer(s, s)
-        rel = _rel_change(f_new, f0)
-        x, f0, grad = cand, f_new, grad_new
+        rel = abs(f_new - f0) / max(1.0, abs(f_new), abs(f0))
+        x, f0 = cand, f_new
 
-    trace.stop_reason = "iteration limit reached"
+    trace.f_values.append(f0)
+    trace.gradient_norms.append(gnorm)
+    trace.stop_reason = reason
     return x, trace
 
 
@@ -208,16 +203,18 @@ class FitResult:
     se: np.ndarray | None
     loglik: float
     converged: bool
+    stop_reason: str
     iterations: int
     gradient_norm: float
     hessian_ok: bool
     method: Method
+    trace: Trace
     gh_order_used: int | None = None
-    trace: Trace | None = None
 
     def as_dict(self):
         out = {"method": self.method.value, "loglik": self.loglik,
-               "converged": self.converged, "iterations": self.iterations,
+               "converged": self.converged, "stop_reason": self.stop_reason,
+               "iterations": self.iterations,
                "gradient_norm": self.gradient_norm, "hessian_ok": self.hessian_ok}
         if self.gh_order_used is not None:
             out["gh_order"] = self.gh_order_used
@@ -254,14 +251,6 @@ def _wrap_objective(evaluate):
     return objective
 
 
-def _maximize(objective, x0, cfg):
-    try:
-        x_hat, trace = quasi_newton_maximize(objective, x0, cfg)
-    except OptimizationStall as stall:
-        return np.asarray(stall.best_x, dtype=float), stall.trace, False
-    return x_hat, trace, trace.converged
-
-
 def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     """Maximum-likelihood fit of the selected formulation.
 
@@ -278,10 +267,13 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     the jump over the step. The AGQ order is the one
     ``LikelihoodEvaluator.agq_order`` picks at the start point.  A
     likelihood error at the start point, such as an ``EvaluationError``
-    naming the subject, propagates; later ones, and NaN values, count as a
-    non-finite objective.  Standard errors are delta-method images of
-    the inverse observed information (central finite differences at the
-    optimum).
+    naming the subject, propagates, and a non-finite value there raises
+    ``OptimizationStall``; later errors, and NaN values, count as a
+    non-finite objective.  ``loglik`` and the diagnostics are the trace's,
+    at the returned point.  Standard errors are the delta-method image of
+    the inverse observed information through the exact Jacobian of the
+    natural-scale map; ``hessian_ok`` is False, and ``se`` None, unless the
+    Hessian probes and the Cholesky factor of the information succeed.
     """
     ev = LikelihoodEvaluator(dataset, spec, llopt)
 
@@ -292,7 +284,7 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     else:
         x0 = theta_to_vector(moment_start(dataset, spec))
         naive_obj = _wrap_objective(lambda x: ev.naive(theta_from_vector(x, spec)))
-        x_naive, _, _ = _maximize(naive_obj, x0, cfg)
+        x_naive, _ = quasi_newton_maximize(naive_obj, x0, cfg)
         start_theta = theta_from_vector(x_naive, spec)
 
     gh_order = None
@@ -307,59 +299,54 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     objective = _wrap_objective(lambda x: target(theta_from_vector(x, spec)))
     x_start = theta_to_vector(start_theta)
     if not np.isfinite(target(theta_from_vector(x_start, spec))):
-        raise OptimizationStall("objective not finite at the starting parameters",
-                                best_x=x_start, best_f=-math.inf)
+        raise OptimizationStall("objective not finite at the starting parameters")
 
-    x_hat, trace, converged = _maximize(objective, x_start, cfg)
-    loglik = objective(x_hat)
-    theta_hat = theta_from_vector(x_hat, spec)
-
-    names = natural_names(spec)
-    estimates = natural_from_vector(x_hat, spec)
+    x_hat, trace = quasi_newton_maximize(objective, x_start, cfg)
     se = None
-    hessian_ok = False
     if cfg.compute_se:
         try:
-            info = -fd_hessian(objective, x_hat)
-            chol = np.linalg.cholesky(info)
-            inv_chol = np.linalg.inv(chol)
-            cov_u = inv_chol.T @ inv_chol
-            cov_u = 0.5 * (cov_u + cov_u.T)
+            chol = np.linalg.cholesky(-fd_hessian(objective, x_hat))
             jac = _natural_jacobian(x_hat, spec)
-            cov_nat = jac @ cov_u @ jac.T
-            diag = np.diag(cov_nat)
-            if np.all(diag >= 0.0):
-                se = np.sqrt(diag)
-                hessian_ok = True
+            se = np.linalg.norm(np.linalg.solve(chol, jac.T), axis=0)
         except (np.linalg.LinAlgError, GradientError):
-            se = None
-            hessian_ok = False
+            pass
 
-    grad_norm = trace.gradient_norms[-1] if trace and trace.gradient_norms else math.nan
     return FitResult(
-        theta_hat=theta_hat,
-        param_names=names,
-        estimates=estimates,
+        theta_hat=theta_from_vector(x_hat, spec),
+        param_names=natural_names(spec),
+        estimates=natural_from_vector(x_hat, spec),
         se=se,
-        loglik=loglik,
-        converged=converged,
-        iterations=trace.iterations if trace else 0,
-        gradient_norm=grad_norm,
-        hessian_ok=hessian_ok,
+        loglik=trace.f_values[-1],
+        converged=trace.converged,
+        stop_reason=trace.stop_reason,
+        iterations=trace.iterations,
+        gradient_norm=trace.gradient_norms[-1],
+        hessian_ok=se is not None,
         method=llopt.method,
-        gh_order_used=gh_order,
         trace=trace,
+        gh_order_used=gh_order,
     )
 
 
 def _natural_jacobian(x, spec):
-    """Central-difference Jacobian of the natural-scale map at ``x``."""
-    x = np.asarray(x, dtype=float)
-    h = _JAC_STEP * np.maximum(1.0, np.abs(x))
-    cols = []
-    for k in range(x.shape[0]):
-        xp, xm = x.copy(), x.copy()
-        xp[k] += h[k]
-        xm[k] -= h[k]
-        cols.append((natural_from_vector(xp, spec) - natural_from_vector(xm, spec)) / (2.0 * h[k]))
-    return np.stack(cols, axis=1)
+    """Exact Jacobian of :func:`natural_from_vector` at ``x``.
+
+    The identity for beta. The column flip of ``theta_from_vector`` leaves
+    G = L L^T with L the raw lower triangle of ``x``, so dG / dL_ab =
+    E_ab L^T + L E_ba, with E_ab the unit matrix at (a, b). Each residual
+    SD |x| has derivative sign(x) and each variance x^2 has 2x.
+    """
+    p, n_strata = spec.p, spec.n_strata
+    rows, cols = np.tril_indices(spec.q)
+    k = rows.shape[0]
+    chol = np.zeros((spec.q, spec.q))
+    chol[rows, cols] = x[p : p + k]
+    eye = np.eye(spec.q)
+    sigma = x[p + k :]
+    jac = np.zeros((p + k + 2 * n_strata, x.shape[0]))
+    jac[:p, :p] = np.eye(p)
+    jac[p : p + k, p : p + k] = (eye[np.ix_(rows, rows)] * chol[np.ix_(cols, cols)]
+                                 + chol[np.ix_(rows, cols)] * eye[np.ix_(cols, rows)])
+    jac[p + k : p + k + n_strata, p + k :] = np.diag(np.sign(sigma))
+    jac[p + k + n_strata :, p + k :] = np.diag(2.0 * sigma)
+    return jac

@@ -154,13 +154,7 @@ def simulate(config, return_latent=False):
     truth = config.truth
     rng = np.random.default_rng(config.seed)
 
-    g = truth.g_matrix()
-    vals, vecs = np.linalg.eigh(g)
-    if np.any(vals < -1e-10 * max(1.0, float(np.max(np.abs(vals))))):
-        raise InvalidParameterError("random-effects covariance is not positive semi-definite")
-    keep = vals > 1e-14
-    factor = vecs[:, keep] * np.sqrt(np.clip(vals[keep], 0.0, None))
-    r = factor.shape[1]
+    factor = truth.reduced_factor()
 
     if config.threshold is not None:
         thr = np.broadcast_to(np.asarray(config.threshold, dtype=float),
@@ -174,7 +168,7 @@ def simulate(config, return_latent=False):
     latents = []
     for i in range(config.n_subjects):
         sid = str(i + 1)
-        gamma = factor @ rng.standard_normal(r) if r else np.zeros(spec.q)
+        gamma = factor @ rng.standard_normal(factor.shape[1])
         observations = []
         for marker in range(1, spec.n_strata + 1):
             sde = float(truth.sigma_e[marker - 1])

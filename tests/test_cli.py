@@ -90,6 +90,8 @@ class TestArgumentParsing:
         ("compare", "--gh-order", "0", "must be at least 1"),
         ("fit", "--qtol", "-1", "must be positive"),
         ("compare", "--qtol", "0", "must be positive"),
+        ("compare", "--tolerance", "-1", "must be nonnegative"),
+        ("compare", "--tolerance", "nan", "must be nonnegative"),
     ])
     def test_value_the_library_rejects_is_a_usage_error(self, command, flag, value, message,
                                                         tmp_path, capsys):
@@ -156,6 +158,19 @@ class TestFitCommand:
         assert run(["fit", "--input", str(path)]) == 1
         assert capsys.readouterr().err == (
             "error: line 2: subject 1: observed response is not finite\n")
+
+    def test_nonfinite_time_is_exit_1_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,time,y,obs\n1,0,3.1,1\n1,inf,2.9,1\n", encoding="utf-8")
+        assert run(["fit", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == "error: line 3: subject 1: time is not finite\n"
+
+    def test_report_carries_the_stop_reason(self, simulated_file, tmp_path):
+        out = tmp_path / "report.txt"
+        assert run(["fit", "--input", str(simulated_file), "--output", str(out),
+                    "--method", "naive"]) == 0
+        record = read_report(out)[0]
+        assert record["stop_reason"] == "function change and gradient norm below tolerance"
 
     def test_three_method_table(self, simulated_file, tmp_path, capsys):
         out = tmp_path / "report.txt"

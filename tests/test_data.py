@@ -36,6 +36,17 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Observation(subject_id="a", time=0.0, response=1.0, is_observed=False)
 
+    @pytest.mark.parametrize("time,covariates,message", [
+        (math.nan, (), "time is not finite"),
+        (math.inf, (1.0,), "time is not finite"),
+        (0.0, (1.0, -math.inf), "a covariate is not finite"),
+        (0.0, (math.nan,), "a covariate is not finite"),
+    ])
+    def test_time_and_covariates_must_be_finite(self, time, covariates, message):
+        with pytest.raises(ValueError, match=message):
+            Observation(subject_id="a", time=time, response=1.0, is_observed=True,
+                        covariates=covariates)
+
     def test_subject_counts(self):
         s = make_subject("a", [0, 1, 2], [3.0, 2.0, 4.0], [1, 0, 1], threshold=2.5)
         assert (s.n_obs, s.n_cens, s.n_total) == (2, 1, 3)
@@ -177,6 +188,20 @@ class TestReadLongCsv:
             read_long_csv(path)
         assert err.value.row == 3
         assert str(err.value).startswith("line 3: ")
+
+    @pytest.mark.parametrize("time,age,message", [
+        ("nan", 41.5, "time is not finite"),
+        ("-inf", 41.5, "time is not finite"),
+        (1, "inf", "a covariate is not finite"),
+    ])
+    def test_nonfinite_time_or_covariate_is_parse_error_naming_line(self, tmp_path, time, age,
+                                                                     message):
+        path = tmp_path / "d.csv"
+        write_rows(path, ["id", "time", "y", "obs", "age"],
+                   [[1, 0, 3.0, 1, 41.5], [1, time, 3.1, 1, age]])
+        with pytest.raises(ParseError, match=f"^line 3: subject 1: {message}$") as err:
+            read_long_csv(path, CsvSchema(covariate_cols=("age",)))
+        assert err.value.row == 3
 
     def test_bad_indicator_value(self, tmp_path):
         path = tmp_path / "d.csv"

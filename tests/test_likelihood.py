@@ -107,6 +107,15 @@ class TestTheta:
         assert central == pytest.approx(forward, rel=1e-2)
         assert central == pytest.approx(backward, rel=1e-2)
 
+    @pytest.mark.parametrize("chol,rank", [([[0.7, 0.0], [-0.2, 0.3]], 2),
+                                           ([[0.7, 0.0], [-0.2, 0.0]], 1),
+                                           ([[0.0, 0.0], [0.0, 0.0]], 0)])
+    def test_reduced_factor_spans_g(self, chol, rank):
+        theta = Theta([1.0, 1.0], chol, [0.4])
+        a = theta.reduced_factor()
+        assert a.shape == (2, rank)
+        assert a @ a.T == pytest.approx(theta.g_matrix(), abs=1e-15)
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidParameterError):
             Theta([1.0], [[0.5]], [-0.1])

@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from censlmm.data import intercept_slope_model
-from censlmm.errors import EvaluationError, GradientError, OptimizationStall
+from censlmm.data import MODEL_TEMPLATES, intercept_slope_model
+from censlmm.errors import EvaluationError, GradientError
 from censlmm.likelihood import (
     LikelihoodEvaluator,
     LogLikOptions,
     Method,
     Theta,
+    n_free_params,
+    natural_from_vector,
     theta_from_vector,
     theta_to_vector,
 )
 from censlmm.optimize import (
     OptConfig,
+    _natural_jacobian,
     _wrap_objective,
     fd_gradient,
     fd_hessian,
@@ -85,10 +88,7 @@ class TestQuasiNewton:
 
     def test_nonsmooth_probe(self):
         f = lambda z: -float(abs(z[0]) ** 1.5)
-        try:
-            x, _ = quasi_newton_maximize(f, np.array([1.0]), OptConfig(max_iter=500))
-        except OptimizationStall as stall:
-            x = stall.best_x
+        x, _ = quasi_newton_maximize(f, np.array([1.0]), OptConfig(max_iter=500))
         assert abs(x[0]) <= 1e-4
 
     def test_rosenbrock(self):
@@ -96,14 +96,43 @@ class TestQuasiNewton:
         x, trace = quasi_newton_maximize(rosenbrock_neg, np.array([-1.2, 1.0]), cfg)
         assert np.abs(x - 1.0).max() <= 1e-5
 
-    def test_stall_error_carries_best(self):
+    def test_line_search_failure_returns_its_reason(self):
         # asymmetric tent: the central-difference gradient at 0 reads +0.5,
         # yet every candidate step is strictly worse, so all halvings fail
         f = lambda z: 2.0 * float(z[0]) if z[0] <= 0 else -float(z[0])
-        with pytest.raises(OptimizationStall) as err:
-            quasi_newton_maximize(f, np.array([0.0]), OptConfig(max_iter=50))
-        assert err.value.best_x[0] == pytest.approx(0.0, abs=1e-12)
-        assert err.value.best_f == pytest.approx(0.0, abs=1e-12)
+        x, trace = quasi_newton_maximize(f, np.array([0.0]), OptConfig(max_iter=50))
+        assert x[0] == 0.0
+        assert trace.f_values == [0.0]
+        assert trace.converged is False
+        assert trace.stop_reason == ("line search failed after 50 halvings"
+                                     " (gradient norm 5.000e-01)")
+
+    def test_creep_to_the_edge_of_the_domain_keeps_the_last_point(self):
+        # the line search accepts a point within a gradient step of z = 1,
+        # the edge of the finite domain, where the upper probe reads -inf
+        f = lambda z: -float((z[0] - 2.0) ** 2) if z[0] <= 1.0 else -math.inf
+        x, trace = quasi_newton_maximize(f, np.array([0.0]))
+        assert 1.0 - 6e-6 < x[0] <= 1.0
+        assert trace.f_values == [-4.0, f(x)]
+        assert math.isnan(trace.gradient_norms[-1])
+        assert trace.converged is False
+        assert trace.stop_reason == "objective not finite at probe of coordinate 0"
+
+    @pytest.mark.parametrize("value", [-math.inf, math.nan])
+    def test_nonfinite_start_returns_its_reason(self, value):
+        x, trace = quasi_newton_maximize(lambda z: value, np.array([0.5, 1.5]))
+        assert list(x) == [0.5, 1.5]
+        assert trace.n_evals == 1 and trace.iterations == 1
+        assert trace.converged is False
+        assert trace.stop_reason == "objective not finite at the start"
+
+    def test_iteration_limit_returns_the_value_at_its_point(self):
+        x, trace = quasi_newton_maximize(rosenbrock_neg, np.array([-1.2, 1.0]),
+                                         OptConfig(max_iter=4))
+        assert trace.stop_reason == "iteration limit reached"
+        assert trace.iterations == 4
+        assert trace.f_values[-1] == rosenbrock_neg(x)
+        assert trace.gradient_norms[-1] == float(np.linalg.norm(fd_gradient(rosenbrock_neg, x)))
 
     @pytest.mark.parametrize("g_tol,converged,reason", [
         (1e-5, False, "no progress"),
@@ -252,6 +281,10 @@ class TestFitModel:
         record = res.as_dict()
         assert record["method"] == "naive"
         assert "est.slope" in record and "se.slope" in record
+        assert res.stop_reason == "function change and gradient norm below tolerance"
+        assert record["stop_reason"] == res.stop_reason
+        # the trace's last value, not a second evaluation
+        assert res.loglik == LikelihoodEvaluator(small_dataset, is_spec).naive(res.theta_hat)
 
     def test_failure_at_start_names_the_subject(self, is_spec, truth):
         # subject 6 has all 12 measures censored, above the 10 a block supports
@@ -270,3 +303,17 @@ class TestFitModel:
         assert res.converged
         assert res.gradient_norm <= OptConfig().g_tol
         assert res.trace.stop_reason == "function change and gradient norm below tolerance"
+
+
+@pytest.mark.parametrize("spec_name", ["ri", "is", "biv"])
+def test_natural_jacobian_matches_central_differences(spec_name):
+    # a negative raw L diagonal entry and a negative residual SD: the column
+    # flip and the absolute value both act at this point
+    spec = MODEL_TEMPLATES[spec_name]()
+    x = np.random.default_rng(3).normal(0.5, 0.4, size=n_free_params(spec))
+    x[spec.p] = -0.7
+    x[-1] = -0.45
+    h = 1e-6
+    fd = np.stack([(natural_from_vector(x + h * e, spec) - natural_from_vector(x - h * e, spec))
+                   / (2.0 * h) for e in np.eye(x.size)], axis=1)
+    assert _natural_jacobian(x, spec) == pytest.approx(fd, abs=1e-8)
