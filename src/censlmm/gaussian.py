@@ -41,7 +41,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
-from scipy.stats import qmc
 
 from .errors import DimensionError, NotPositiveDefiniteError
 
@@ -134,6 +133,10 @@ def _ordered_cholesky(cov, b):
 
 def _engines(seed, dim):
     """The stream's scrambled Sobol engines, seeded from (seed, dim, scramble) only."""
+    # imported here: scipy.stats takes most of the package's import time, and
+    # only QMC blocks (m >= 4) need it
+    from scipy.stats import qmc
+
     return [qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng([seed, dim, s]))
             for s in range(_N_SCRAMBLES)]
 

@@ -247,6 +247,17 @@ def _subject_error(sid, exc):
     return EvaluationError(f"subject {sid}: {exc}", subject_id=sid)
 
 
+def _mills(t):
+    """The inverse Mills ratio phi(t) / Phi(t), free of cancellation deep in the lower tail."""
+    return _SQRT_2_OVER_PI / erfcx(-t / _SQRT2)
+
+
+def _inverse(chol):
+    """M^{-1} from the stacked Cholesky factors of M."""
+    inv = np.linalg.inv(chol)
+    return np.swapaxes(inv, 1, 2) @ inv
+
+
 class _Integrands:
     """The hierarchical integrands of the subjects with censored rows, batched.
 
@@ -288,8 +299,7 @@ class _Integrands:
         pd = (self.prec @ d[:, :, None])[:, :, 0]
         t = self.base - np.sum(self.a * v[self.owner], axis=1)
         f = self.const - 0.5 * np.sum(d * pd, axis=1) + np.add.reduceat(log_ndtr(t), self.seg)
-        # phi(t) / Phi(t), free of cancellation deep in the lower tail
-        mills = _SQRT_2_OVER_PI / erfcx(-t / _SQRT2)
+        mills = _mills(t)
         curv = np.maximum(mills * (t + mills), 0.0)
         grad = -pd - np.add.reduceat(mills[:, None] * self.a, self.seg, axis=0)
         outer = curv[:, None, None] * self.a[:, :, None] * self.a[:, None, :]
@@ -352,16 +362,25 @@ class _Integrands:
         self.shift = self.base - np.sum(self.a * v[self.owner], axis=1)
         self.b = np.sum(self.a[:, :, None] * self.scale[self.owner], axis=1)
 
-    def log_integrals(self, order):
+    def log_integrals(self, order, moments=False):
         """Each subject's log integral by adaptive GH of ``order``, in chunks of subjects.
 
         The censored rows' log Phi terms at all nodes are one (rows x nodes)
         product per chunk; a chunk holds about ``_GRID_CHUNK`` such entries.
+        With ``moments``, returns ``(logs, (mean, cov, lam, lam_v))`` from the
+        same pass: the posterior expectations that the score needs, as sums
+        over the nodes with their normalised weights softmax(factor + vals).
+        They are each subject's posterior mean (S, r) and covariance
+        (S, r, r) of v, and each censored row's E[lambda] and E[lambda v]
+        (rows, r), lambda = phi(t_c) / Phi(t_c).
         """
         r = self.mode.shape[1]
         nodes, factor = quadrature.tensor_grid(order, r)
         pairs = (nodes[:, :, None] * nodes[:, None, :]).reshape(-1, r * r)
         out = np.empty(self.counts.size)
+        if moments:
+            ez, ezz = np.empty((out.size, r)), np.empty((out.size, r * r))
+            lam, lam_z = np.empty(self.base.size), np.empty((self.base.size, r))
         rows_per_chunk = max(1, _GRID_CHUNK // nodes.shape[0])
         cuts = np.flatnonzero(np.diff(self.seg // rows_per_chunk)) + 1
         for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, self.counts.size]):
@@ -376,7 +395,21 @@ class _Integrands:
                 point = self.mode[lo + s] + self.scale[lo + s] @ nodes[k]
                 self._fail(lo + s, IntegrationError(f"integrand not finite at node {k}: {point}"))
             out[lo:hi] = logsumexp(factor + vals, axis=1)
-        return 0.5 * r * _LOG2 + self.logdet + out
+            if moments:
+                weight = np.exp(factor + vals - out[lo:hi, None])
+                ez[lo:hi], ezz[lo:hi] = weight @ nodes, weight @ pairs
+                row_weight = weight[self.owner[rows] - lo] * _mills(t)
+                lam[rows], lam_z[rows] = row_weight.sum(axis=1), row_weight @ nodes
+        logs = 0.5 * r * _LOG2 + self.logdet + out
+        if not moments:
+            return logs
+        # from the node z back to v = mode + scale z
+        mean = self.mode + (self.scale @ ez[:, :, None])[:, :, 0]
+        spread = ezz.reshape(-1, r, r) - ez[:, :, None] * ez[:, None, :]
+        cov = self.scale @ spread @ np.swapaxes(self.scale, 1, 2)
+        lam_v = lam[:, None] * self.mode[self.owner]
+        lam_v += (self.scale[self.owner] @ lam_z[:, :, None])[:, :, 0]
+        return logs, (mean, cov, lam, lam_v)
 
 
 class LikelihoodEvaluator:
@@ -394,7 +427,9 @@ class LikelihoodEvaluator:
     The hierarchical path works on all subjects at once. Batched Newton steps
     with the closed-form gradient and Hessian of each integrand find every
     mode (:class:`_Integrands`), and each GH order is then one chunked
-    evaluation of all subjects' grids.
+    evaluation of all subjects' grids. The naive and hierarchical paths
+    return their score with their total when asked (``score=True``), from
+    the same posterior or the same grid pass (:meth:`_score`).
     """
 
     def __init__(self, dataset, spec, options=LogLikOptions()):
@@ -530,34 +565,54 @@ class LikelihoodEvaluator:
     # -- hierarchical path --------------------------------------------------
 
     def _agq_total_at(self, theta):
-        """The hierarchical-path total at ``theta`` as a function of the GH order.
+        """The hierarchical-path total at ``theta`` as a function ``at(order, score=False)``.
 
         A subject without censored rows contributes its observed-rows
         log-density exactly. The others' modes are found once, together,
         from their posterior means given all rows (thresholds imputed), and
-        every order reuses them.
+        every order reuses them. With ``score``, ``at`` returns ``(total,
+        score)`` (:meth:`_score`): the exact Gaussian posterior for a subject
+        without censored rows, and for the others the expectations from
+        the same grid pass as their integrals.
         """
-        zf = self.z @ theta.reduced_factor()
+        factor = theta.reduced_factor()
+        zf = self.z @ factor
         r = zf.shape[1]
         resid = self.y - self.x @ theta.beta
         sde = theta.sigma_e[self.strata]
         logpdf, mean, chol = self._posterior(theta, zf, self.observed.astype(float))
         cens = ~self.observed
-        if r == 0:
-            total = float(np.sum(logpdf) + np.sum(log_ndtr(resid[cens] / sde[cens])))
-            return lambda order: total
-
         has = np.flatnonzero(self.n_cens)
+        if r == 0 or has.size == 0:
+            # no integral: without random effects the censored rows, if any,
+            # are independent, and their expectations are their values at u = 0
+            t = resid[cens] / sde[cens]
+            total = float(np.sum(logpdf) + np.sum(log_ndtr(t)))
+
+            def exact_at(order, score=False):
+                if not score:
+                    return total
+                return total, self._score(theta, factor, mean, _inverse(chol),
+                                          _mills(t), np.zeros((t.size, r)))
+            return exact_at
+
         exact = float(np.sum(logpdf[self.n_cens == 0]))
-        if has.size == 0:
-            return lambda order: exact
         const = logpdf + np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
         const -= 0.5 * r * _LOG_2PI
         _, v0, _ = self._posterior(theta, zf, np.ones_like(resid))
         integrands = _Integrands(
             [self.subject_ids[s] for s in has], self.n_cens[has], const[has], mean[has], chol[has],
             resid[cens] / sde[cens], zf[cens] / sde[cens, None], v0[has])
-        return lambda order: exact + float(np.sum(integrands.log_integrals(order)))
+
+        def at(order, score=False):
+            if not score:
+                return exact + float(np.sum(integrands.log_integrals(order)))
+            logs, (mean_c, cov_c, lam, lam_v) = integrands.log_integrals(order, moments=True)
+            post_mean, post_cov = mean.copy(), _inverse(chol)
+            post_mean[has], post_cov[has] = mean_c, cov_c
+            total = exact + float(np.sum(logs))
+            return total, self._score(theta, factor, post_mean, post_cov, lam, lam_v)
+        return at
 
     def agq_order(self, theta):
         """``(order, total)`` at the pinned ``gh_order`` or the doubling rule's, capped per q."""
@@ -569,20 +624,81 @@ class LikelihoodEvaluator:
         order = min(self.options.gh_order, cap)
         return order, total_at(order)
 
-    def agq(self, theta, order=None):
-        """Hierarchical-path total at ``order``, or at the order :meth:`agq_order` picks."""
+    def agq(self, theta, order=None, score=False):
+        """Hierarchical-path total at ``order``, or at the order :meth:`agq_order` picks.
+
+        With ``score``, which needs an ``order``, ``(total, score)`` from one
+        mode search and one grid pass; the score is exact at that order only
+        up to its quadrature error.
+        """
         if order is None:
+            if score:
+                raise ValueError("the AGQ score needs an order")
             return self.agq_order(theta)[1]
         self._check(theta)
-        return self._agq_total_at(theta)(order)
+        return self._agq_total_at(theta)(order, score)
 
     # -- threshold-imputation baseline ---------------------------------------
 
-    def naive(self, theta):
+    def naive(self, theta, score=False):
+        """Threshold-imputation total; with ``score``, ``(total, score)``, the score exact."""
         self._check(theta)
-        zf = self.z @ theta.reduced_factor()
-        logpdf, _, _ = self._posterior(theta, zf, np.ones(self.y.shape[0]))
-        return float(np.sum(logpdf))
+        factor = theta.reduced_factor()
+        logpdf, mean, chol = self._posterior(theta, self.z @ factor, np.ones(self.y.shape[0]))
+        total = float(np.sum(logpdf))
+        if not score:
+            return total
+        return total, self._score(theta, factor, mean, _inverse(chol))
+
+    # -- score ----------------------------------------------------------------
+
+    def _score(self, theta, factor, mean, cov, lam=None, lam_v=None):
+        """The score on :func:`theta_to_vector`'s coordinates, by the Fisher identity.
+
+        The score is the posterior expectation of the complete-data score,
+        the gradient of log p(y | u) with u = L e and e ~ N(0, I_q), whose
+        prior is free of theta. The expectations come in the whitened
+        effects v of u = A v, A = ``factor``, as in :meth:`_posterior`: each
+        subject's posterior ``mean`` (S, r) and ``cov`` (S, r, r) of v.
+
+        Row j has the linear predictor eta_j = x_j beta + z_j u and SD
+        sigma_j. An observed row's log-density has d/d eta = res / sigma^2
+        and d/d sigma = res^2 / sigma^3 - 1 / sigma, res = y - eta, so it
+        needs only those two moments. A censored row has log Phi(t), t = (c - eta) /
+        sigma, with d/d eta = -lambda / sigma and d/d sigma = -lambda t /
+        sigma, lambda = phi(t) / Phi(t); ``lam`` and ``lam_v`` hold its
+        E[lambda] and E[lambda v]. Without them every row counts as observed.
+
+        The derivative in L_ab is sum_j z_ja E[d/d eta_j e_b]. Given the
+        data, e = L^+ A v plus a part in the null space of L that is
+        independent of the data and has mean 0, so that part adds nothing;
+        this holds where G is rank-deficient too. A's columns are orthogonal,
+        so L^+ A = L^T A (A^T A)^{-1}.
+        """
+        s = self.row_subject
+        zf = self.z @ factor
+        resid = self.y - self.x @ theta.beta
+        sd = theta.sigma_e[self.strata]
+        var = sd * sd
+        # per row: E[res] and Cov(v) zf^T, with res = resid - zf v
+        dev = resid - np.sum(zf * mean[s], axis=1)
+        cov_zf = (cov[s] @ zf[:, :, None])[:, :, 0]
+        # E[d/d eta], E[d/d eta v] and E[d/d sigma]
+        d_eta = dev / var
+        d_eta_v = d_eta[:, None] * mean[s] - cov_zf / var[:, None]
+        d_sigma = (dev * dev + np.sum(zf * cov_zf, axis=1)) / (var * sd) - 1.0 / sd
+        if lam is not None:
+            c = ~self.observed
+            d_eta[c] = -lam / sd[c]
+            d_eta_v[c] = -lam_v / sd[c, None]
+            d_sigma[c] = -(resid[c] * lam - np.sum(zf[c] * lam_v, axis=1)) / var[c]
+        link = theta.chol.T @ factor / np.sum(factor * factor, axis=0)  # L^+ A
+        d_chol = self.z.T @ d_eta_v @ link.T
+        return np.concatenate([
+            self.x.T @ d_eta,
+            d_chol[np.tril_indices(self.spec.q)],
+            np.bincount(self.strata, d_sigma, minlength=self.spec.n_strata),
+        ])
 
 
 def loglik_marginal(dataset, spec, theta, options=LogLikOptions()):

@@ -1,13 +1,18 @@
 """Likelihood maximization and standard errors.
 
 One ascent driver, as in the default of SAS Proc NLMIXED: BFGS quasi-Newton
-with a backtracking line search on central finite-difference gradients. It
-converges when the relative function change is below 1e-8 and the gradient
-norm below ``g_tol``; every run returns its last point, the value there
-and why it stopped. ``fit_model`` wires it to the likelihood paths,
-starting from the threshold-imputation fit as in the reference analysis
-workflow, and maps the inverse observed information to natural-scale
-standard errors by the delta method, on the exact Jacobian of that map.
+with a backtracking line search. It takes the gradient as a callable, or
+else takes central finite differences of the objective. It converges when
+the relative function change is below 1e-8 and the gradient norm below
+``g_tol``; every run returns its last point, the value there and why it
+stopped. ``fit_model`` wires it to the likelihood paths, starting from the
+threshold-imputation fit as in the reference analysis workflow. The naive
+path and the AGQ path at the order rule's order supply their closed-form
+score, and their SE Hessian is the central difference of that score; the
+marginal path uses finite differences of its values for both, so it stays
+an independent check.
+The inverse observed information maps to natural-scale standard errors by
+the delta method, on the exact Jacobian of that map.
 """
 
 import math
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import quadrature
 from .data import build_designs
 from .errors import CensLmmError, GradientError, OptimizationStall
 from .likelihood import (
@@ -59,7 +65,8 @@ class OptConfig:
 @dataclass
 class Trace:
     """Iteration log of one maximization: the value and gradient norm (NaN
-    when no gradient was taken) at each point checked, the returned one last."""
+    when no gradient was taken) at each point checked, the returned one last.
+    ``n_evals`` counts the objective's values and gradient passes."""
 
     f_values: list = field(default_factory=list)
     gradient_norms: list = field(default_factory=list)
@@ -85,13 +92,14 @@ def fd_gradient(f, x):
     return grad
 
 
-def fd_hessian(f, x):
-    """Central finite-difference Hessian from function values only."""
+def fd_hessian(f, x, f0=None):
+    """Central finite-difference Hessian from function values only; ``f0`` is f(x) when known."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     h = _HESS_STEP * np.maximum(1.0, np.abs(x))
     e = np.diag(h)
-    f0 = f(x)
+    if f0 is None:
+        f0 = f(x)
     hess = np.empty((n, n))
     for i in range(n):
         hess[i, i] = (f(x + e[i]) - 2.0 * f0 + f(x - e[i])) / h[i] ** 2
@@ -105,20 +113,32 @@ def fd_hessian(f, x):
     return hess
 
 
-def quasi_newton_maximize(f, x0, cfg=OptConfig()):
+def score_hessian(gradient, x):
+    """Hessian as the symmetrised central difference of ``gradient``: 2n gradient calls."""
+    x = np.asarray(x, dtype=float)
+    h = _HESS_STEP * np.maximum(1.0, np.abs(x))
+    hess = np.stack([(gradient(x + e) - gradient(x - e)) / (2.0 * h[i])
+                     for i, e in enumerate(np.diag(h))], axis=1)
+    return 0.5 * (hess + hess.T)
+
+
+def quasi_newton_maximize(f, x0, cfg=OptConfig(), gradient=None):
     """Maximize ``f`` from the vector ``x0`` by BFGS with a backtracking search.
 
-    The inverse Hessian approximation is updated only when the curvature
-    condition holds; the search direction falls back to the gradient when the
-    approximation loses ascent.  Every run returns ``(x, trace)``, with ``x``
-    the last accepted point, and raises nothing of its own.  The run stops
-    when the stopping rule holds (``trace.converged``), when ``f`` is not
-    finite at the start, when a gradient probe is not finite (the
-    ``GradientError`` text, naming the coordinate), after 50 halvings with no
-    acceptable step, at ``max_iter`` points, or when an accepted step leaves
-    ``x`` unchanged at float resolution, as every later iteration would
-    repeat that state: converged if the gradient norm is below ``g_tol``,
-    otherwise "no progress".
+    ``gradient(x)`` is the gradient of ``f``; without it, :func:`fd_gradient`
+    of ``f`` is. ``trace.n_evals`` counts the calls of ``f``, its gradient
+    probes included, and of ``gradient``. The inverse Hessian approximation
+    is updated only when the curvature condition holds; the search
+    direction falls back to the gradient when the approximation loses
+    ascent.  Every run returns ``(x, trace)``, with ``x`` the last accepted
+    point, and raises nothing of its own.  The run stops when the stopping
+    rule holds (``trace.converged``), when ``f`` is not finite at the
+    start, when the gradient raises a ``GradientError`` (its text, such as
+    a probe that is not finite, naming the coordinate), after 50 halvings
+    with no acceptable step, at ``max_iter`` points, or when an accepted
+    step leaves ``x`` unchanged at float resolution, as every later
+    iteration would repeat that state: converged if the gradient norm is
+    below ``g_tol``, otherwise "no progress".
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.shape[0]
@@ -127,6 +147,12 @@ def quasi_newton_maximize(f, x0, cfg=OptConfig()):
     def counted(z):
         trace.n_evals += 1
         return f(z)
+
+    def grad_at(z):
+        if gradient is None:
+            return fd_gradient(counted, z)
+        trace.n_evals += 1
+        return gradient(z)
 
     f0 = counted(x)
     b_inv = np.eye(n)
@@ -137,7 +163,7 @@ def quasi_newton_maximize(f, x0, cfg=OptConfig()):
             gnorm, reason = math.nan, "objective not finite at the start"
             break
         try:
-            grad_new = fd_gradient(counted, x)
+            grad_new = grad_at(x)
         except GradientError as exc:
             gnorm, reason = math.nan, str(exc)
             break
@@ -251,31 +277,89 @@ def _wrap_objective(evaluate):
     return objective
 
 
+def _score_gradient(evaluate, spec):
+    """The gradient on the optimizer vector from the score of ``evaluate(theta, score=True)``.
+
+    The score is on :func:`theta_to_vector`'s coordinates. The vector maps to
+    them with the sign of each column of L whose raw diagonal entry is
+    negative flipped, and each residual SD as its absolute value, so the
+    chain rule multiplies those entries by -1 and by sign(x). A library
+    error or a non-finite entry raises ``GradientError``.
+    """
+    p = spec.p
+    rows, cols = np.tril_indices(spec.q)
+    k = rows.shape[0]
+    diag = p + np.flatnonzero(rows == cols)  # L_bb in the vector, in order of b
+
+    def gradient(x):
+        try:
+            _, score = evaluate(theta_from_vector(x, spec), score=True)
+        except CensLmmError as exc:
+            raise GradientError(f"score not available: {exc}") from exc
+        flip = np.where(x[diag] < 0.0, -1.0, 1.0)
+        grad = np.concatenate([np.ones(p), flip[cols], np.sign(x[p + k :])]) * score
+        if not np.all(np.isfinite(grad)):
+            raise GradientError("score not finite")
+        return grad
+    return gradient
+
+
+def _agq_fit_order(ev, theta):
+    """The GH order of an AGQ fit from ``theta``: the pinned one, or the one whose total the rule accepted.
+
+    The doubling rule returns its order k with the total at 2k, and the fit
+    runs at 2k, capped per q. The score is the quadrature of the Fisher
+    identity, not the derivative of the quadrature total, and the two agree
+    only as the order grows. On the 50 x 5 benchmark data the rule picks
+    k = 10. At the optimum of the order-10 total, the order-10 score is
+    1.2e-3 from that total's gradient, and BFGS on it stops above ``g_tol``
+    with "no progress"; at order 20 the two agree within 2e-7. A pinned
+    order is the user's, down to the Laplace order 1, whose score misses the
+    derivative of the log-determinant, so a pinned fit keeps finite
+    differences.
+    """
+    order, _ = ev.agq_order(theta)
+    if ev.options.gh_order is not None:
+        return order
+    return min(2 * order, quadrature.max_order(ev.spec.q))
+
+
 def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     """Maximum-likelihood fit of the selected formulation.
 
     Unless ``cfg.start`` provides a Theta, the threshold-imputation fit is
     run first and its optimum seeds the censoring-aware optimization.  The
     likelihood is optimized over the unconstrained parameterization by
-    ``quasi_newton_maximize`` (BFGS on central-difference gradients). On the
-    marginal path, censored blocks of up to three measures are exact and
-    only larger ones run quasi-random QMC, on the fixed point counts of the
-    ``gaussian`` module (``ev.marginal(theta, fixed=True)``). The objective
-    is then smooth only while each block's Genz variable order stays the
-    same; it jumps where an order switches,
-    and a gradient or Hessian probe pair that straddles a switch is off by
-    the jump over the step. The AGQ order is the one
-    ``LikelihoodEvaluator.agq_order`` picks at the start point.  A
-    likelihood error at the start point, such as an ``EvaluationError``
-    naming the subject, propagates, and a non-finite value there raises
-    ``OptimizationStall``; later errors, and NaN values, count as a
-    non-finite objective.  ``loglik`` and the diagnostics are the trace's,
-    at the returned point.  Standard errors are the delta-method image of
-    the inverse observed information through the exact Jacobian of the
-    natural-scale map; ``hessian_ok`` is False, and ``se`` None, unless the
-    Hessian probes and the Cholesky factor of the information succeed.
+    ``quasi_newton_maximize``. The naive path, the naive warm start of
+    every method and the AGQ path give it their closed-form score
+    (``LikelihoodEvaluator.naive``/``agq`` with ``score=True``). The
+    marginal path, and an AGQ fit at a pinned order, take central
+    differences of the values instead. The AGQ order is the one whose total
+    the doubling rule accepted at the start point, or the pinned one
+    (:func:`_agq_fit_order` says why).
+
+    On the marginal path, censored blocks of up to three measures are exact
+    and only larger ones run quasi-random QMC, on the fixed point counts of
+    the ``gaussian`` module (``ev.marginal(theta, fixed=True)``). The
+    objective is then smooth only while each block's Genz variable order
+    stays the same; it jumps where an order switches, and a gradient or
+    Hessian probe pair that straddles a switch is off by the jump over the
+    step.
+
+    The start is evaluated once. A likelihood error there, such as an
+    ``EvaluationError`` naming the subject, propagates, and a non-finite
+    value there raises ``OptimizationStall``; later errors, and NaN values,
+    count as a non-finite objective.  ``loglik`` and the diagnostics are
+    the trace's, at the returned point.  Standard errors are the
+    delta-method image of the inverse observed information through the
+    exact Jacobian of the natural-scale map. The information is minus the
+    Hessian: the symmetrised central difference of the score where the fit
+    ran on the score (2n score passes), else ``fd_hessian`` of the values.
+    ``hessian_ok`` is False, and ``se`` None, unless the Hessian probes and
+    the Cholesky factor of the information succeed.
     """
     ev = LikelihoodEvaluator(dataset, spec, llopt)
+    naive_gradient = _score_gradient(ev.naive, spec)
 
     if cfg.start is not None:
         start_theta = cfg.start
@@ -284,28 +368,36 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     else:
         x0 = theta_to_vector(moment_start(dataset, spec))
         naive_obj = _wrap_objective(lambda x: ev.naive(theta_from_vector(x, spec)))
-        x_naive, _ = quasi_newton_maximize(naive_obj, x0, cfg)
+        x_naive, _ = quasi_newton_maximize(naive_obj, x0, cfg, naive_gradient)
         start_theta = theta_from_vector(x_naive, spec)
 
     gh_order = None
     if llopt.method is Method.AGQ:
-        gh_order, _ = ev.agq_order(start_theta)
-        target = lambda th: ev.agq(th, order=gh_order)
+        gh_order = _agq_fit_order(ev, start_theta)
+        target = lambda th, score=False: ev.agq(th, gh_order, score)
+        # a pinned order can be too low for the score: see _agq_fit_order
+        gradient = None if llopt.gh_order is not None else _score_gradient(target, spec)
     elif llopt.method is Method.MARGINAL:
-        target = lambda th: ev.marginal(th, fixed=True)
+        target, gradient = lambda th: ev.marginal(th, fixed=True), None
     else:
-        target = ev.naive
+        target, gradient = ev.naive, naive_gradient
 
     objective = _wrap_objective(lambda x: target(theta_from_vector(x, spec)))
-    x_start = theta_to_vector(start_theta)
-    if not np.isfinite(target(theta_from_vector(x_start, spec))):
+    x_hat, trace = quasi_newton_maximize(objective, theta_to_vector(start_theta), cfg, gradient)
+    if not np.isfinite(trace.f_values[0]):
+        # the wrapped objective hid the cause: evaluate once more, unwrapped,
+        # so that an EvaluationError names the subject
+        target(start_theta)
         raise OptimizationStall("objective not finite at the starting parameters")
 
-    x_hat, trace = quasi_newton_maximize(objective, x_start, cfg)
     se = None
     if cfg.compute_se:
         try:
-            chol = np.linalg.cholesky(-fd_hessian(objective, x_hat))
+            if gradient is None:
+                hess = fd_hessian(objective, x_hat, trace.f_values[-1])
+            else:
+                hess = score_hessian(gradient, x_hat)
+            chol = np.linalg.cholesky(-hess)
             jac = _natural_jacobian(x_hat, spec)
             se = np.linalg.norm(np.linalg.solve(chol, jac.T), axis=0)
         except (np.linalg.LinAlgError, GradientError):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,12 +18,15 @@ from censlmm.likelihood import (
 )
 from censlmm.optimize import (
     OptConfig,
+    _agq_fit_order,
     _natural_jacobian,
     _wrap_objective,
     fd_gradient,
     fd_hessian,
     fit_model,
+    moment_start,
     quasi_newton_maximize,
+    score_hessian,
 )
 from censlmm.simulate import SimConfig, simulate, default_truth
 
@@ -76,6 +80,24 @@ class TestFdHessian:
         h = fd_hessian(lambda x: float(x[0] ** 2 + 3 * x[0] * x[1] - 2 * x[1] ** 2),
                        np.array([0.4, -1.2]))
         assert h == pytest.approx(np.array([[2.0, 3.0], [3.0, -4.0]]), abs=1e-6)
+
+    def test_known_center_value_is_not_recomputed(self):
+        calls = []
+        f = lambda x: calls.append(1) or float(x[0] ** 2 + 3 * x[0] * x[1])  # noqa: E731
+        x = np.array([0.4, -1.2])
+        h = fd_hessian(f, x, f0=f(x))
+        assert len(calls) == 1 + 2 * 2 + 4
+        assert h == pytest.approx(np.array([[2.0, 3.0], [3.0, 0.0]]), abs=1e-6)
+
+
+def test_score_hessian_is_the_symmetrised_difference_of_the_gradient():
+    # gradient of x0^2 + 3 x0 x1 - 2 x1^2 + x0^3, plus an antisymmetric part
+    # that symmetrisation removes
+    grad = lambda x: np.array([2 * x[0] + 3 * x[1] + 3 * x[0] ** 2 + x[1],  # noqa: E731
+                               3 * x[0] - 4 * x[1] - x[0]])
+    x = np.array([0.4, -1.2])
+    expected = np.array([[2.0 + 6 * x[0], 3.0], [3.0, -4.0]])
+    assert score_hessian(grad, x) == pytest.approx(expected, abs=1e-9)
 
 
 class TestQuasiNewton:
@@ -151,6 +173,35 @@ class TestQuasiNewton:
         assert trace.converged is converged
         assert trace.stop_reason == reason
         assert trace.iterations == 1
+
+    def test_gradient_callable_replaces_the_probes(self):
+        center = np.array([1.0, -2.0, 0.5])
+        values, grads = [], []
+
+        def f(z):
+            values.append(1)
+            return -float(np.sum((z - center) ** 2))
+
+        def gradient(z):
+            grads.append(1)
+            return -2.0 * (z - center)
+
+        x, trace = quasi_newton_maximize(f, np.zeros(3), gradient=gradient)
+        assert x == pytest.approx(center, abs=1e-9)
+        assert trace.converged
+        # one gradient per point checked, and no probes of f
+        assert len(grads) == trace.iterations
+        assert trace.n_evals == len(values) + len(grads)
+
+    def test_gradient_error_stops_the_run_with_its_text(self):
+        def gradient(z):
+            raise GradientError("score not finite")
+
+        x, trace = quasi_newton_maximize(lambda z: -float(z @ z), np.ones(2),
+                                         gradient=gradient)
+        assert list(x) == [1.0, 1.0]
+        assert trace.stop_reason == "score not finite"
+        assert math.isnan(trace.gradient_norms[-1])
 
     def test_n_evals_counts_every_objective_call(self):
         calls = [0]
@@ -317,3 +368,56 @@ def test_natural_jacobian_matches_central_differences(spec_name):
     fd = np.stack([(natural_from_vector(x + h * e, spec) - natural_from_vector(x - h * e, spec))
                    / (2.0 * h) for e in np.eye(x.size)], axis=1)
     assert _natural_jacobian(x, spec) == pytest.approx(fd, abs=1e-8)
+
+
+class TestScoreFits:
+    """Fits on the closed-form score against fits of the same objectives on finite differences."""
+
+    @staticmethod
+    def fd_fit(dataset, spec, method):
+        """A default fit rebuilt from quasi_newton_maximize, fd_gradient and fd_hessian."""
+        ev = LikelihoodEvaluator(dataset, spec)
+
+        def wrapped(evaluate):
+            return _wrap_objective(lambda x: evaluate(theta_from_vector(x, spec)))
+
+        x0 = theta_to_vector(moment_start(dataset, spec))
+        objective = wrapped(ev.naive)
+        if method is Method.AGQ:
+            x0, _ = quasi_newton_maximize(objective, x0)
+            order = _agq_fit_order(ev, theta_from_vector(x0, spec))
+            objective = wrapped(lambda theta: ev.agq(theta, order))
+        x_hat, trace = quasi_newton_maximize(objective, x0)
+        chol = np.linalg.cholesky(-fd_hessian(objective, x_hat))
+        se = np.linalg.norm(np.linalg.solve(chol, _natural_jacobian(x_hat, spec).T), axis=0)
+        return trace, natural_from_vector(x_hat, spec), se
+
+    @pytest.mark.parametrize("method", [Method.NAIVE, Method.AGQ])
+    def test_score_fit_matches_the_finite_difference_fit(self, method, is_spec,
+                                                         benchmark_dataset):
+        res = fit_model(benchmark_dataset, is_spec, LogLikOptions(method=method))
+        trace, estimates, se = self.fd_fit(benchmark_dataset, is_spec, method)
+        assert res.converged and trace.converged
+        assert res.hessian_ok
+        assert res.estimates == pytest.approx(estimates, abs=1e-6)
+        assert res.se == pytest.approx(se, rel=1e-4)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_each_evaluation_is_made_once(self, method, is_spec, benchmark_dataset,
+                                          monkeypatch):
+        # the fit's own path: the trace's evaluations and the SE Hessian's,
+        # without a second evaluation of the start or of the estimate
+        calls = Counter()
+        for name in ("naive", "agq", "marginal"):
+            def counted(self, *args, _original=getattr(LikelihoodEvaluator, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(LikelihoodEvaluator, name, counted)
+        res = fit_model(benchmark_dataset, is_spec, LogLikOptions(method=method))
+        assert res.hessian_ok
+        n = n_free_params(is_spec)
+        # 2n score passes; central differences: 2n diagonal and 4 n (n - 1) / 2 mixed values
+        se_passes = 2 * n * n if method is Method.MARGINAL else 2 * n
+        assert calls[method.value] == res.trace.n_evals + se_passes
