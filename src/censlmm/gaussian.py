@@ -12,6 +12,8 @@ batched over many blocks by :func:`log_orthant_probs`: Drezner and
 Wesolowsky's sum and Genz's transformed form for two (JSCS 1990; Stat.
 Comput. 2004), Plackett's path for three, and an endpoint Gauss-Laguerre rule
 where those forms would cancel in the tails. All of them work in log space.
+For those sizes :func:`truncated_moments` also gives the mean and covariance
+of Y given Y <= upper in closed form; the marginal path's score needs them.
 
 From four variables on, the Genz approach is used (JCGS 1992): a
 variable-reordered Cholesky factorization transforms the integral to the unit
@@ -40,16 +42,19 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import erfcx, log_ndtr, ndtr, ndtri
 
 from .errors import DimensionError, NotPositiveDefiniteError
 
 MAX_DIM = 10
+EXACT_DIM = 3  # the largest block size whose probability, and truncated moments, are exact
 VARIANCE_FLOOR = 1e-12
 _FLOOR_MESSAGE = f"a variance fell below the floor {VARIANCE_FLOOR:g}; refusing to regularize"
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG2 = math.log(2.0)
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _N_SCRAMBLES = 10
 _TINY_P = 1e-300
 MVN_TOL = 1e-6  # the relative error an adaptive block is asked to meet
@@ -231,6 +236,11 @@ def _genz_qmc(chol, b, seed, n_max, tol):
         active[idx] = ~met[idx] & (n_max > hi)
         if not np.any(active):
             return value, err, used, met
+
+
+def mills(t):
+    """The inverse Mills ratio phi(t) / Phi(t), free of cancellation deep in the lower tail."""
+    return _SQRT_2_OVER_PI / erfcx(-t / _SQRT2)
 
 
 def _log1mexp(x):
@@ -510,7 +520,7 @@ def mvn_rect_probs(mean, cov, upper, tol=MVN_TOL, seed=0, fixed=False):
     cov_t = np.swapaxes(cov, 1, 2)
     asym = np.any(~(np.abs(cov - cov_t) <= 1e-12 + 1e-8 * np.abs(cov_t)), axis=(1, 2))
     checks = [(asym, "covariance is not symmetric"), (low, _FLOOR_MESSAGE)]
-    if m <= 3:
+    if m <= EXACT_DIM:
         sd = np.sqrt(np.maximum(var, VARIANCE_FLOOR)[:, :, None])
         limits = (upper - mean) / sd[:, :, 0]
         corr = cov / (sd * np.swapaxes(sd, 1, 2))
@@ -518,7 +528,7 @@ def mvn_rect_probs(mean, cov, upper, tol=MVN_TOL, seed=0, fixed=False):
             checks.append((np.linalg.eigvalsh(corr)[:, 0] <= 0.0, "covariance is not positive definite"))
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     first = int(np.argmax(bad)) if bad.any() else n_blocks
-    if m > 3:
+    if m > EXACT_DIM:
         # the ordered Cholesky is the positive-definiteness check
         factors = []
         for i in range(first):
@@ -530,7 +540,7 @@ def mvn_rect_probs(mean, cov, upper, tol=MVN_TOL, seed=0, fixed=False):
         message = next(message for mask, message in checks if mask[first])
         return None, (first, NotPositiveDefiniteError(message))
 
-    if m <= 3:
+    if m <= EXACT_DIM:
         log_p = log_ndtr(limits[:, 0]) if m == 1 else log_orthant_probs(limits, corr)
         return (log_p, None, None, None), None
     chol, b = (np.array(f) for f in zip(*factors))
@@ -541,3 +551,71 @@ def mvn_rect_probs(mean, cov, upper, tol=MVN_TOL, seed=0, fixed=False):
     with np.errstate(divide="ignore"):
         log_p = np.log(np.maximum(value, 0.0))
     return (log_p, err, _N_SCRAMBLES * used, ~met & (not fixed)), None
+
+
+def truncated_moments(mean, cov, upper, log_p):
+    """Mean and covariance of Y ~ N(mean, cov) given Y <= upper, for B blocks of one size m <= 3.
+
+    ``mean`` and ``upper`` are (B, m), ``cov`` is (B, m, m) and ``log_p`` the
+    blocks' log Pr(Y <= upper) as :func:`mvn_rect_probs` returns it; the
+    blocks are assumed to have passed its checks. Returns the truncated
+    means (B, m) and covariances (B, m, m).
+
+    In standardized form X ~ N(0, R) with limits h, let P = Pr(X <= h), g
+    its gradient in h and H its Hessian. Then E[X] = -R g / P and
+    E[X X^T] = R + R H R / P (Tallis, JRSS-B 1961; Kan and Robotti, JCGS
+    2017). g_j is phi(h_j) times the probability of the other variables
+    given X_j = h_j; H_jk, j != k, is the bivariate density at (h_j, h_k)
+    times the probability of the third variable given both, and
+    H_jj = -h_j g_j - sum_k R_jk H_jk. These need only Phi, and for m = 3
+    the exact Phi2 of :func:`log_orthant_probs`. Each ratio to P is formed
+    as exp(log numerator - log P), so deep-tail blocks do not underflow;
+    for m = 1 it is the inverse Mills ratio.
+    """
+    mean, cov, upper, log_p = (np.asarray(a, dtype=float) for a in (mean, cov, upper, log_p))
+    n_blocks, m = mean.shape
+    if not 1 <= m <= EXACT_DIM:
+        raise DimensionError(f"truncated moments are exact for m = 1 to {EXACT_DIM}, not {m}")
+    sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    # a limit beyond _BIG is infinite to double precision, as in log_orthant_probs
+    h = np.minimum((upper - mean) / sd, _BIG)
+    if m == 1:
+        lam = mills(h)
+        return mean - sd * lam, cov * (1.0 - lam * (h + lam))[:, :, None]
+    corr = cov / (sd[:, :, None] * sd[:, None, :])
+    log_phi = -0.5 * h * h - _LOG_SQRT_2PI
+    grad = np.empty((n_blocks, m))
+    for j in range(m):
+        # the others given X_j = h_j: limits (h_k - r_kj h_j) / s_k, s_k^2 = 1 - r_kj^2
+        rest = [k for k in range(m) if k != j]
+        r = corr[:, rest, j]
+        s = np.sqrt(1.0 - r * r)
+        limits = (h[:, rest] - r * h[:, j, None]) / s
+        if m == 2:
+            log_rest = log_ndtr(limits[:, 0])
+        else:
+            rho = (corr[:, rest[0], rest[1]] - r[:, 0] * r[:, 1]) / (s[:, 0] * s[:, 1])
+            pair = np.stack([np.ones_like(rho), rho, rho, np.ones_like(rho)], axis=1)
+            log_rest = log_orthant_probs(limits, pair.reshape(-1, 2, 2))
+        grad[:, j] = np.exp(log_phi[:, j] + log_rest - log_p)
+    hess = np.zeros((n_blocks, m, m))
+    det = np.linalg.det(corr) if m == 3 else None
+    for j in range(m):
+        for k in range(j + 1, m):
+            rho = corr[:, j, k]
+            one_minus = 1.0 - rho * rho
+            log_num = (-(h[:, j] ** 2 - 2.0 * rho * h[:, j] * h[:, k] + h[:, k] ** 2) / (2.0 * one_minus)
+                       - 2.0 * _LOG_SQRT_2PI - 0.5 * np.log(one_minus))
+            if m == 3:
+                # the third variable given X_j = h_j and X_k = h_k
+                i = 3 - j - k
+                r_ij, r_ik = corr[:, i, j], corr[:, i, k]
+                cond_mean = ((r_ij - rho * r_ik) * h[:, j] + (r_ik - rho * r_ij) * h[:, k]) / one_minus
+                log_num = log_num + log_ndtr((h[:, i] - cond_mean) / np.sqrt(det / one_minus))
+            hess[:, j, k] = hess[:, k, j] = np.exp(log_num - log_p)
+    diag = -h * grad - np.sum(corr * hess, axis=2)
+    hess[:, np.arange(m), np.arange(m)] = diag
+    z_mean = -(corr @ grad[:, :, None])[:, :, 0]
+    z_cov = corr + corr @ (hess - grad[:, :, None] * grad[:, None, :]) @ corr
+    scale = sd[:, :, None] * sd[:, None, :]
+    return mean + sd * z_mean, scale * z_cov

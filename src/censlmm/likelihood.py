@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, logsumexp
+from scipy.special import log_ndtr, logsumexp
 
 from . import quadrature
 from .data import build_designs
@@ -30,12 +30,11 @@ from .errors import (
     InvalidParameterError,
     ModeSearchError,
 )
-from .gaussian import mvn_rect_probs
+from .gaussian import EXACT_DIM, mills, mvn_rect_probs, truncated_moments
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # Newton mode search of the hierarchical integrands: gradient-norm tolerance,
 # iteration cap, smallest step fraction, and the rounding slack (relative to
@@ -247,9 +246,15 @@ def _subject_error(sid, exc):
     return EvaluationError(f"subject {sid}: {exc}", subject_id=sid)
 
 
-def _mills(t):
-    """The inverse Mills ratio phi(t) / Phi(t), free of cancellation deep in the lower tail."""
-    return _SQRT_2_OVER_PI / erfcx(-t / _SQRT2)
+def _mills_terms(lam, lam_v, resid, zf, sd):
+    """Censored rows' E[d/d eta], E[d/d eta v] and E[d/d sigma] from E[lambda] and E[lambda v].
+
+    A censored row has log Phi(t), t = (c - eta) / sigma and resid = c -
+    x beta, with d/d eta = -lambda / sigma and d/d sigma = -lambda t /
+    sigma, lambda = phi(t) / Phi(t); ``zf`` is the rows' Z A, so that
+    sigma t = resid - zf v.
+    """
+    return -lam / sd, -lam_v / sd[:, None], -(resid * lam - np.sum(zf * lam_v, axis=1)) / (sd * sd)
 
 
 def _inverse(chol):
@@ -299,9 +304,9 @@ class _Integrands:
         pd = (self.prec @ d[:, :, None])[:, :, 0]
         t = self.base - np.sum(self.a * v[self.owner], axis=1)
         f = self.const - 0.5 * np.sum(d * pd, axis=1) + np.add.reduceat(log_ndtr(t), self.seg)
-        mills = _mills(t)
-        curv = np.maximum(mills * (t + mills), 0.0)
-        grad = -pd - np.add.reduceat(mills[:, None] * self.a, self.seg, axis=0)
+        lam = mills(t)
+        curv = np.maximum(lam * (t + lam), 0.0)
+        grad = -pd - np.add.reduceat(lam[:, None] * self.a, self.seg, axis=0)
         outer = curv[:, None, None] * self.a[:, :, None] * self.a[:, None, :]
         return f, grad, self.prec + np.add.reduceat(outer, self.seg, axis=0)
 
@@ -398,7 +403,7 @@ class _Integrands:
             if moments:
                 weight = np.exp(factor + vals - out[lo:hi, None])
                 ez[lo:hi], ezz[lo:hi] = weight @ nodes, weight @ pairs
-                row_weight = weight[self.owner[rows] - lo] * _mills(t)
+                row_weight = weight[self.owner[rows] - lo] * mills(t)
                 lam[rows], lam_z[rows] = row_weight.sum(axis=1), row_weight @ nodes
         logs = 0.5 * r * _LOG2 + self.logdet + out
         if not moments:
@@ -427,9 +432,12 @@ class LikelihoodEvaluator:
     The hierarchical path works on all subjects at once. Batched Newton steps
     with the closed-form gradient and Hessian of each integrand find every
     mode (:class:`_Integrands`), and each GH order is then one chunked
-    evaluation of all subjects' grids. The naive and hierarchical paths
-    return their score with their total when asked (``score=True``), from
-    the same posterior or the same grid pass (:meth:`_score`).
+    evaluation of all subjects' grids. Every path returns its score with
+    its total when asked (``score=True``), by the Fisher identity
+    (:meth:`_score`): the naive path from the same posterior, the
+    hierarchical path from the same grid pass, and the marginal path from
+    its censored blocks' truncated-normal moments, which exist in closed
+    form only for blocks of at most three measures.
     """
 
     def __init__(self, dataset, spec, options=LogLikOptions()):
@@ -456,6 +464,8 @@ class LikelihoodEvaluator:
         for m in np.unique(self.n_cens[self.n_cens > 0]):
             blocks = np.flatnonzero(self.n_cens == m)
             self.cens_blocks.append((m, blocks, first[blocks][:, None] + np.arange(m)))
+        # the marginal score needs every block's truncated moments in closed form
+        self.marginal_has_score = all(m <= EXACT_DIM for m, _, _ in self.cens_blocks)
         bad = np.flatnonzero(self.strata >= spec.n_strata)
         if bad.size:
             sid = self.subject_ids[self.row_subject[bad[0]]]
@@ -504,7 +514,7 @@ class LikelihoodEvaluator:
 
     # -- marginal path ------------------------------------------------------
 
-    def marginal(self, theta, fixed=False):
+    def marginal(self, theta, fixed=False, score=False):
         """Observed-rows density times each censored block's rectangle probability.
 
         Given the observed rows, a censored block is Gaussian with mean
@@ -518,16 +528,28 @@ class LikelihoodEvaluator:
         2e-4 on 100 subjects x 10 times at 50% censoring.
         What the QMC blocks cost and the accuracy they reached go to
         ``qmc_record``. A failure names the first failing subject.
+
+        With ``score``, returns ``(total, score)`` from the same pass
+        (:meth:`_marginal_score`), with a NaN score where the total is -inf.
+        The score needs every block's truncated moments in closed form, so it
+        raises ``ValueError`` when a block has more than
+        ``gaussian.EXACT_DIM`` = 3 measures: a moment estimate from the Genz
+        points would not be the derivative of their fixed-count total, which
+        jumps where a variable order switches.
         """
+        if score and not self.marginal_has_score:
+            raise ValueError(f"the marginal score needs censored blocks of at most {EXACT_DIM} "
+                             f"measures, not {self.cens_blocks[-1][0]}")
         self._check(theta)
         self.qmc_record = QmcRecord()
-        zf = self.z @ theta.reduced_factor()
+        factor = theta.reduced_factor()
+        zf = self.z @ factor
         logpdf, mean, chol = self._posterior(theta, zf, self.observed.astype(float))
         total = float(np.sum(logpdf))
         if total == -math.inf:
             # no block can raise it, and an overflowed residual leaves the
             # blocks' moments non-finite
-            return total
+            return (total, np.full(n_free_params(self.spec), np.nan)) if score else total
         cens = ~self.observed
         subject = self.row_subject[cens]
         zf_c = zf[cens]
@@ -538,6 +560,7 @@ class LikelihoodEvaluator:
         seed = self.options.seed
         failures = {}
         qmc = []
+        blocks_at = []
         for m, blocks, rows in self.cens_blocks:
             root_m = root[rows]
             cov = root_m @ np.swapaxes(root_m, 1, 2) + var_c[rows][:, :, None] * np.eye(m)
@@ -549,6 +572,7 @@ class LikelihoodEvaluator:
                 failures[blocks[error[0]]] = error[1]
                 continue
             total += float(np.sum(probs[0]))
+            blocks_at.append((blocks, rows, cov, probs[0]))
             if probs[1] is not None:  # a QMC size, m >= 4, with its cost and accuracy
                 qmc.append(probs)
         if qmc:
@@ -560,7 +584,55 @@ class LikelihoodEvaluator:
         if failures:
             s = min(failures)
             raise _subject_error(self.subject_ids[s], failures[s]) from failures[s]
-        return total
+        if not score:
+            return total
+        if total == -math.inf:
+            return total, np.full(n_free_params(self.spec), np.nan)
+        return total, self._marginal_score(theta, factor, mean, _inverse(chol), mu_c, blocks_at)
+
+    def _marginal_score(self, theta, factor, mean, cov, mu_c, blocks_at):
+        """The marginal path's score from each censored block's truncated moments.
+
+        Given a subject's observed rows, its effects v are N(``mean``,
+        ``cov``) and its censored values y_c are N(nu, Sigma), nu = ``mu_c``,
+        with Cov(v, y_c) = cov zf_c^T. So v = mean + B (y_c - nu) + w, with
+        B = cov zf_c^T Sigma^{-1} and w independent of y_c. The censored rows
+        condition y_c on y_c <= c; with its truncated mean and covariance
+        from :func:`gaussian.truncated_moments`, v has mean mean + B (E[y_c] -
+        nu) and covariance cov + B (Cov(y_c) - Sigma) B^T, and res_j = y_j -
+        x_j beta - zf_j v has its moments and its moments with v in closed
+        form. Those feed :meth:`_score` like an observed row's. ``blocks_at``
+        holds, per block size, the blocks' subjects, their rows among the
+        censored ones, their Sigma and their log probabilities.
+        """
+        cens = ~self.observed
+        zf_c = (self.z @ factor)[cens]
+        sd = theta.sigma_e[self.strata[cens]]
+        var = sd * sd
+        upper = self.y[cens]
+        post_mean, post_cov = mean.copy(), cov.copy()
+        d_eta, d_sigma = np.empty(sd.size), np.empty(sd.size)
+        d_eta_v = np.empty(zf_c.shape)
+        for blocks, rows, sigma, log_p in blocks_at:
+            t_mean, t_cov = truncated_moments(mu_c[rows], sigma, upper[rows], log_p)
+            z = zf_c[rows]  # (B, m, r)
+            cov_vy = cov[blocks] @ np.swapaxes(z, 1, 2)
+            gain = np.swapaxes(np.linalg.solve(sigma, np.swapaxes(cov_vy, 1, 2)), 1, 2)
+            shift = t_mean - mu_c[rows]
+            e_v = mean[blocks] + (gain @ shift[:, :, None])[:, :, 0]
+            cov_v = cov[blocks] + gain @ (t_cov - sigma) @ np.swapaxes(gain, 1, 2)
+            # per row: E[res], Cov(y_j, v) and Cov(zf_j v, v)
+            e_res = shift - (z @ (e_v - mean[blocks])[:, :, None])[:, :, 0]
+            cov_yv = t_cov @ np.swapaxes(gain, 1, 2)
+            cov_zv = z @ cov_v
+            var_res = (np.diagonal(t_cov, axis1=1, axis2=2) - 2.0 * np.sum(z * cov_yv, axis=2)
+                       + np.sum(z * cov_zv, axis=2))
+            v_row = var[rows]
+            d_eta[rows] = e_res / v_row
+            d_eta_v[rows] = (cov_yv - cov_zv + e_res[:, :, None] * e_v[:, None, :]) / v_row[:, :, None]
+            d_sigma[rows] = (var_res + e_res * e_res) / (v_row * sd[rows]) - 1.0 / sd[rows]
+            post_mean[blocks], post_cov[blocks] = e_v, cov_v
+        return self._score(theta, factor, post_mean, post_cov, (d_eta, d_eta_v, d_sigma))
 
     # -- hierarchical path --------------------------------------------------
 
@@ -592,8 +664,9 @@ class LikelihoodEvaluator:
             def exact_at(order, score=False):
                 if not score:
                     return total
-                return total, self._score(theta, factor, mean, _inverse(chol),
-                                          _mills(t), np.zeros((t.size, r)))
+                censored = _mills_terms(mills(t), np.zeros((t.size, r)), resid[cens], zf[cens],
+                                        sde[cens])
+                return total, self._score(theta, factor, mean, _inverse(chol), censored)
             return exact_at
 
         exact = float(np.sum(logpdf[self.n_cens == 0]))
@@ -611,7 +684,8 @@ class LikelihoodEvaluator:
             post_mean, post_cov = mean.copy(), _inverse(chol)
             post_mean[has], post_cov[has] = mean_c, cov_c
             total = exact + float(np.sum(logs))
-            return total, self._score(theta, factor, post_mean, post_cov, lam, lam_v)
+            censored = _mills_terms(lam, lam_v, resid[cens], zf[cens], sde[cens])
+            return total, self._score(theta, factor, post_mean, post_cov, censored)
         return at
 
     def agq_order(self, theta):
@@ -652,7 +726,7 @@ class LikelihoodEvaluator:
 
     # -- score ----------------------------------------------------------------
 
-    def _score(self, theta, factor, mean, cov, lam=None, lam_v=None):
+    def _score(self, theta, factor, mean, cov, censored=None):
         """The score on :func:`theta_to_vector`'s coordinates, by the Fisher identity.
 
         The score is the posterior expectation of the complete-data score,
@@ -664,10 +738,10 @@ class LikelihoodEvaluator:
         Row j has the linear predictor eta_j = x_j beta + z_j u and SD
         sigma_j. An observed row's log-density has d/d eta = res / sigma^2
         and d/d sigma = res^2 / sigma^3 - 1 / sigma, res = y - eta, so it
-        needs only those two moments. A censored row has log Phi(t), t = (c - eta) /
-        sigma, with d/d eta = -lambda / sigma and d/d sigma = -lambda t /
-        sigma, lambda = phi(t) / Phi(t); ``lam`` and ``lam_v`` hold its
-        E[lambda] and E[lambda v]. Without them every row counts as observed.
+        needs only those two moments. A censored row's expectations depend on
+        the path, and ``censored`` holds them per censored row, in layout
+        order: E[d/d eta] (n,), E[d/d eta v] (n, r) and E[d/d sigma] (n,).
+        Without it every row counts as observed.
 
         The derivative in L_ab is sum_j z_ja E[d/d eta_j e_b]. Given the
         data, e = L^+ A v plus a part in the null space of L that is
@@ -687,11 +761,9 @@ class LikelihoodEvaluator:
         d_eta = dev / var
         d_eta_v = d_eta[:, None] * mean[s] - cov_zf / var[:, None]
         d_sigma = (dev * dev + np.sum(zf * cov_zf, axis=1)) / (var * sd) - 1.0 / sd
-        if lam is not None:
+        if censored is not None:
             c = ~self.observed
-            d_eta[c] = -lam / sd[c]
-            d_eta_v[c] = -lam_v / sd[c, None]
-            d_sigma[c] = -(resid[c] * lam - np.sum(zf[c] * lam_v, axis=1)) / var[c]
+            d_eta[c], d_eta_v[c], d_sigma[c] = censored
         link = theta.chol.T @ factor / np.sum(factor * factor, axis=0)  # L^+ A
         d_chol = self.z.T @ d_eta_v @ link.T
         return np.concatenate([

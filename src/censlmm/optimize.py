@@ -7,10 +7,14 @@ the relative function change is below 1e-8 and the gradient norm below
 ``g_tol``; every run returns its last point, the value there and why it
 stopped. ``fit_model`` wires it to the likelihood paths, starting from the
 threshold-imputation fit as in the reference analysis workflow. The naive
-path and the AGQ path at the order rule's order supply their closed-form
-score, and their SE Hessian is the central difference of that score; the
-marginal path uses finite differences of its values for both, so it stays
-an independent check.
+path, the AGQ path at the order rule's order and the marginal path on data
+whose censored blocks have at most three measures supply their closed-form
+score, and their SE Hessian is the central difference of that score. An
+AGQ fit at a pinned order, and a marginal fit with a QMC block (four or
+more censored measures in one subject), use finite differences of their
+values for both. The marginal score comes from the blocks' truncated-normal
+moments and the AGQ score from the quadrature grid, so the two paths stay
+independent checks of each other.
 The inverse observed information maps to natural-scale standard errors by
 the delta method, on the exact Jacobian of that map.
 """
@@ -331,20 +335,23 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     run first and its optimum seeds the censoring-aware optimization.  The
     likelihood is optimized over the unconstrained parameterization by
     ``quasi_newton_maximize``. The naive path, the naive warm start of
-    every method and the AGQ path give it their closed-form score
-    (``LikelihoodEvaluator.naive``/``agq`` with ``score=True``). The
-    marginal path, and an AGQ fit at a pinned order, take central
-    differences of the values instead. The AGQ order is the one whose total
-    the doubling rule accepted at the start point, or the pinned one
-    (:func:`_agq_fit_order` says why).
+    every method, the AGQ path and the marginal path give it their
+    closed-form score (``LikelihoodEvaluator.naive``/``agq``/``marginal``
+    with ``score=True``), with two exceptions that take central differences
+    of the values instead. The AGQ order is the one whose total the doubling
+    rule accepted at the start point, or the pinned one; an AGQ fit at a
+    pinned order keeps finite differences (:func:`_agq_fit_order` says why).
 
-    On the marginal path, censored blocks of up to three measures are exact
-    and only larger ones run quasi-random QMC, on the fixed point counts of
-    the ``gaussian`` module (``ev.marginal(theta, fixed=True)``). The
-    objective is then smooth only while each block's Genz variable order
-    stays the same; it jumps where an order switches, and a gradient or
-    Hessian probe pair that straddles a switch is off by the jump over the
-    step.
+    On the marginal path, censored blocks of up to three measures are exact,
+    and so are their truncated moments, from which the score comes. Larger
+    blocks run quasi-random QMC, on the fixed point counts of the
+    ``gaussian`` module (``ev.marginal(theta, fixed=True)``). The objective
+    is then smooth only while each block's Genz variable order stays the
+    same; it jumps where an order switches, and a gradient or Hessian probe
+    pair that straddles a switch is off by the jump over the step. Moments
+    from the Genz points would not be the derivative of that total either,
+    so a marginal fit on data with such a block keeps finite differences,
+    until each block's variable order is frozen for the fit.
 
     The start is evaluated once. A likelihood error there, such as an
     ``EvaluationError`` naming the subject, propagates, and a non-finite
@@ -378,7 +385,8 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
         # a pinned order can be too low for the score: see _agq_fit_order
         gradient = None if llopt.gh_order is not None else _score_gradient(target, spec)
     elif llopt.method is Method.MARGINAL:
-        target, gradient = lambda th: ev.marginal(th, fixed=True), None
+        target = lambda th, score=False: ev.marginal(th, fixed=True, score=score)
+        gradient = _score_gradient(target, spec) if ev.marginal_has_score else None
     else:
         target, gradient = ev.naive, naive_gradient
 

@@ -10,6 +10,7 @@ from scipy.special import log_ndtr
 from scipy.stats import qmc
 
 from censlmm.errors import DimensionError, NotPositiveDefiniteError
+from censlmm import gaussian
 from censlmm.gaussian import (
     _CACHE_POINT_LIMIT,
     _genz_qmc,
@@ -17,8 +18,9 @@ from censlmm.gaussian import (
     _stream_levels,
     log_orthant_probs,
     mvn_rect_probs,
+    truncated_moments,
 )
-from oracles import mvn_logpdf
+from oracles import mvn_logpdf, truncated_moments_by_differences
 
 
 class TestMvnLogpdf:
@@ -471,3 +473,81 @@ class TestExactOrthantProbs:
         want = tvn_oracle((upper - mean) / sd, cov / np.outer(sd, sd))
         assert res.log_value == pytest.approx(want, abs=1e-10)
         assert res.err_est is None and res.points is None and res.exhausted is None
+
+
+def block_log_prob(mean, cov, upper):
+    """log Pr(Y <= upper) of one block, from the exact m <= 3 forms of :func:`mvn_rect_probs`."""
+    return float(rect_prob(mean, cov, upper).log_value)
+
+
+def scaled_block(limits, corr, seed):
+    """A block with the given standardized limits and correlations, on a random mean and scale."""
+    rng = np.random.default_rng(seed)
+    limits = np.asarray(limits, dtype=float)
+    sd = rng.uniform(0.5, 2.0, limits.size)
+    mean = rng.normal(size=limits.size)
+    return mean, np.asarray(corr, dtype=float) * np.outer(sd, sd), mean + sd * limits
+
+
+def corr2(rho):
+    return np.array([[1.0, rho], [rho, 1.0]])
+
+
+# (limits, correlation): |rho| on both sides of the 0.925 switch of the
+# bivariate forms, limits down to -8 SD, and (-8, -8) at rho = -0.5, which
+# the endpoint Gauss-Laguerre rule integrates
+MOMENT_CASES = {
+    "m1-deep": ((-8.0,), [[1.0]]),
+    "m1-mid": ((-1.5,), [[1.0]]),
+    "m1-high": ((2.5,), [[1.0]]),
+    "m2-laguerre": ((-8.0, -8.0), corr2(-0.5)),
+    "m2-0.3": ((0.5, -1.0), corr2(0.3)),
+    "m2-0.9": ((-2.0, 1.0), corr2(0.9)),
+    "m2-0.95": ((-2.0, 1.0), corr2(0.95)),
+    "m2-neg-0.95-deep": ((-8.0, 0.5), corr2(-0.95)),
+    "m3-mixed": ((-1.0, 0.5, -2.0), corr3(0.9, -0.4, -0.2)),
+    "m3-high-deep": ((-8.0, -8.0, -8.0), corr3(0.93, 0.9, 0.95)),
+    "m3-negative": ((-8.0, -3.0, 1.0), corr3(-0.34, 0.2, -0.6)),
+    "m3-data-like": ((-0.3, 0.4, 0.1), corr3(0.3, -0.34, 0.77)),
+}
+
+
+class TestTruncatedMoments:
+    @pytest.mark.parametrize("case", sorted(MOMENT_CASES))
+    def test_against_derivatives_of_the_log_probability(self, case):
+        limits, corr = MOMENT_CASES[case]
+        mean, cov, upper = scaled_block(limits, corr, seed=len(case))
+        log_p = mvn_rect_probs(mean[None], cov[None], upper[None])[0][0]
+        got_mean, got_cov = truncated_moments(mean[None], cov[None], upper[None], log_p)
+        want_mean, want_second = truncated_moments_by_differences(
+            block_log_prob, mean, cov, upper)
+        shift = got_mean[0] - mean
+        got_second = got_cov[0] + np.outer(shift, shift)
+        scale = np.max(np.abs(want_mean))
+        np.testing.assert_allclose(got_mean[0], want_mean, rtol=0.0, atol=1e-8 * max(1.0, scale))
+        np.testing.assert_allclose(got_second, want_second, rtol=0.0,
+                                   atol=1e-8 * np.max(np.abs(want_second)))
+
+    def test_a_case_takes_the_endpoint_laguerre_rule(self, monkeypatch):
+        calls = []
+        original = gaussian._endpoint_laguerre
+        monkeypatch.setattr(gaussian, "_endpoint_laguerre",
+                            lambda *args: calls.append(1) or original(*args))
+        limits, corr = MOMENT_CASES["m2-laguerre"]
+        log_orthant_probs(np.array([limits]), corr[None])
+        assert calls
+
+    def test_blocks_of_a_group_are_independent(self):
+        blocks = [scaled_block(*MOMENT_CASES[case], seed=k)
+                  for k, case in enumerate(["m3-mixed", "m3-negative", "m3-data-like"])]
+        mean, cov, upper = (np.stack(a) for a in zip(*blocks))
+        log_p = mvn_rect_probs(mean, cov, upper)[0][0]
+        together = truncated_moments(mean, cov, upper, log_p)
+        for k in range(3):
+            alone = truncated_moments(mean[k:k + 1], cov[k:k + 1], upper[k:k + 1], log_p[k:k + 1])
+            np.testing.assert_allclose(together[0][k], alone[0][0], rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(together[1][k], alone[1][0], rtol=1e-14, atol=1e-15)
+
+    def test_qmc_sizes_are_refused(self):
+        with pytest.raises(DimensionError):
+            truncated_moments(np.zeros((1, 4)), np.eye(4)[None], np.zeros((1, 4)), np.zeros(1))

@@ -16,6 +16,7 @@ from censlmm.likelihood import (
     theta_from_vector,
     theta_to_vector,
 )
+from censlmm import optimize
 from censlmm.optimize import (
     OptConfig,
     _agq_fit_order,
@@ -387,12 +388,15 @@ class TestScoreFits:
             x0, _ = quasi_newton_maximize(objective, x0)
             order = _agq_fit_order(ev, theta_from_vector(x0, spec))
             objective = wrapped(lambda theta: ev.agq(theta, order))
+        elif method is Method.MARGINAL:
+            x0, _ = quasi_newton_maximize(objective, x0)
+            objective = wrapped(lambda theta: ev.marginal(theta, fixed=True))
         x_hat, trace = quasi_newton_maximize(objective, x0)
         chol = np.linalg.cholesky(-fd_hessian(objective, x_hat))
         se = np.linalg.norm(np.linalg.solve(chol, _natural_jacobian(x_hat, spec).T), axis=0)
         return trace, natural_from_vector(x_hat, spec), se
 
-    @pytest.mark.parametrize("method", [Method.NAIVE, Method.AGQ])
+    @pytest.mark.parametrize("method", list(Method))
     def test_score_fit_matches_the_finite_difference_fit(self, method, is_spec,
                                                          benchmark_dataset):
         res = fit_model(benchmark_dataset, is_spec, LogLikOptions(method=method))
@@ -402,11 +406,9 @@ class TestScoreFits:
         assert res.estimates == pytest.approx(estimates, abs=1e-6)
         assert res.se == pytest.approx(se, rel=1e-4)
 
-    @pytest.mark.parametrize("method", list(Method))
-    def test_each_evaluation_is_made_once(self, method, is_spec, benchmark_dataset,
-                                          monkeypatch):
-        # the fit's own path: the trace's evaluations and the SE Hessian's,
-        # without a second evaluation of the start or of the estimate
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Count the evaluator's calls per path."""
         calls = Counter()
         for name in ("naive", "agq", "marginal"):
             def counted(self, *args, _original=getattr(LikelihoodEvaluator, name), _name=name,
@@ -415,9 +417,39 @@ class TestScoreFits:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(LikelihoodEvaluator, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_each_evaluation_is_made_once(self, method, is_spec, benchmark_dataset,
+                                          monkeypatch):
+        # the fit's own path: the trace's evaluations and the SE Hessian's
+        # 2n score passes, without a second evaluation of the start or of
+        # the estimate
+        calls = self.count_calls(monkeypatch)
         res = fit_model(benchmark_dataset, is_spec, LogLikOptions(method=method))
         assert res.hessian_ok
-        n = n_free_params(is_spec)
-        # 2n score passes; central differences: 2n diagonal and 4 n (n - 1) / 2 mixed values
-        se_passes = 2 * n * n if method is Method.MARGINAL else 2 * n
-        assert calls[method.value] == res.trace.n_evals + se_passes
+        assert calls[method.value] == res.trace.n_evals + 2 * n_free_params(is_spec)
+
+    def test_marginal_fit_with_a_qmc_block_takes_finite_differences(self, monkeypatch):
+        # a block of 4 censored rows has no closed-form moments
+        spec = MODEL_TEMPLATES["ri"]()
+        data = simulate(SimConfig(n_subjects=50, n_per_subject=5, truth=default_truth("ri"),
+                                  target_censoring=0.152, seed=2024, model=spec))
+        assert max(m for m, _, _ in LikelihoodEvaluator(data, spec).cens_blocks) == 4
+        calls = self.count_calls(monkeypatch)
+        probes = []
+
+        def counted_gradient(f, x):
+            before = calls["marginal"]
+            grad = fd_gradient(f, x)
+            probes.append(calls["marginal"] - before)
+            return grad
+
+        monkeypatch.setattr(optimize, "fd_gradient", counted_gradient)
+        res = fit_model(data, spec, LogLikOptions(method=Method.MARGINAL))
+        assert res.converged and res.hessian_ok
+        n = n_free_params(spec)
+        # one central-difference gradient per point checked, of 2n values
+        assert probes == [2 * n] * res.iterations
+        # and the value Hessian: 2n diagonal and 4 n (n - 1) / 2 mixed values
+        assert calls["marginal"] == res.trace.n_evals + 2 * n * n
