@@ -2,9 +2,8 @@
 
 :func:`mvn_rect_probs` is the one entry point for the rectangle probability
 Pr(Y <= upper) for Y ~ N(mean, cov) over a lower-infinite box. It takes
-stacked blocks of one size m, checks them in one batched pass (the size cap,
-symmetry, the variance floor and positive definiteness), and picks the rule
-by m.
+stacked blocks of one size m >= 1, checks them in one batched pass (symmetry,
+the variance floor and positive definiteness), and picks the rule by m.
 
 Up to three variables the probability is exact. One variable is the normal
 CDF. Two and three use fixed quadrature nodes on standardized limits,
@@ -18,19 +17,22 @@ of Y given Y <= upper in closed form; the marginal path's score needs them.
 From four variables on, the Genz approach is used (JCGS 1992): a
 variable-reordered Cholesky factorization transforms the integral to the unit
 cube, which is then evaluated with randomized quasi-Monte Carlo on nested
-point streams. Each dimension m has one stream of ten independently scrambled
-Sobol sequences, seeded from the configured seed, m - 1 and the scramble index
-only; the spread of the ten per-scramble means gives the error estimate.
-Every block of one dimension reads the same stream from its start, and the
-blocks of one call are evaluated together. The points come in doubling
-levels (512, 1024, ... per scramble); each level is drawn once and adds only
-its new points to the running sums of the blocks that have not yet met their
-tolerance, so going from n to 2n points evaluates n. A block stops when its
-error estimate is at most ``tol`` times its probability, or at 32,768 points
-per scramble; with a fixed count, every block runs ``FIT_POINTS`` of its m.
-The first 2^13 points of each stream are cached; later ones come from engines
-fast-forwarded past them. A block's estimate does not depend on the rest of
-its group, and repeated calls are reproducible. With a fixed count the
+point streams. The method has no dimension limit, and neither has this
+module: a block of any size m >= 4 takes this rule. Each dimension m has one
+stream of ten independently scrambled Sobol sequences, seeded from the
+configured seed, m - 1 and the scramble index only; the spread of the ten
+per-scramble means gives the error estimate. Every block of one dimension
+reads the same stream from its start, and the blocks of one call are
+evaluated together. The points come in doubling levels (512, 1024, ... per
+scramble); each level is drawn once and adds only its new points to the
+running sums of the blocks that have not yet met their tolerance, so going
+from n to 2n points evaluates n. A block stops when its error estimate is at
+most ``tol`` times its probability, or at 32,768 points per scramble; with a
+fixed count, every block runs ``FIT_POINTS`` of its m. No points are cached:
+each stream draws its levels from copies of its scrambled engines, which are
+cached per (seed, dimension) unadvanced, since making them costs more than
+copying them. A block's estimate does not depend on the rest of its group,
+and repeated calls are reproducible. With a fixed count the
 estimate varies smoothly with the block's moments only while the block's
 variable order stays the same. That order is picked from the moments, so it
 is a step function of them, and where it switches the estimate jumps: on 100
@@ -38,6 +40,7 @@ subjects x 10 times at 50% censoring, two switches moved the total
 log-likelihood by -1.74e-4 and +2.19e-4.
 """
 
+import copy
 import math
 from functools import lru_cache
 
@@ -46,7 +49,6 @@ from scipy.special import erfcx, log_ndtr, ndtr, ndtri
 
 from .errors import DimensionError, NotPositiveDefiniteError
 
-MAX_DIM = 10
 EXACT_DIM = 3  # the largest block size whose probability, and truncated moments, are exact
 VARIANCE_FLOOR = 1e-12
 _FLOOR_MESSAGE = f"a variance fell below the floor {VARIANCE_FLOOR:g}; refusing to regularize"
@@ -58,9 +60,8 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _N_SCRAMBLES = 10
 _TINY_P = 1e-300
 MVN_TOL = 1e-6  # the relative error an adaptive block is asked to meet
-# points per scramble of the first QMC level, and the cached prefix of each stream
+# points per scramble of the first QMC level
 _FIRST_POINTS = 512
-_CACHE_POINT_LIMIT = 2 ** 13
 # the most points per scramble an adaptive block evaluates
 _MAX_POINTS = 2 ** 15
 # points per scramble of each block size m with a fixed count, as in the fits
@@ -136,23 +137,15 @@ def _ordered_cholesky(cov, b):
     return chol, b
 
 
+@lru_cache(maxsize=16)
 def _engines(seed, dim):
-    """The stream's scrambled Sobol engines, seeded from (seed, dim, scramble) only."""
+    """The stream's scrambled Sobol engines, seeded from (seed, dim, scramble) only; never drawn from."""
     # imported here: scipy.stats takes most of the package's import time, and
     # only QMC blocks (m >= 4) need it
     from scipy.stats import qmc
 
-    return [qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng([seed, dim, s]))
-            for s in range(_N_SCRAMBLES)]
-
-
-@lru_cache(maxsize=16)
-def _stream_prefix(seed, dim):
-    """The first ``_CACHE_POINT_LIMIT`` points of each scramble, as (scrambles, dim, points)."""
-    log_n = int(math.log2(_CACHE_POINT_LIMIT))
-    out = np.stack([engine.random_base2(log_n).T for engine in _engines(seed, dim)])
-    out.flags.writeable = False
-    return out
+    return tuple(qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng([seed, dim, s]))
+                 for s in range(_N_SCRAMBLES))
 
 
 def _stream_levels(seed, dim, first):
@@ -160,20 +153,20 @@ def _stream_levels(seed, dim, first):
 
     Yields, per level, its end n (points per scramble so far) and an
     iterator over the scrambles' new points, (dim, n_new) each; consume it
-    before asking for the next level. Levels within the cached prefix are
-    views of it; later ones are drawn from engines fast-forwarded past it.
+    before asking for the next level. The levels are drawn from copies of
+    the cached engines, which stay at the start of the stream.
     """
-    prefix = _stream_prefix(seed, dim)
-    engines = None
+    cached = _engines(seed, dim)
+    # drawing points does not read the engines' random generators, which
+    # made the scramble, so the copies share them: copying those is most of
+    # the cost of a deep copy
+    generators = {id(v): v for engine in cached for v in vars(engine).values()
+                  if isinstance(v, np.random.Generator)}
+    engines = copy.deepcopy(cached, generators)
     lo, hi = 0, first
     while True:
-        if hi <= _CACHE_POINT_LIMIT:
-            yield hi, iter(prefix[:, :, lo:hi])
-        else:
-            if engines is None:
-                engines = [engine.fast_forward(_CACHE_POINT_LIMIT) for engine in _engines(seed, dim)]
-            log_n = int(math.log2(hi - lo))
-            yield hi, (np.ascontiguousarray(engine.random_base2(log_n).T) for engine in engines)
+        log_n = int(math.log2(hi - lo))
+        yield hi, (np.ascontiguousarray(engine.random_base2(log_n).T) for engine in engines)
         lo, hi = hi, 2 * hi
 
 
@@ -486,12 +479,13 @@ def log_orthant_probs(limits, corr):
 def mvn_rect_probs(mean, cov, upper, tol=MVN_TOL, seed=0, fixed=False):
     """log Pr(Y <= upper) for Y ~ N(mean, cov), over B blocks of one size m.
 
-    ``mean`` and ``upper`` are (B, m) and ``cov`` is (B, m, m), for m from 1
-    to ``MAX_DIM``; all lower limits are -inf. Sizes 1 to 3 are exact: the
-    normal CDF, or :func:`log_orthant_probs` on the standardized limits, to
-    about 1e-12 relative. From m = 4 on, each block is factored by Genz's
-    ordered Cholesky and the group runs the transformed quasi-Monte Carlo
-    rule on the size's shared stream (see the module docstring). There a
+    ``mean`` and ``upper`` are (B, m) and ``cov`` is (B, m, m), for any
+    m >= 1; all lower limits are -inf. Sizes 1 to 3 are exact: the normal
+    CDF, or :func:`log_orthant_probs` on the standardized limits, to about
+    1e-12 relative. From m = 4 on, with no upper size cap, each block is
+    factored by Genz's ordered Cholesky and the group runs the transformed
+    quasi-Monte Carlo rule on the size's shared stream, drawn from copies of
+    its cached scrambled engines (see the module docstring). There a
     block stops once its error estimate, three standard errors over the
     scrambles, is at most ``tol`` times its probability, or at 32,768
     points per scramble (``_MAX_POINTS``), when it is flagged exhausted. With
@@ -510,9 +504,8 @@ def mvn_rect_probs(mean, cov, upper, tol=MVN_TOL, seed=0, fixed=False):
         raise DimensionError("mean, cov and upper dimensions do not match")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if not 1 <= m <= MAX_DIM:
-        exc = DimensionError(f"{m} censored measures are outside the supported 1 to {MAX_DIM}")
-        return None, (0, exc)
+    if m < 1:
+        return None, (0, DimensionError("a censored block needs at least one measure"))
 
     var = np.diagonal(cov, axis1=1, axis2=2)
     low = np.any(var < VARIANCE_FLOOR, axis=1)

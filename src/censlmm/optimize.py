@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import quadrature
 from .data import build_designs
 from .errors import CensLmmError, GradientError, OptimizationStall
 from .likelihood import (
@@ -308,26 +307,6 @@ def _score_gradient(evaluate, spec):
     return gradient
 
 
-def _agq_fit_order(ev, theta):
-    """The GH order of an AGQ fit from ``theta``: the pinned one, or the one whose total the rule accepted.
-
-    The doubling rule returns its order k with the total at 2k, and the fit
-    runs at 2k, capped per q. The score is the quadrature of the Fisher
-    identity, not the derivative of the quadrature total, and the two agree
-    only as the order grows. On the 50 x 5 benchmark data the rule picks
-    k = 10. At the optimum of the order-10 total, the order-10 score is
-    1.2e-3 from that total's gradient, and BFGS on it stops above ``g_tol``
-    with "no progress"; at order 20 the two agree within 2e-7. A pinned
-    order is the user's, down to the Laplace order 1, whose score misses the
-    derivative of the log-determinant, so a pinned fit keeps finite
-    differences.
-    """
-    order, _ = ev.agq_order(theta)
-    if ev.options.gh_order is not None:
-        return order
-    return min(2 * order, quadrature.max_order(ev.spec.q))
-
-
 def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     """Maximum-likelihood fit of the selected formulation.
 
@@ -339,8 +318,15 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     closed-form score (``LikelihoodEvaluator.naive``/``agq``/``marginal``
     with ``score=True``), with two exceptions that take central differences
     of the values instead. The AGQ order is the one whose total the doubling
-    rule accepted at the start point, or the pinned one; an AGQ fit at a
-    pinned order keeps finite differences (:func:`_agq_fit_order` says why).
+    rule accepted at the start point (``ev.agq_order``), or the pinned one.
+    The score is the quadrature of the Fisher identity, not the derivative
+    of the quadrature total, and the two agree only as the order grows. On
+    the 50 x 5 benchmark data the rule accepts order 20, where they agree
+    within 2e-7; at order 10 they are 1.2e-3 apart at that total's optimum,
+    and BFGS on the score stops above ``g_tol`` with "no progress". A
+    pinned order is the user's, down to the Laplace order 1, whose score
+    misses the derivative of the log-determinant, so an AGQ fit at a pinned
+    order keeps finite differences.
 
     On the marginal path, censored blocks of up to three measures are exact,
     and so are their truncated moments, from which the score comes. Larger
@@ -380,9 +366,9 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
 
     gh_order = None
     if llopt.method is Method.AGQ:
-        gh_order = _agq_fit_order(ev, start_theta)
+        gh_order = ev.agq_order(start_theta)[0]
         target = lambda th, score=False: ev.agq(th, gh_order, score)
-        # a pinned order can be too low for the score: see _agq_fit_order
+        # a pinned order can be too low for the score: see the docstring
         gradient = None if llopt.gh_order is not None else _score_gradient(target, spec)
     elif llopt.method is Method.MARGINAL:
         target = lambda th, score=False: ev.marginal(th, fixed=True, score=score)

@@ -79,15 +79,16 @@ def choose_order(evaluate, qtol, max_order):
     ``evaluate(order)`` must return the quantity of interest (typically a
     total log-likelihood). The order starts at k = min(``START_ORDER``,
     max_order) and doubles while 2k <= max_order. At the first doubling that
-    changes the value by less than ``qtol``, returns ``(k, evaluate(2k))``;
-    if none does, returns ``(max_order, evaluate(max_order))``.
+    changes the value by less than ``qtol``, returns ``(2k, evaluate(2k))``;
+    if none does, returns ``(max_order, evaluate(max_order))``. Either way
+    the order returned is the one whose value is returned.
     """
     k = min(START_ORDER, max_order)
     f_k = evaluate(k)
     while 2 * k <= max_order:
         f_2k = evaluate(2 * k)
         if abs(f_2k - f_k) < qtol:
-            return k, f_2k
+            return 2 * k, f_2k
         k, f_k = 2 * k, f_2k
     if k < max_order:
         k, f_k = max_order, evaluate(max_order)

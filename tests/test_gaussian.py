@@ -12,7 +12,6 @@ from scipy.stats import qmc
 from censlmm.errors import DimensionError, NotPositiveDefiniteError
 from censlmm import gaussian
 from censlmm.gaussian import (
-    _CACHE_POINT_LIMIT,
     _genz_qmc,
     _ordered_cholesky,
     _stream_levels,
@@ -113,8 +112,9 @@ class TestRectProb:
         assert not loose.exhausted and loose.points < res.points
 
     def test_dimension_cap(self):
+        # a block needs a measure; there is no upper cap (see TestFactorOracle)
         with pytest.raises(DimensionError):
-            rect_prob(np.zeros(11), np.eye(11), np.zeros(11))
+            rect_prob(np.zeros(0), np.eye(0), np.zeros(0))
 
     def test_not_positive_definite(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -213,7 +213,7 @@ class TestNestedStreams:
         for settings in ({"tol": 1e-4}, {"fixed": True}):
             alone = [rect_prob(*(a[i] for a in blocks), seed=3, **settings) for i in range(6)]
             if "tol" in settings:
-                # six stopping levels: one past the cached prefix, one at the cap
+                # six stopping levels, one of them at the cap
                 assert len({r.points for r in alone}) == 6
                 assert [r.exhausted for r in alone] == [False] * 4 + [True, False]
             for order in orders:
@@ -226,20 +226,40 @@ class TestNestedStreams:
                         assert err[k] == pytest.approx(alone[i].err_est, abs=1e-12)
                         assert (points[k], exhausted[k]) == (alone[i].points, alone[i].exhausted)
 
-    @pytest.mark.parametrize("dim", [3, 9])
-    def test_stream_is_one_sobol_sequence(self, dim):
-        # past the cached prefix, too: its points come from fast-forwarded engines
-        n = 4 * _CACHE_POINT_LIMIT
+    @staticmethod
+    def draw(dim, n):
+        """The first n points per scramble of the (seed 5, dim) stream, drawn in levels."""
         drawn = [[] for _ in range(10)]
         for end, level in _stream_levels(5, dim, 512):
             for s, points in enumerate(level):
                 drawn[s].append(points)
             if end == n:
-                break
-        for s in range(10):
-            engine = qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng([5, dim, s]))
-            want = engine.random_base2(int(math.log2(n)))
-            np.testing.assert_array_equal(np.concatenate(drawn[s], axis=1).T, want)
+                return [np.concatenate(d, axis=1).T for d in drawn]
+
+    @staticmethod
+    def sobol(dim, n):
+        """The same points from fresh engines, in one draw per scramble."""
+        return [qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng([5, dim, s]))
+                .random_base2(int(math.log2(n))) for s in range(10)]
+
+    @pytest.mark.parametrize("dim", [3, 9])
+    def test_stream_is_one_sobol_sequence(self, dim):
+        # up to the most points an adaptive block takes
+        n = 32768
+        for got, want in zip(self.draw(dim, n), self.sobol(dim, n)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_abandoned_stream_leaves_the_cached_engines_unmoved(self):
+        # a group that stops after its first level leaves its stream there;
+        # the next stream of that dimension starts again at the first point
+        levels = _stream_levels(5, 4, 512)
+        _, first = next(levels)
+        abandoned = list(first)
+        levels.close()
+        again = self.draw(4, 1024)
+        for s, want in enumerate(self.sobol(4, 1024)):
+            np.testing.assert_array_equal(abandoned[s].T, want[:512])
+            np.testing.assert_array_equal(again[s], want)
 
     def test_capped_block_uses_the_largest_set(self):
         cov = np.eye(4) + 0.4 * (np.ones((4, 4)) - np.eye(4))
@@ -277,9 +297,9 @@ def factor_oracle(loadings, unique, upper, order=64):
 
 
 class TestFactorOracle:
-    # (m, shift of the limits): three central blocks, then deep tails with p < 1e-6
-    @pytest.mark.parametrize("m,shift", [(4, 0.3), (7, 0.6), (10, 1.0),
-                                         (4, -2.5), (7, -1.2), (10, -1.0)])
+    # (m, shift of the limits): four central blocks, then deep tails with p < 1e-6
+    @pytest.mark.parametrize("m,shift", [(4, 0.3), (7, 0.6), (10, 1.0), (12, 1.0),
+                                         (4, -2.5), (7, -1.2), (10, -1.0), (16, -0.8)])
     def test_adaptive_qmc_within_its_error_estimate(self, m, shift):
         rng = np.random.default_rng([m, 0])
         loadings = 0.6 * rng.normal(size=(m, 2))

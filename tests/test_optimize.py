@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from censlmm.data import MODEL_TEMPLATES, intercept_slope_model
+from censlmm.data import MODEL_TEMPLATES, Dataset, intercept_slope_model
 from censlmm.errors import EvaluationError, GradientError
 from censlmm.likelihood import (
     LikelihoodEvaluator,
@@ -19,7 +19,6 @@ from censlmm.likelihood import (
 from censlmm import optimize
 from censlmm.optimize import (
     OptConfig,
-    _agq_fit_order,
     _natural_jacobian,
     _wrap_objective,
     fd_gradient,
@@ -30,6 +29,7 @@ from censlmm.optimize import (
     score_hessian,
 )
 from censlmm.simulate import SimConfig, simulate, default_truth
+from conftest import make_subject
 
 
 def rosenbrock_neg(x):
@@ -338,13 +338,26 @@ class TestFitModel:
         # the trace's last value, not a second evaluation
         assert res.loglik == LikelihoodEvaluator(small_dataset, is_spec).naive(res.theta_hat)
 
-    def test_failure_at_start_names_the_subject(self, is_spec, truth):
-        # subject 6 has all 12 measures censored, above the 10 a block supports
-        d = simulate(SimConfig(n_subjects=20, n_per_subject=12, truth=truth,
-                               target_censoring=0.4, seed=1))
-        with pytest.raises(EvaluationError, match="subject 6: 12 censored") as err:
-            fit_model(d, is_spec, LogLikOptions(method=Method.MARGINAL), OptConfig())
-        assert err.value.subject_id == "6"
+    def test_failure_at_start_names_the_subject(self, is_spec):
+        # with G = 0 and sigma_e = 1e-7 the censored variance of "late",
+        # 1e-14, is below the floor at the start
+        d = Dataset(subjects=(
+            make_subject("observed", [0.0, 1.0, 2.0], [3.1, 3.6, 4.0], [1, 1, 1], 2.5),
+            make_subject("late", [0.0, 1.0, 2.0], [3.0, 3.4, 2.5], [1, 1, 0], 2.5),
+        ))
+        start = Theta([3.0, 0.5], np.zeros((2, 2)), [1e-7])
+        with pytest.raises(EvaluationError, match="^subject late: ") as err:
+            fit_model(d, is_spec, LogLikOptions(method=Method.MARGINAL), OptConfig(start=start))
+        assert err.value.subject_id == "late"
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP defect 4: the order-64 AGQ score fit stops "
+                                           "on a failed line search far from the optimum")
+    def test_agq_fit_converges_on_twelve_measures(self, is_spec, truth):
+        # the pinned order-64 fit on finite differences converges to -40.746559
+        d = simulate(SimConfig(n_subjects=8, n_per_subject=12, truth=truth,
+                               target_censoring=0.6, seed=1))
+        res = fit_model(d, is_spec, LogLikOptions(method=Method.AGQ), OptConfig())
+        assert res.converged and res.loglik > -40.75
 
     def test_laplace_fit_converges(self, is_spec, benchmark_dataset):
         # with the closed-form mode search the order-1 objective is smooth;
@@ -386,7 +399,7 @@ class TestScoreFits:
         objective = wrapped(ev.naive)
         if method is Method.AGQ:
             x0, _ = quasi_newton_maximize(objective, x0)
-            order = _agq_fit_order(ev, theta_from_vector(x0, spec))
+            order = ev.agq_order(theta_from_vector(x0, spec))[0]
             objective = wrapped(lambda theta: ev.agq(theta, order))
         elif method is Method.MARGINAL:
             x0, _ = quasi_newton_maximize(objective, x0)

@@ -219,7 +219,7 @@ class TestChooseOrder:
     def test_stops_at_agreement(self):
         values = {10: 1.00, 20: 1.10, 40: 1.10 + 1e-9}
         order, value = choose_order(lambda k: values[k], qtol=1e-6, max_order=40)
-        assert (order, value) == (20, values[40])
+        assert (order, value) == (40, values[40])
 
     def test_caps_at_max_order(self):
         order, value = choose_order(lambda k: float(k), qtol=1e-6, max_order=40)

@@ -14,7 +14,7 @@ from censlmm.data import MODEL_TEMPLATES, Dataset
 from censlmm.errors import GradientError
 from censlmm.gaussian import EXACT_DIM
 from censlmm.likelihood import LikelihoodEvaluator, Theta, theta_from_vector, theta_to_vector
-from censlmm.optimize import _agq_fit_order, _score_gradient
+from censlmm.optimize import _score_gradient
 from censlmm.simulate import SimConfig, default_truth, simulate
 from conftest import make_subject
 
@@ -109,7 +109,7 @@ AGQ_CASES = ([("50x5",) + case for case in CASES]
 def test_agq_score_matches_richardson_at_the_fit_order(request, data, model, where):
     spec, x = point(model, where)
     ev = LikelihoodEvaluator(datasets(request, data), spec)
-    order = _agq_fit_order(ev, theta_from_vector(x, spec))
+    order = ev.agq_order(theta_from_vector(x, spec))[0]
     evaluate = lambda theta, score=False: ev.agq(theta, order, score)  # noqa: E731
     grad = _score_gradient(evaluate, spec)(x)
     oracle = richardson_gradient(lambda z: evaluate(theta_from_vector(z, spec)), x)
