@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -553,9 +554,11 @@ def test_qmc_record_reports_exhausted_blocks(is_spec, truth):
     d = simulate(SimConfig(n_subjects=100, n_per_subject=10, truth=truth,
                            target_censoring=0.5, seed=7))
     ev = LikelihoodEvaluator(d, is_spec)
-    # pinned: a change to the QMC streams or rule moves this total
-    assert ev.marginal(truth) == pytest.approx(-602.1559563319042, abs=1e-9)
+    # pinned, bit for bit: a change to the QMC streams or rule moves this total
+    assert ev.marginal(truth) == -602.1559563319042
     record = ev.qmc_record
+    # the 17 subjects censored at all ten times are one block, integrated once
+    assert record.integrated == record.blocks - 16 == 49
     alone = [block_alone(block, LogLikOptions())
              for _, _, block in dense_terms(d, is_spec, truth)
              if block is not None and block[0].size >= 4]
@@ -639,3 +642,109 @@ def test_options_reject_values_without_a_meaning(settings):
     # gh_order is the pin, so a qtol <= 0 has no meaning
     with pytest.raises(ValueError):
         LogLikOptions(**settings)
+
+
+def _renamed(subject, sid):
+    return SubjectData(sid, tuple(dataclasses.replace(o, subject_id=sid)
+                                  for o in subject.observations))
+
+
+def _with_copies(dataset, subject, k):
+    """``dataset`` with k copies of ``subject`` appended under new ids."""
+    copies = tuple(_renamed(subject, f"{subject.subject_id}-copy-{i}") for i in range(k))
+    return Dataset(subjects=dataset.subjects + copies)
+
+
+def _scores_agree(actual, expected):
+    assert actual == pytest.approx(expected, rel=1e-12, abs=1e-12 * np.max(np.abs(expected)))
+
+
+class TestTwinsAreIntegratedOnce:
+    """Subjects with byte-identical rows share one integral on each path."""
+
+    K = 3
+
+    def _evaluators(self, dataset, spec, subject):
+        """Evaluators of the data, of the subject alone and of the data with K copies of it."""
+        alone = Dataset(subjects=(subject,))
+        more = _with_copies(dataset, subject, self.K)
+        return [LikelihoodEvaluator(d, spec) for d in (dataset, alone, more)]
+
+    def test_copies_add_their_own_term(self, censored_20x8, is_spec, truth):
+        base = LikelihoodEvaluator(censored_20x8, is_spec)
+        # a subject with a QMC block (m >= 4) and no twin of its own
+        s = next(s for s in range(base.n_cens.size)
+                 if base.n_cens[s] >= 4 and np.count_nonzero(base.twin == s) == 1)
+        evs = self._evaluators(censored_20x8, is_spec, censored_20x8.subjects[s])
+        more = evs[2]
+        assert np.array_equal(more.twin[-self.K:], [s] * self.K)
+        for fixed in (False, True):
+            (total, record), (term, alone), (grown, grown_record) = [
+                (ev.marginal(truth, fixed), ev.qmc_record) for ev in evs]
+            assert grown == pytest.approx(total + self.K * term, rel=1e-12)
+            assert grown_record.blocks == record.blocks + self.K
+            assert grown_record.points == record.points + self.K * alone.points
+            assert grown_record.integrated == record.integrated
+        total, term, grown = [ev.agq(truth, 20) for ev in evs]
+        assert grown == pytest.approx(total + self.K * term, rel=1e-12)
+        (total, score), (term, own), (grown, grown_score) = [
+            ev.agq(truth, 20, score=True) for ev in evs]
+        assert grown == pytest.approx(total + self.K * term, rel=1e-12)
+        _scores_agree(grown_score, score + self.K * own)
+
+    def test_copies_add_their_own_marginal_score(self, benchmark_dataset, is_spec, truth):
+        base = LikelihoodEvaluator(benchmark_dataset, is_spec)
+        assert base.marginal_has_score
+        s = int(np.argmax(base.n_cens))
+        assert base.n_cens[s] == 3
+        (total, score), (term, own), (grown, grown_score) = [
+            ev.marginal(truth, score=True)
+            for ev in self._evaluators(benchmark_dataset, is_spec, benchmark_dataset.subjects[s])]
+        assert grown == pytest.approx(total + self.K * term, rel=1e-12)
+        _scores_agree(grown_score, score + self.K * own)
+
+    def test_near_twin_is_integrated_apart(self, is_spec, truth):
+        # "b" repeats "a"; "c" moves one detection limit by one ulp
+        a = make_subject("a", range(5), [2.5, 2.5, 2.5, 2.5, 4.0], [0, 0, 0, 0, 1], 2.5)
+        limit = float(np.nextafter(2.5, 3.0))
+        c = SubjectData("c", (dataclasses.replace(a.observations[0], subject_id="c",
+                                                  response=limit, threshold=limit),)
+                        + _renamed(a, "c").observations[1:])
+        ev = LikelihoodEvaluator(Dataset(subjects=(a, _renamed(a, "b"), c)), is_spec)
+        assert np.array_equal(ev.twin, [0, 0, 2])
+        assert np.array_equal(ev.agq_twins[0], [0, 2])
+        ev.marginal(truth)
+        assert (ev.qmc_record.blocks, ev.qmc_record.integrated) == (3, 2)
+
+    def test_failing_twin_class_names_its_first_subject(self):
+        # "pair" and "pair-copy" are twins; between them sits "between",
+        # whose rows evaluate. Only the twins have marker-2 rows, so a
+        # theta that breaks marker 2 breaks only their class.
+        spec = bivariate_model()
+
+        def subject(sid, markers, observed):
+            return SubjectData(sid, tuple(
+                Observation(sid, float(j), 3.0 + 0.1 * j if o else 2.9, bool(o), 2.9, marker=mk)
+                for j, (mk, o) in enumerate(zip(markers, observed))))
+
+        pair = subject("pair", [1, 2, 2], [1, 0, 0])
+        d = Dataset(subjects=(
+            subject("first", [1, 1], [1, 0]), pair, subject("between", [1, 1, 1], [0, 1, 0]),
+            _renamed(pair, "pair-copy"),
+        ))
+        ev = LikelihoodEvaluator(d, spec)
+        assert np.array_equal(ev.twin, [0, 1, 2, 1])
+        truth = default_truth("biv")
+        # G = 0 and a marker-2 residual variance of 1e-14, below the floor
+        flat = Theta(truth.beta, np.zeros((4, 4)), [truth.sigma_e[0], 1e-7])
+        with pytest.raises(EvaluationError, match="^subject pair: ") as err:
+            ev.marginal(flat)
+        assert err.value.subject_id == "pair"
+        assert isinstance(err.value.__cause__, NotPositiveDefiniteError)
+        # a marker-2 intercept of 1e200 leaves the twins' mode search no finite start
+        far = Theta(np.array([3.0, 0.5, 1e200, 0.3]), truth.chol, truth.sigma_e)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(EvaluationError, match="^subject pair: ") as err:
+            ev.agq(far, 10)
+        assert err.value.subject_id == "pair"
+        assert isinstance(err.value.__cause__, ModeSearchError)
