@@ -5,13 +5,18 @@ of observations.  A measurement is either observed (indicator 1) or
 left-censored at its detection limit (indicator 0), in which case only the
 limit enters any likelihood; the stored response is just a placeholder.
 All containers are immutable after construction.
+
+A model template (:class:`ModelSpec`) is data: the number of markers,
+whether each has a slope in time, and the names of the fixed covariates.
+:func:`design_matrices` builds the fixed- and random-effect design matrices
+X and Z of many rows at once from their time, marker and covariate columns.
 """
 
 import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +46,7 @@ class Observation:
         if not self.is_observed and not math.isfinite(self.threshold):
             raise ValueError(f"subject {self.subject_id}: censored measure lacks a finite threshold")
         if self.marker < 1:
-            raise ValueError("marker stratum index is 1-based")
+            raise ValueError(f"subject {self.subject_id}: marker stratum index is 1-based")
 
 
 @dataclass(frozen=True)
@@ -102,21 +107,42 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Design rules mapping an observation to fixed- and random-effect rows."""
+    """A model template as data: the columns of the design matrices.
 
-    p: int
-    q: int
-    fixed_design: Callable
-    random_design: Callable
-    fixed_names: tuple
-    random_names: tuple
+    Each of ``n_strata`` markers has its own intercept, with ``slope`` its
+    own slope in time, and its own residual stratum. A row of marker k
+    fills only its marker's columns of Z, from column (k - 1)(1 + slope):
+    1, then with ``slope`` the row's time. X is Z followed by one column
+    per name in ``covariates``, shared fixed effects that take the row's
+    first covariates in order.
+    """
+
+    slope: bool
     n_strata: int = 1
+    covariates: tuple = ()
 
     def __post_init__(self):
         if not 1 <= self.q <= 4:
             raise ValueError("between 1 and 4 random effects are supported")
-        if len(self.fixed_names) != self.p or len(self.random_names) != self.q:
-            raise ValueError("design names do not match dimensions")
+
+    @cached_property
+    def q(self):
+        return self.n_strata * (1 + self.slope)
+
+    @cached_property
+    def p(self):
+        return self.q + len(self.covariates)
+
+    @cached_property
+    def random_names(self):
+        effects = ("intercept", "slope") if self.slope else ("intercept",)
+        if self.n_strata == 1:
+            return effects
+        return tuple(f"{e}_{k}" for k in range(1, self.n_strata + 1) for e in effects)
+
+    @cached_property
+    def fixed_names(self):
+        return self.random_names + tuple(self.covariates)
 
 
 # ---------------------------------------------------------------------------
@@ -124,89 +150,23 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _with_covariates(row, obs, n_extra):
-    if n_extra == 0:
-        return row
-    if len(obs.covariates) < n_extra:
-        raise DimensionError(
-            f"subject {obs.subject_id}: {len(obs.covariates)} covariates, {n_extra} required"
-        )
-    return row + tuple(obs.covariates[:n_extra])
-
-
 def random_intercept_model(covariates=()):
     """Fixed and random intercept only; optional extra fixed covariates."""
-    n_extra = len(covariates)
-
-    def fixed(obs):
-        return _with_covariates((1.0,), obs, n_extra)
-
-    def random(obs):
-        return (1.0,)
-
-    return ModelSpec(
-        p=1 + n_extra,
-        q=1,
-        fixed_design=fixed,
-        random_design=random,
-        fixed_names=("intercept",) + tuple(covariates),
-        random_names=("intercept",),
-    )
+    return ModelSpec(slope=False, covariates=tuple(covariates))
 
 
 def intercept_slope_model(covariates=()):
     """Fixed and random intercept and slope in time; optional extra fixed covariates."""
-    n_extra = len(covariates)
-
-    def fixed(obs):
-        return _with_covariates((1.0, obs.time), obs, n_extra)
-
-    def random(obs):
-        return (1.0, obs.time)
-
-    return ModelSpec(
-        p=2 + n_extra,
-        q=2,
-        fixed_design=fixed,
-        random_design=random,
-        fixed_names=("intercept", "slope") + tuple(covariates),
-        random_names=("intercept", "slope"),
-    )
+    return ModelSpec(slope=True, covariates=tuple(covariates))
 
 
 def bivariate_model(covariates=()):
     """Two markers, each with its own intercept/slope pair and residual stratum.
 
-    Design rows are zero-padded so a row only activates the columns of its
-    own marker; covariates (if any) are shared linear fixed effects.
+    A row only fills the columns of its own marker; covariates (if any) are
+    shared linear fixed effects.
     """
-    n_extra = len(covariates)
-
-    def fixed(obs):
-        if obs.marker == 1:
-            row = (1.0, obs.time, 0.0, 0.0)
-        elif obs.marker == 2:
-            row = (0.0, 0.0, 1.0, obs.time)
-        else:
-            raise DimensionError(f"marker {obs.marker} outside the bivariate template")
-        return _with_covariates(row, obs, n_extra)
-
-    def random(obs):
-        if obs.marker == 1:
-            return (1.0, obs.time, 0.0, 0.0)
-        if obs.marker == 2:
-            return (0.0, 0.0, 1.0, obs.time)
-        raise DimensionError(f"marker {obs.marker} outside the bivariate template")
-
-    return ModelSpec(
-        p=4 + n_extra,
-        q=4,
-        fixed_design=fixed,
-        random_design=random,
-        fixed_names=("intercept_1", "slope_1", "intercept_2", "slope_2") + tuple(covariates),
-        random_names=("intercept_1", "slope_1", "intercept_2", "slope_2"),
-        n_strata=2,
-    )
+    return ModelSpec(slope=True, n_strata=2, covariates=tuple(covariates))
 
 
 MODEL_TEMPLATES = {
@@ -221,22 +181,50 @@ MODEL_TEMPLATES = {
 # ---------------------------------------------------------------------------
 
 
+def design_matrices(spec, time, marker, covariates, subject):
+    """X (n x p) and Z (n x q) of n rows given as columns, in the layout of ``spec``.
+
+    ``time`` and ``marker`` are (n,) arrays. ``covariates`` yields each
+    row's covariate tuple; it is read only when the model has covariates.
+    ``subject[i]`` is row i's subject id, read only to name the subject of
+    a bad row: a marker outside 1..``n_strata``, or fewer covariates than
+    the model has.
+    """
+    bad = np.flatnonzero((marker < 1) | (marker > spec.n_strata))
+    if bad.size:
+        i, plural = bad[0], "s" if spec.n_strata > 1 else ""
+        raise DimensionError(
+            f"subject {subject[i]}: marker {marker[i]}, the model has {spec.n_strata} marker{plural}"
+        )
+    n, q, k = marker.shape[0], spec.q, len(spec.covariates)
+    rows, first = np.arange(n), (marker - 1) * (1 + spec.slope)
+    x = np.zeros((n, spec.p))
+    x[rows, first] = 1.0
+    if spec.slope:
+        x[rows, first + 1] = time
+    if k:
+        covariates = list(covariates)
+        counts = np.fromiter(map(len, covariates), int, n)
+        short = np.flatnonzero(counts < k)
+        if short.size:
+            i = short[0]
+            raise DimensionError(f"subject {subject[i]}: {counts[i]} covariates, {k} required")
+        x[:, q:] = [c[:k] for c in covariates]
+    return x, x[:, :q].copy()
+
+
 def build_designs(observations, spec):
     """X (n x p) and Z (n x q) of a sequence of observations, rows in input order.
 
-    The only code that runs the design rules of ``spec``.
+    Reads each column of the observations once, for :func:`design_matrices`.
     """
-    x_rows, z_rows = [], []
-    for obs in observations:
-        fr = tuple(spec.fixed_design(obs))
-        zr = tuple(spec.random_design(obs))
-        if len(fr) != spec.p or len(zr) != spec.q:
-            raise DimensionError(
-                f"design rule returned {len(fr)}/{len(zr)} entries, expected {spec.p}/{spec.q}"
-            )
-        x_rows.append(fr)
-        z_rows.append(zr)
-    return np.array(x_rows, dtype=float), np.array(z_rows, dtype=float)
+    return design_matrices(
+        spec,
+        np.array([o.time for o in observations], dtype=float),
+        np.array([o.marker for o in observations], dtype=int),
+        (o.covariates for o in observations),
+        [o.subject_id for o in observations],
+    )
 
 
 @dataclass(frozen=True)

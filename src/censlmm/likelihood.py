@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import log_ndtr, logsumexp
 
 from . import quadrature
-from .data import build_designs
+from .data import design_matrices
 from .errors import (
     DimensionError,
     EvaluationError,
@@ -434,11 +434,12 @@ class LikelihoodEvaluator:
     """Evaluates the three likelihood paths on one long-format layout.
 
     All subjects' rows are stacked once, in one pass, in flat arrays: designs
-    ``x`` and ``z`` (one :func:`data.build_designs` call), responses ``y``
-    (the detection limit on a censored row), ``strata`` and the ``observed``
-    mask. Subject ``s`` owns rows ``start[s]:start[s + 1]``, its ``n_obs[s]``
-    observed rows first and then its ``n_cens[s]`` censored ones, each group
-    in input order; ``cens_blocks`` groups the censored blocks by size. One
+    ``x`` and ``z`` (one :func:`data.design_matrices` call on the rows'
+    time, marker and covariate columns), responses ``y`` (the detection
+    limit on a censored row), ``strata`` and the ``observed`` mask. Subject
+    ``s`` owns rows ``start[s]:start[s + 1]``, its ``n_obs[s]`` observed
+    rows first and then its ``n_cens[s]`` censored ones, each group in input
+    order; ``cens_blocks`` groups the censored blocks by size. One
     evaluator serves every evaluation of a fit, and every path reads its
     Gaussian moments from :meth:`_posterior`.
 
@@ -470,13 +471,16 @@ class LikelihoodEvaluator:
         self.start = np.concatenate([[0], np.cumsum(sizes)])
         self.row_subject = np.repeat(np.arange(sizes.size), sizes)
         observed = np.array([o.is_observed for o in rows])
+        marker = np.array([o.marker for o in rows], dtype=int)
+        x, z = design_matrices(spec, np.array([o.time for o in rows]), marker,
+                               (o.covariates for o in rows),
+                               np.array(self.subject_ids, dtype=object)[self.row_subject])
         # each subject's observed rows first; lexsort is stable, so each group keeps input order
         order = np.lexsort((~observed, self.row_subject))
-        x, z = build_designs(rows, spec)
         self.x, self.z = x[order], z[order]
         self.y = np.array([o.response if o.is_observed else o.threshold for o in rows])[order]
         self.observed = observed[order]
-        self.strata = np.array([o.marker - 1 for o in rows], dtype=int)[order]
+        self.strata = (marker - 1)[order]
         self.n_obs = np.add.reduceat(self.observed.astype(int), self.start[:-1])
         self.n_cens = sizes - self.n_obs
         # per block size m: (m, the blocks' subjects, their (B, m) indexes among the censored rows)
@@ -487,10 +491,6 @@ class LikelihoodEvaluator:
             self.cens_blocks.append((m, blocks, first[blocks][:, None] + np.arange(m)))
         # the marginal score needs every block's truncated moments in closed form
         self.marginal_has_score = all(m <= EXACT_DIM for m, _, _ in self.cens_blocks)
-        bad = np.flatnonzero(self.strata >= spec.n_strata)
-        if bad.size:
-            sid = self.subject_ids[self.row_subject[bad[0]]]
-            raise DimensionError(f"subject {sid}: marker exceeds residual strata")
         self.qmc_record = QmcRecord()
 
     # -- twins ----------------------------------------------------------------

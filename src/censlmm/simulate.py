@@ -5,6 +5,11 @@ effects plus independent residuals) on a fixed measurement schedule, then
 flags every response below the detection limit as censored, storing the limit
 as the placeholder response.  A target censoring fraction can be converted
 into a limit by bisection on the exact marginal normal probabilities.
+
+Every subject shares the schedule's design rows: each marker of the model
+at every time, built once by ``data.design_matrices`` from the schedule's
+times and markers.  The simulator draws no covariates, so a model with
+covariates is a ``DimensionError``.
 """
 
 import math
@@ -12,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (Dataset, ModelSpec, Observation, SubjectData, build_designs,
+from .data import (Dataset, ModelSpec, Observation, SubjectData, design_matrices,
                    intercept_slope_model)
-from .errors import InvalidParameterError
+from .errors import DimensionError, InvalidParameterError
 from .likelihood import Theta
 
 
@@ -82,10 +87,11 @@ class SimConfig:
 
 def _schedule_designs(spec, times):
     """X and Z rows of the measurement schedule: markers in order, each at every time in order."""
-    templates = [Observation(subject_id="_", time=float(t), response=0.0, is_observed=True,
-                             marker=marker)
-                 for marker in range(1, spec.n_strata + 1) for t in times]
-    return build_designs(templates, spec)
+    if spec.covariates:
+        raise DimensionError(f"the simulator draws no covariates; the model has "
+                             f"{len(spec.covariates)}")
+    markers = np.repeat(np.arange(1, spec.n_strata + 1), len(times))
+    return design_matrices(spec, np.tile(times, spec.n_strata), markers, (), ())
 
 
 def _schedule_moments(truth, times, spec):

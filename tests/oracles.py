@@ -13,6 +13,9 @@ library also computes, by a separate and plainer route:
 - :func:`marginal_moments`, :func:`conditional_moments` and
   :func:`mvn_logpdf`, the dense per-subject Gaussian moments, where the
   evaluator works on the r x r posterior of the random effects.
+- :func:`design_rows`, the design matrices X and Z of a sequence of
+  observations, one row at a time by the per-row rules of the three model
+  templates, where the library builds them from whole columns.
 - :func:`partition_subject` and :func:`subject_layout`, a subject's
   observed and censored rows and the evaluator's flat row layout built
   subject by subject, where the evaluator builds it in one pass.
@@ -274,6 +277,44 @@ def conditional_moments(mu, v, obs_idx, cens_idx, y_obs):
     v_c = v_cc - gain @ v_co.T
     v_c = 0.5 * (v_c + v_c.T)
     return mu_c, v_c
+
+
+# ---------------------------------------------------------------------------
+# Design rows, observation by observation
+# ---------------------------------------------------------------------------
+
+
+def _with_covariates(row, obs, n_extra):
+    if n_extra == 0:
+        return row
+    if len(obs.covariates) < n_extra:
+        raise DimensionError(
+            f"subject {obs.subject_id}: {len(obs.covariates)} covariates, {n_extra} required"
+        )
+    return row + tuple(obs.covariates[:n_extra])
+
+
+def _template_rows(obs, spec):
+    """(fixed row, random row) of one observation under the ri, is or biv template."""
+    if spec.n_strata == 1:
+        random = (1.0, obs.time) if spec.slope else (1.0,)
+    elif spec.slope and spec.n_strata == 2:
+        if obs.marker == 1:
+            random = (1.0, obs.time, 0.0, 0.0)
+        elif obs.marker == 2:
+            random = (0.0, 0.0, 1.0, obs.time)
+        else:
+            raise DimensionError(f"marker {obs.marker} outside the bivariate template")
+    else:
+        raise ValueError("not one of the three model templates")
+    return _with_covariates(random, obs, len(spec.covariates)), random
+
+
+def design_rows(observations, spec):
+    """X (n x p) and Z (n x q) of a sequence of observations, one row at a time."""
+    rows = [_template_rows(obs, spec) for obs in observations]
+    return (np.array([fixed for fixed, _ in rows], dtype=float),
+            np.array([random for _, random in rows], dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from censlmm.data import (
     CsvSchema,
     Dataset,
+    ModelSpec,
     Observation,
     SubjectData,
     bivariate_model,
@@ -16,8 +17,9 @@ from censlmm.data import (
     write_long_csv,
 )
 from censlmm.errors import DimensionError, ParseError, SchemaError
+from censlmm.likelihood import LikelihoodEvaluator
 from conftest import make_subject
-from oracles import partition_subject
+from oracles import design_rows, partition_subject
 
 
 def write_rows(path, header, rows):
@@ -46,6 +48,10 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match=message):
             Observation(subject_id="a", time=time, response=1.0, is_observed=True,
                         covariates=covariates)
+
+    def test_marker_below_one_names_its_subject(self):
+        with pytest.raises(ValueError, match="subject a: marker stratum index is 1-based"):
+            Observation(subject_id="a", time=0.0, response=1.0, is_observed=True, marker=0)
 
     def test_subject_counts(self):
         s = make_subject("a", [0, 1, 2], [3.0, 2.0, 4.0], [1, 0, 1], threshold=2.5)
@@ -88,6 +94,13 @@ class TestPartition:
             assert set(obs).isdisjoint(cens)
 
 
+def _with_good_subject(subject, covariates=()):
+    """A dataset of a valid subject "z" followed by ``subject``."""
+    good = Observation(subject_id="z", time=0.0, response=1.0, is_observed=True,
+                       covariates=covariates)
+    return Dataset(subjects=(SubjectData(subject_id="z", observations=(good,)), subject))
+
+
 class TestBuildDesigns:
     def test_intercept_slope_rows(self):
         spec = intercept_slope_model()
@@ -124,8 +137,70 @@ class TestBuildDesigns:
         spec = intercept_slope_model(covariates=("age",))
         obs = Observation(subject_id="a", time=1.0, response=2.0, is_observed=True)
         s = SubjectData(subject_id="a", observations=(obs,))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="subject a: 0 covariates, 1 required"):
             build_designs(s.observations, spec)
+        with pytest.raises(DimensionError, match="subject a: 0 covariates, 1 required"):
+            LikelihoodEvaluator(_with_good_subject(s, covariates=(34.0,)), spec)
+
+    @pytest.mark.parametrize("template,marker", [
+        (bivariate_model, 3),
+        (intercept_slope_model, 2),
+        (random_intercept_model, 2),
+    ])
+    def test_marker_beyond_the_template_names_its_subject(self, template, marker):
+        spec = template()
+        obs = Observation(subject_id="a", time=1.0, response=2.0, is_observed=True, marker=marker)
+        s = SubjectData(subject_id="a", observations=(obs,))
+        with pytest.raises(DimensionError, match=f"subject a: marker {marker}"):
+            build_designs(s.observations, spec)
+        with pytest.raises(DimensionError, match=f"subject a: marker {marker}"):
+            LikelihoodEvaluator(_with_good_subject(s), spec)
+
+    @pytest.mark.parametrize("covariates", [(), ("age", "dose")])
+    @pytest.mark.parametrize("template", [random_intercept_model, intercept_slope_model,
+                                          bivariate_model])
+    def test_rows_match_the_per_row_oracle_byte_for_byte(self, template, covariates):
+        spec = template(covariates=covariates)
+        rng = np.random.default_rng(21)
+        n = 200
+        times = rng.uniform(-3.0, 5.0, n)
+        times[:4] = (-0.0, 0.0, -3.0, 5.0)
+        markers = np.concatenate([np.arange(1, spec.n_strata + 1),
+                                  rng.integers(1, spec.n_strata + 1, n - spec.n_strata)])
+        rows = [Observation(subject_id=str(i % 7), time=float(t), response=1.0, is_observed=True,
+                            marker=int(m),
+                            covariates=tuple(rng.normal(0.0, 10.0, int(rng.integers(2, 4)))))
+                for i, (t, m) in enumerate(zip(times, markers))]
+        x, z = build_designs(rows, spec)
+        x_ref, z_ref = design_rows(rows, spec)
+        assert (x.dtype, x.shape) == (x_ref.dtype, x_ref.shape)
+        assert (z.dtype, z.shape) == (z_ref.dtype, z_ref.shape)
+        assert x.tobytes() == x_ref.tobytes()
+        assert z.tobytes() == z_ref.tobytes()
+
+    @pytest.mark.parametrize("template,covariates,p,q,n_strata,fixed_names,random_names", [
+        (random_intercept_model, (), 1, 1, 1, ("intercept",), ("intercept",)),
+        (random_intercept_model, ("age", "dose"), 3, 1, 1, ("intercept", "age", "dose"),
+         ("intercept",)),
+        (intercept_slope_model, (), 2, 2, 1, ("intercept", "slope"), ("intercept", "slope")),
+        (intercept_slope_model, ("age", "dose"), 4, 2, 1, ("intercept", "slope", "age", "dose"),
+         ("intercept", "slope")),
+        (bivariate_model, (), 4, 4, 2, ("intercept_1", "slope_1", "intercept_2", "slope_2"),
+         ("intercept_1", "slope_1", "intercept_2", "slope_2")),
+        (bivariate_model, ("age", "dose"), 6, 4, 2,
+         ("intercept_1", "slope_1", "intercept_2", "slope_2", "age", "dose"),
+         ("intercept_1", "slope_1", "intercept_2", "slope_2")),
+    ])
+    def test_template_dimensions_and_names(self, template, covariates, p, q, n_strata,
+                                           fixed_names, random_names):
+        spec = template(covariates=covariates)
+        assert (spec.p, spec.q, spec.n_strata) == (p, q, n_strata)
+        assert spec.fixed_names == fixed_names
+        assert spec.random_names == random_names
+
+    def test_more_than_four_random_effects_rejected(self):
+        with pytest.raises(ValueError, match="between 1 and 4 random effects"):
+            ModelSpec(slope=True, n_strata=3)
 
     def test_dimensions_on_random_subjects(self):
         rng = np.random.default_rng(4)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from censlmm.data import MODEL_TEMPLATES, bivariate_model, write_long_csv
+from censlmm.data import MODEL_TEMPLATES, bivariate_model, intercept_slope_model, write_long_csv
+from censlmm.errors import DimensionError
 from censlmm.likelihood import LogLikOptions, Theta
 from censlmm.simulate import SimConfig, calibrate_threshold, default_truth, simulate
 
@@ -111,6 +112,13 @@ class TestSimulate:
         assert d.n_rows == 4 * 3 * 2
         markers = {o.marker for s in d.subjects for o in s.observations}
         assert markers == {1, 2}
+
+    def test_model_with_covariates_rejected(self):
+        spec = intercept_slope_model(covariates=("age",))
+        truth = Theta.from_moments([3.0, 0.5, 0.1], [[0.5, -0.1], [-0.1, 0.1]], [0.45])
+        config = SimConfig(n_subjects=2, n_per_subject=3, truth=truth, threshold=0.0, model=spec)
+        with pytest.raises(DimensionError, match="draws no covariates"):
+            simulate(config)
 
 
 @pytest.mark.parametrize("n_subjects,n_per_subject,target,seed,n_censored,digest", [
