@@ -13,7 +13,6 @@ from .data import (
     Observation,
     SubjectData,
     bivariate_model,
-    build_designs,
     intercept_slope_model,
     random_intercept_model,
     read_long_csv,

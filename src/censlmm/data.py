@@ -4,7 +4,12 @@ A dataset is an ordered collection of subjects, each holding an ordered list
 of observations.  A measurement is either observed (indicator 1) or
 left-censored at its detection limit (indicator 0), in which case only the
 limit enters any likelihood; the stored response is just a placeholder.
-All containers are immutable after construction.
+All containers are immutable after construction: subjects and observations
+are stored as tuples.
+
+This module is the one reader of the observations: ``Dataset.table`` reads
+them once per dataset into long-format columns (:class:`Table`, one row per
+measure), which the likelihood evaluator and the optimizer's start read.
 
 A model template (:class:`ModelSpec`) is data: the number of markers,
 whether each has a slope in time, and the names of the fixed covariates.
@@ -17,6 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -57,25 +63,33 @@ class SubjectData:
     observations: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "observations", tuple(self.observations))
         if len(self.observations) < 1:
             raise ValueError("a subject needs at least one observation")
         for obs in self.observations:
             if obs.subject_id != self.subject_id:
-                raise ValueError(
-                    f"observation of subject {obs.subject_id!r} grouped under {self.subject_id!r}"
-                )
+                raise ValueError(f"observation of subject {obs.subject_id!r} grouped under "
+                                 f"{self.subject_id!r}")
 
-    @property
-    def n_total(self):
-        return len(self.observations)
 
-    @property
-    def n_obs(self):
-        return sum(1 for o in self.observations if o.is_observed)
+@dataclass(frozen=True)
+class Table:
+    """A dataset's rows as long-format columns, in input order; the arrays are read-only.
 
-    @property
-    def n_cens(self):
-        return sum(1 for o in self.observations if not o.is_observed)
+    Subject ``s`` (id ``ids[s]``) owns rows ``start[s]:start[s + 1]``, and
+    ``subject`` holds each row's s. ``y`` is the response of an observed
+    row and the detection limit of a censored one; ``covariates`` holds
+    each row's tuple.
+    """
+
+    start: np.ndarray
+    subject: np.ndarray
+    ids: tuple
+    time: np.ndarray
+    y: np.ndarray
+    observed: np.ndarray
+    marker: np.ndarray
+    covariates: tuple
 
 
 @dataclass(frozen=True)
@@ -86,11 +100,34 @@ class Dataset:
     column_names: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "subjects", tuple(self.subjects))
         if len(self.subjects) == 0:
             raise ValueError("dataset is empty")
-        ids = [s.subject_id for s in self.subjects]
-        if len(set(ids)) != len(ids):
+        if len({s.subject_id for s in self.subjects}) != len(self.subjects):
             raise ValueError("subject ids are not unique")
+
+    @cached_property
+    def table(self):
+        """The rows as long-format columns (:class:`Table`), read once per dataset."""
+        rows = [o for s in self.subjects for o in s.observations]
+        sizes = np.fromiter(map(len, (s.observations for s in self.subjects)), int, self.n_subjects)
+
+        def column(name, dtype):
+            return np.fromiter(map(attrgetter(name), rows), dtype, len(rows))
+
+        arrays = {
+            "start": np.concatenate([[0], np.cumsum(sizes)]),
+            "subject": np.repeat(np.arange(sizes.size), sizes),
+            "time": column("time", float),
+            "y": np.fromiter((o.response if o.is_observed else o.threshold for o in rows), float,
+                             len(rows)),
+            "observed": column("is_observed", bool),
+            "marker": column("marker", int),
+        }
+        for a in arrays.values():
+            a.setflags(write=False)
+        return Table(ids=tuple(s.subject_id for s in self.subjects),
+                     covariates=tuple(map(attrgetter("covariates"), rows)), **arrays)
 
     @property
     def n_subjects(self):
@@ -98,11 +135,11 @@ class Dataset:
 
     @property
     def n_rows(self):
-        return sum(s.n_total for s in self.subjects)
+        return int(self.table.start[-1])
 
     @property
     def n_censored(self):
-        return sum(s.n_cens for s in self.subjects)
+        return int(np.count_nonzero(~self.table.observed))
 
 
 @dataclass(frozen=True)
@@ -181,20 +218,20 @@ MODEL_TEMPLATES = {
 # ---------------------------------------------------------------------------
 
 
-def design_matrices(spec, time, marker, covariates, subject):
+def design_matrices(spec, time, marker, covariates=(), subject=(), ids=()):
     """X (n x p) and Z (n x q) of n rows given as columns, in the layout of ``spec``.
 
-    ``time`` and ``marker`` are (n,) arrays. ``covariates`` yields each
-    row's covariate tuple; it is read only when the model has covariates.
-    ``subject[i]`` is row i's subject id, read only to name the subject of
-    a bad row: a marker outside 1..``n_strata``, or fewer covariates than
-    the model has.
+    ``time`` and ``marker`` are (n,) arrays, as in :class:`Table`.
+    ``covariates`` holds each row's covariate tuple; it is read only when
+    the model has covariates. Row i belongs to subject ``ids[subject[i]]``,
+    read only to name the subject of a bad row: a marker outside
+    1..``n_strata``, or fewer covariates than the model has.
     """
     bad = np.flatnonzero((marker < 1) | (marker > spec.n_strata))
     if bad.size:
         i, plural = bad[0], "s" if spec.n_strata > 1 else ""
         raise DimensionError(
-            f"subject {subject[i]}: marker {marker[i]}, the model has {spec.n_strata} marker{plural}"
+            f"subject {ids[subject[i]]}: marker {marker[i]}, the model has {spec.n_strata} marker{plural}"
         )
     n, q, k = marker.shape[0], spec.q, len(spec.covariates)
     rows, first = np.arange(n), (marker - 1) * (1 + spec.slope)
@@ -203,28 +240,13 @@ def design_matrices(spec, time, marker, covariates, subject):
     if spec.slope:
         x[rows, first + 1] = time
     if k:
-        covariates = list(covariates)
         counts = np.fromiter(map(len, covariates), int, n)
         short = np.flatnonzero(counts < k)
         if short.size:
             i = short[0]
-            raise DimensionError(f"subject {subject[i]}: {counts[i]} covariates, {k} required")
+            raise DimensionError(f"subject {ids[subject[i]]}: {counts[i]} covariates, {k} required")
         x[:, q:] = [c[:k] for c in covariates]
     return x, x[:, :q].copy()
-
-
-def build_designs(observations, spec):
-    """X (n x p) and Z (n x q) of a sequence of observations, rows in input order.
-
-    Reads each column of the observations once, for :func:`design_matrices`.
-    """
-    return design_matrices(
-        spec,
-        np.array([o.time for o in observations], dtype=float),
-        np.array([o.marker for o in observations], dtype=int),
-        (o.covariates for o in observations),
-        [o.subject_id for o in observations],
-    )
 
 
 @dataclass(frozen=True)
@@ -270,28 +292,23 @@ def read_long_csv(path, schema=CsvSchema()):
         for cov in schema.covariate_cols:
             if cov not in header:
                 raise SchemaError(f"covariate column {cov!r} not found in {path}")
-        has_threshold = schema.threshold_col in header
-        has_marker = schema.marker_col in header
 
-        groups: dict = {}
-        order = []
+        groups: dict = {}  # subjects in order of first appearance
         for line_no, row in enumerate(reader, start=2):
             sid = row[schema.id_col]
             raw_y = (row[schema.response_col] or "").strip()
             raw_obs = (row[schema.observed_col] or "").strip()
             if raw_obs not in ("0", "1"):
-                raise ParseError(
-                    f"line {line_no}: censoring indicator must be 0 or 1, got {raw_obs!r}",
-                    row=line_no,
-                )
+                raise ParseError(f"line {line_no}: censoring indicator must be 0 or 1, got {raw_obs!r}",
+                                 row=line_no)
             is_observed = raw_obs == "1"
             time = _parse_float(row[schema.time_col], schema.time_col, line_no)
 
+            # an optional column that the file lacks reads as empty
             threshold = math.nan
-            if has_threshold:
-                raw_thr = (row[schema.threshold_col] or "").strip()
-                if raw_thr != "":
-                    threshold = _parse_float(raw_thr, schema.threshold_col, line_no)
+            raw_thr = (row.get(schema.threshold_col) or "").strip()
+            if raw_thr != "":
+                threshold = _parse_float(raw_thr, schema.threshold_col, line_no)
             if not math.isfinite(threshold) and schema.default_threshold is not None:
                 threshold = float(schema.default_threshold)
             if not is_observed and not math.isfinite(threshold):
@@ -311,37 +328,24 @@ def read_long_csv(path, schema=CsvSchema()):
                 response = _parse_float(raw_y, schema.response_col, line_no)
 
             marker = 1
-            if has_marker:
-                raw_m = (row[schema.marker_col] or "").strip()
-                if raw_m != "":
-                    marker = _parse_float(raw_m, schema.marker_col, line_no)
-                    if not marker.is_integer():
-                        raise ParseError(f"line {line_no}: marker {raw_m!r} is not an integer", row=line_no)
-                    marker = int(marker)
+            raw_m = (row.get(schema.marker_col) or "").strip()
+            if raw_m != "":
+                marker = _parse_float(raw_m, schema.marker_col, line_no)
+                if not marker.is_integer():
+                    raise ParseError(f"line {line_no}: marker {raw_m!r} is not an integer", row=line_no)
+                marker = int(marker)
 
-            covs = tuple(
-                _parse_float(row[c], c, line_no) for c in schema.covariate_cols
-            )
+            covs = tuple(_parse_float(row[c], c, line_no) for c in schema.covariate_cols)
             try:
-                obs = Observation(
-                    subject_id=sid,
-                    time=time,
-                    response=response,
-                    is_observed=is_observed,
-                    threshold=threshold,
-                    marker=marker,
-                    covariates=covs,
-                )
+                obs = Observation(subject_id=sid, time=time, response=response, is_observed=is_observed,
+                                  threshold=threshold, marker=marker, covariates=covs)
             except ValueError as exc:
                 raise ParseError(f"line {line_no}: {exc}", row=line_no) from None
-            if sid not in groups:
-                groups[sid] = []
-                order.append(sid)
-            groups[sid].append(obs)
+            groups.setdefault(sid, []).append(obs)
 
-    if not order:
+    if not groups:
         raise SchemaError(f"{path} contains no data rows")
-    subjects = tuple(SubjectData(subject_id=sid, observations=tuple(groups[sid])) for sid in order)
+    subjects = [SubjectData(sid, observations) for sid, observations in groups.items()]
     return Dataset(subjects=subjects, column_names=tuple(schema.covariate_cols))
 
 
@@ -360,7 +364,5 @@ def write_long_csv(dataset, path, schema=CsvSchema()):
         for subject in dataset.subjects:
             for o in subject.observations:
                 thr = "" if not math.isfinite(o.threshold) else repr(o.threshold)
-                writer.writerow(
-                    [o.subject_id, repr(o.time), repr(o.response), int(o.is_observed),
-                     thr, o.marker, *[repr(c) for c in o.covariates]]
-                )
+                writer.writerow([o.subject_id, repr(o.time), repr(o.response), int(o.is_observed),
+                                 thr, o.marker, *[repr(c) for c in o.covariates]])

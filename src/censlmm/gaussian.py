@@ -317,34 +317,37 @@ def _log_bvn(b1, b2, r):
       where the integrand falls off exponentially from its endpoint, or
       where one of the other forms cancels with both limits in the lower
       tail: the first for r < 0, and Genz's for r >= 0.925 if the integrand
-      is still close to exponential (as in :func:`_log_tvn`).
+      is still close to exponential (as in :func:`_log_tvn`); or where one
+      of them overflows, far out in the lower tail.
     """
     b1, b2 = np.minimum(b1, b2), np.maximum(b1, b2)
     l1 = log_ndtr(b1)
     lp = l1 + log_ndtr(b2)
-    out = np.empty_like(r)
-    mid = np.abs(r) < _HIGH_CORR
-    if np.any(mid):
-        ld = _log_dw(b1[mid], b2[mid], r[mid])
-        lpm = lp[mid]
-        out[mid] = np.where(r[mid] >= 0.0, np.logaddexp(lpm, ld), lpm + _log1mexp(ld - lpm))
-    if not np.all(mid):
-        x1, x2, rt = b1[~mid], b2[~mid], r[~mid]
-        # for r < 0 the integral runs from -1: phi2(h, k; -t) = phi2(h, -k; t)
-        tail = _log_bvn_tail(-x1, -np.sign(rt) * x2, np.abs(rt))
-        l1h, l2 = l1[~mid], log_ndtr(x2)
-        at_minus_one = np.where(x1 + x2 > 0.0, l2 + _log1mexp(log_ndtr(-x1) - l2), -np.inf)
-        out[~mid] = np.where(rt > 0.0, l1h + _log1mexp(tail - l1h), np.logaddexp(at_minus_one, tail))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.empty_like(r)
+        mid = np.abs(r) < _HIGH_CORR
+        if np.any(mid):
+            ld = _log_dw(b1[mid], b2[mid], r[mid])
+            lpm = lp[mid]
+            out[mid] = np.where(r[mid] >= 0.0, np.logaddexp(lpm, ld), lpm + _log1mexp(ld - lpm))
+        if not np.all(mid):
+            x1, x2, rt = b1[~mid], b2[~mid], r[~mid]
+            # for r < 0 the integral runs from -1: phi2(h, k; -t) = phi2(h, -k; t)
+            tail = _log_bvn_tail(-x1, -np.sign(rt) * x2, np.abs(rt))
+            l1h, l2 = l1[~mid], log_ndtr(x2)
+            at_minus_one = np.where(x1 + x2 > 0.0, l2 + _log1mexp(log_ndtr(-x1) - l2), -np.inf)
+            out[~mid] = np.where(rt > 0.0, l1h + _log1mexp(tail - l1h),
+                                 np.logaddexp(at_minus_one, tail))
 
-    # the endpoint rule in x = the more restrictive variable
-    sig = np.sqrt(1.0 - r * r)
-    a = (b2 - r * b1) / sig
-    mills = np.exp(-0.5 * a * a - _LOG_SQRT_2PI - log_ndtr(a))
-    slope = -b1 - (r / sig) * mills
-    curv = 1.0 + (r / sig) ** 2 * mills * (a + mills)
-    cancels = np.where(mid, (r < 0.0) & ~(out - lp > _CANCEL),
-                       (r > 0.0) & ~(out - l1 > _CANCEL) & (curv < _FLAT_CANCEL * slope * slope))
-    use = (slope > 0.0) & ((curv < _FLAT * slope * slope) | cancels)
+        # the endpoint rule in x = the more restrictive variable
+        sig = np.sqrt(1.0 - r * r)
+        a = (b2 - r * b1) / sig
+        lam = mills(a)
+        slope = -b1 - (r / sig) * lam
+        curv = 1.0 + (r / sig) ** 2 * lam * (a + lam)
+        cancels = np.where(mid, (r < 0.0) & ~(out - lp > _CANCEL), (r > 0.0) & ~(out - l1 > _CANCEL)
+                           & (curv < _FLAT_CANCEL * slope * slope))
+        use = (slope > 0.0) & ((curv < _FLAT * slope * slope) | cancels | ~np.isfinite(out))
     if np.any(use):
         rb, sb, b2b = r[use, None], sig[use, None], b2[use, None]
         out[use] = _endpoint_laguerre(

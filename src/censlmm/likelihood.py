@@ -433,10 +433,11 @@ class _Integrands:
 class LikelihoodEvaluator:
     """Evaluates the three likelihood paths on one long-format layout.
 
-    All subjects' rows are stacked once, in one pass, in flat arrays: designs
-    ``x`` and ``z`` (one :func:`data.design_matrices` call on the rows'
-    time, marker and covariate columns), responses ``y`` (the detection
-    limit on a censored row), ``strata`` and the ``observed`` mask. Subject
+    All subjects' rows come from the dataset's long-format columns
+    (``Dataset.table``), stacked in flat arrays: designs ``x`` and ``z``
+    (one :func:`data.design_matrices` call on the rows' time, marker and
+    covariate columns), responses ``y`` (the detection limit on a censored
+    row), ``strata`` and the ``observed`` mask. Subject
     ``s`` owns rows ``start[s]:start[s + 1]``, its ``n_obs[s]`` observed
     rows first and then its ``n_cens[s]`` censored ones, each group in input
     order; ``cens_blocks`` groups the censored blocks by size. One
@@ -465,24 +466,18 @@ class LikelihoodEvaluator:
     def __init__(self, dataset, spec, options=LogLikOptions()):
         self.spec = spec
         self.options = options
-        self.subject_ids = [subject.subject_id for subject in dataset.subjects]
-        rows = [o for subject in dataset.subjects for o in subject.observations]
-        sizes = np.array([len(subject.observations) for subject in dataset.subjects])
-        self.start = np.concatenate([[0], np.cumsum(sizes)])
-        self.row_subject = np.repeat(np.arange(sizes.size), sizes)
-        observed = np.array([o.is_observed for o in rows])
-        marker = np.array([o.marker for o in rows], dtype=int)
-        x, z = design_matrices(spec, np.array([o.time for o in rows]), marker,
-                               (o.covariates for o in rows),
-                               np.array(self.subject_ids, dtype=object)[self.row_subject])
+        table = dataset.table
+        self.subject_ids, self.start, self.row_subject = table.ids, table.start, table.subject
+        x, z = design_matrices(spec, table.time, table.marker, table.covariates, table.subject,
+                               table.ids)
         # each subject's observed rows first; lexsort is stable, so each group keeps input order
-        order = np.lexsort((~observed, self.row_subject))
+        order = np.lexsort((~table.observed, table.subject))
         self.x, self.z = x[order], z[order]
-        self.y = np.array([o.response if o.is_observed else o.threshold for o in rows])[order]
-        self.observed = observed[order]
-        self.strata = (marker - 1)[order]
+        self.y = table.y[order]
+        self.observed = table.observed[order]
+        self.strata = table.marker[order] - 1
         self.n_obs = np.add.reduceat(self.observed.astype(int), self.start[:-1])
-        self.n_cens = sizes - self.n_obs
+        self.n_cens = np.diff(self.start) - self.n_obs
         # per block size m: (m, the blocks' subjects, their (B, m) indexes among the censored rows)
         first = np.concatenate([[0], np.cumsum(self.n_cens)[:-1]])
         self.cens_blocks = []

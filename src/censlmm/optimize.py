@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import build_designs
+from .data import design_matrices
 from .errors import CensLmmError, GradientError, OptimizationStall
 from .likelihood import (
     LikelihoodEvaluator,
@@ -257,12 +257,12 @@ class FitResult:
 def moment_start(dataset, spec):
     """Crude starting values: pooled least squares plus an even variance split."""
     # input order: the evaluator's row order moves the start, and a fit's path, in the last bits
-    rows = [o for subject in dataset.subjects for o in subject.observations]
-    x, _ = build_designs(rows, spec)
-    y = np.array([o.response if o.is_observed else o.threshold for o in rows], dtype=float)
-    beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-    dof = max(1, y.shape[0] - spec.p)
-    s2 = float(np.sum((y - x @ beta) ** 2)) / dof
+    table = dataset.table
+    x, _ = design_matrices(spec, table.time, table.marker, table.covariates, table.subject,
+                           table.ids)
+    beta, *_ = np.linalg.lstsq(x, table.y, rcond=None)
+    dof = max(1, table.y.shape[0] - spec.p)
+    s2 = float(np.sum((table.y - x @ beta) ** 2)) / dof
     s2 = max(s2, 1e-4)
     sigma_e = np.full(spec.n_strata, math.sqrt(s2 / 2.0))
     chol = math.sqrt(s2 / 2.0) * np.eye(spec.q)

@@ -91,7 +91,7 @@ def _schedule_designs(spec, times):
         raise DimensionError(f"the simulator draws no covariates; the model has "
                              f"{len(spec.covariates)}")
     markers = np.repeat(np.arange(1, spec.n_strata + 1), len(times))
-    return design_matrices(spec, np.tile(times, spec.n_strata), markers, (), ())
+    return design_matrices(spec, np.tile(times, spec.n_strata), markers)
 
 
 def _schedule_moments(truth, times, spec):

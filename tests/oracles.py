@@ -33,7 +33,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import log_ndtr
 
-from censlmm.data import build_designs
 from censlmm.errors import DimensionError, IntegrationError, ModeSearchError, NotPositiveDefiniteError
 from censlmm.quadrature import scale_factor, tensor_grid
 
@@ -246,7 +245,7 @@ def mvn_logpdf(y, mean, cov):
 def marginal_moments(subject, spec, theta):
     """Marginal mean X beta and covariance Z G Z^T + R of one subject."""
     theta.validate_for(spec)
-    x, z = build_designs(subject.observations, spec)
+    x, z = design_rows(subject.observations, spec)
     mu = x @ theta.beta
     strata = np.array([o.marker - 1 for o in subject.observations])
     if np.any(strata >= spec.n_strata):
@@ -333,15 +332,15 @@ def subject_layout(dataset, spec):
     """The evaluator's flat row layout, built subject by subject.
 
     Each subject's rows are reordered to its observed rows, then its censored
-    ones, by :func:`partition_subject`, and its designs come from its own
-    ``build_designs`` call. Returns the arrays the evaluator stores under the
+    ones, by :func:`partition_subject`, and its designs come from
+    :func:`design_rows`. Returns the arrays the evaluator stores under the
     same names.
     """
     xs, zs, rows, n_obs = [], [], [], []
     for subject in dataset.subjects:
         obs_idx, cens_idx = partition_subject(subject)
         order = obs_idx + cens_idx
-        x, z = build_designs(subject.observations, spec)
+        x, z = design_rows(subject.observations, spec)
         xs.append(x[order])
         zs.append(z[order])
         rows.extend(subject.observations[i] for i in order)
@@ -371,7 +370,7 @@ def agq_reference(dataset, spec, theta, order):
     log_prior = -0.5 * (np.linalg.slogdet(g)[1] + theta.q * LOG_2PI)
     total = 0.0
     for subject in dataset.subjects:
-        x, z = build_designs(subject.observations, spec)
+        x, z = design_rows(subject.observations, spec)
         obs, cens = partition_subject(subject)
         y = np.array([o.response if o.is_observed else o.threshold
                       for o in subject.observations])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from censlmm.data import (
     Observation,
     SubjectData,
     bivariate_model,
-    build_designs,
+    design_matrices,
     intercept_slope_model,
     random_intercept_model,
     read_long_csv,
@@ -53,9 +54,10 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="subject a: marker stratum index is 1-based"):
             Observation(subject_id="a", time=0.0, response=1.0, is_observed=True, marker=0)
 
-    def test_subject_counts(self):
+    def test_dataset_counts(self):
         s = make_subject("a", [0, 1, 2], [3.0, 2.0, 4.0], [1, 0, 1], threshold=2.5)
-        assert (s.n_obs, s.n_cens, s.n_total) == (2, 1, 3)
+        d = Dataset(subjects=(s,))
+        assert (d.n_subjects, d.n_rows, d.n_censored) == (1, 3, 1)
 
     def test_subject_id_mismatch_rejected(self):
         obs = Observation(subject_id="b", time=0.0, response=1.0, is_observed=True)
@@ -101,18 +103,24 @@ def _with_good_subject(subject, covariates=()):
     return Dataset(subjects=(SubjectData(subject_id="z", observations=(good,)), subject))
 
 
-class TestBuildDesigns:
+def table_designs(subjects, spec):
+    """X and Z of a dataset of ``subjects``, by design_matrices on its table."""
+    t = Dataset(subjects=subjects).table
+    return design_matrices(spec, t.time, t.marker, t.covariates, t.subject, t.ids)
+
+
+class TestDesignMatrices:
     def test_intercept_slope_rows(self):
         spec = intercept_slope_model()
         s = make_subject("a", [2.0], [3.0], [1], 0.0)
-        x, z = build_designs(s.observations, spec)
+        x, z = table_designs([s], spec)
         assert x.tolist() == [[1.0, 2.0]]
         assert z.tolist() == [[1.0, 2.0]]
 
     def test_intercept_only_rows(self):
         spec = random_intercept_model()
         s = make_subject("a", [7.5], [3.0], [1], 0.0)
-        x, z = build_designs(s.observations, spec)
+        x, z = table_designs([s], spec)
         assert x.tolist() == [[1.0]]
         assert z.tolist() == [[1.0]]
 
@@ -120,7 +128,7 @@ class TestBuildDesigns:
         spec = bivariate_model()
         obs = Observation(subject_id="a", time=1.0, response=2.0, is_observed=True, marker=2)
         s = SubjectData(subject_id="a", observations=(obs,))
-        x, z = build_designs(s.observations, spec)
+        x, z = table_designs([s], spec)
         assert x.tolist() == [[0.0, 0.0, 1.0, 1.0]]
         assert z.tolist() == [[0.0, 0.0, 1.0, 1.0]]
 
@@ -129,7 +137,7 @@ class TestBuildDesigns:
         obs = Observation(subject_id="a", time=1.0, response=2.0, is_observed=True,
                           covariates=(34.0,))
         s = SubjectData(subject_id="a", observations=(obs,))
-        x, z = build_designs(s.observations, spec)
+        x, z = table_designs([s], spec)
         assert x.tolist() == [[1.0, 1.0, 34.0]]
         assert z.shape == (1, 2)
 
@@ -138,7 +146,7 @@ class TestBuildDesigns:
         obs = Observation(subject_id="a", time=1.0, response=2.0, is_observed=True)
         s = SubjectData(subject_id="a", observations=(obs,))
         with pytest.raises(DimensionError, match="subject a: 0 covariates, 1 required"):
-            build_designs(s.observations, spec)
+            table_designs([s], spec)
         with pytest.raises(DimensionError, match="subject a: 0 covariates, 1 required"):
             LikelihoodEvaluator(_with_good_subject(s, covariates=(34.0,)), spec)
 
@@ -152,7 +160,7 @@ class TestBuildDesigns:
         obs = Observation(subject_id="a", time=1.0, response=2.0, is_observed=True, marker=marker)
         s = SubjectData(subject_id="a", observations=(obs,))
         with pytest.raises(DimensionError, match=f"subject a: marker {marker}"):
-            build_designs(s.observations, spec)
+            table_designs([s], spec)
         with pytest.raises(DimensionError, match=f"subject a: marker {marker}"):
             LikelihoodEvaluator(_with_good_subject(s), spec)
 
@@ -171,8 +179,10 @@ class TestBuildDesigns:
                             marker=int(m),
                             covariates=tuple(rng.normal(0.0, 10.0, int(rng.integers(2, 4)))))
                 for i, (t, m) in enumerate(zip(times, markers))]
-        x, z = build_designs(rows, spec)
-        x_ref, z_ref = design_rows(rows, spec)
+        subjects = [SubjectData(str(k), [o for o in rows if o.subject_id == str(k)])
+                    for k in range(7)]
+        x, z = table_designs(subjects, spec)
+        x_ref, z_ref = design_rows([o for s in subjects for o in s.observations], spec)
         assert (x.dtype, x.shape) == (x_ref.dtype, x_ref.shape)
         assert (z.dtype, z.shape) == (z_ref.dtype, z_ref.shape)
         assert x.tobytes() == x_ref.tobytes()
@@ -209,9 +219,88 @@ class TestBuildDesigns:
             n = int(rng.integers(1, 9))
             s = make_subject("a", rng.uniform(0, 4, n), rng.normal(3, 1, n),
                              np.ones(n, dtype=int), 0.0)
-            x, z = build_designs(s.observations, spec)
+            x, z = table_designs([s], spec)
             assert x.shape == (n, spec.p)
             assert z.shape == (n, spec.q)
+
+
+def _two_marker_dataset():
+    """Three subjects of two markers, with censored rows and two covariates per row."""
+    def row(sid, time, marker, response, observed=True, threshold=math.nan, covariates=(1.0, 2.0)):
+        return Observation(subject_id=sid, time=time, response=response, is_observed=observed,
+                           threshold=threshold, marker=marker, covariates=covariates)
+
+    return Dataset(subjects=(
+        SubjectData("b", (row("b", 0.0, 1, 3.25), row("b", 0.5, 2, 9.0, False, 1.5, (0.1, -2.0)),
+                          row("b", 1.0, 1, 2.0, False, 2.0))),
+        SubjectData("a", (row("a", -1.0, 2, 4.75, threshold=0.5),)),
+        SubjectData("c", (row("c", 2.0, 2, 0.125, covariates=(7.0, 8.0, 9.0)),
+                          row("c", 3.0, 1, -1.0, False, -0.5))),
+    ), column_names=("age", "dose"))
+
+
+class TestTable:
+    def test_columns_equal_a_per_row_read_bit_for_bit(self):
+        d = _two_marker_dataset()
+        rows = [o for s in d.subjects for o in s.observations]
+        want = {
+            "start": np.cumsum([0] + [len(s.observations) for s in d.subjects]),
+            "subject": np.array([i for i, s in enumerate(d.subjects) for _ in s.observations]),
+            "time": np.array([o.time for o in rows]),
+            "y": np.array([o.response if o.is_observed else o.threshold for o in rows]),
+            "observed": np.array([o.is_observed for o in rows]),
+            "marker": np.array([o.marker for o in rows]),
+        }
+        t = d.table
+        for name, column in want.items():
+            got = getattr(t, name)
+            assert (got.dtype, got.shape) == (column.dtype, column.shape), name
+            assert got.tobytes() == column.tobytes(), name
+        assert t.y.tolist() == [3.25, 1.5, 2.0, 4.75, 0.125, -0.5]
+        assert t.ids == ("b", "a", "c")
+        assert t.covariates == tuple(o.covariates for o in rows)
+        assert (d.n_rows, d.n_censored) == (6, 3)
+
+    def test_built_once_per_dataset(self):
+        d = _two_marker_dataset()
+        assert d.table is d.table
+        other = dataclasses.replace(d, subjects=d.subjects[1:])
+        assert other.table is not d.table
+        assert other.table.ids == ("a", "c")
+        assert other.table.start.tolist() == [0, 1, 3]
+        assert d.table.ids == ("b", "a", "c")
+
+    def test_a_list_given_later_changes_do_not_reach_the_table(self):
+        s = make_subject("a", [0, 1], [3.0, 2.0], [1, 1], 0.0)
+        subjects = [s]
+        d = Dataset(subjects=subjects)
+        observations = list(s.observations)
+        d2 = Dataset(subjects=[SubjectData("a", observations)])
+        subjects.append(make_subject("c", [0], [1.0], [1], 0.0))
+        observations.pop()
+        assert isinstance(d.subjects, tuple) and isinstance(d2.subjects[0].observations, tuple)
+        assert d.table.ids == ("a",)
+        assert d2.table.start.tolist() == [0, 2]
+
+    def test_columns_are_read_only(self):
+        t = _two_marker_dataset().table
+        with pytest.raises(ValueError):
+            t.y[0] = 0.0
+        for name in ("start", "subject", "time", "observed", "marker"):
+            assert not getattr(t, name).flags.writeable
+
+    def test_a_short_covariate_row_names_its_subject(self):
+        d = _two_marker_dataset()
+        bad = SubjectData("e", (dataclasses.replace(d.subjects[2].observations[0], subject_id="e"),
+                                dataclasses.replace(d.subjects[2].observations[1], subject_id="e",
+                                                    covariates=(1.0,))))
+        d = dataclasses.replace(d, subjects=d.subjects + (bad,))
+        spec = bivariate_model(covariates=("age", "dose"))
+        t = d.table
+        with pytest.raises(DimensionError, match="subject e: 1 covariates, 2 required"):
+            design_matrices(spec, t.time, t.marker, t.covariates, t.subject, t.ids)
+        with pytest.raises(DimensionError, match="subject e: 1 covariates, 2 required"):
+            LikelihoodEvaluator(d, spec)
 
 
 class TestReadLongCsv:
@@ -220,9 +309,7 @@ class TestReadLongCsv:
         write_rows(path, ["id", "time", "y", "obs"],
                    [[1, t, 3.0 + 0.5 * t, 1] for t in range(5)])
         d = read_long_csv(path)
-        assert d.n_subjects == 1
-        assert d.subjects[0].n_obs == 5
-        assert d.subjects[0].n_cens == 0
+        assert (d.n_subjects, d.n_rows, d.n_censored) == (1, 5, 0)
 
     def test_benchmark_census(self, tmp_path, benchmark_dataset):
         # the benchmark simulation reproduces the canonical 38/250 censored split
@@ -295,7 +382,7 @@ class TestReadLongCsv:
         write_rows(path, ["id", "time", "y", "obs"], [[1, 0, 2.5, 0], [1, 1, 3.5, 1]])
         d = read_long_csv(path, CsvSchema(default_threshold=2.5))
         assert d.subjects[0].observations[0].threshold == 2.5
-        assert d.subjects[0].n_cens == 1
+        assert d.n_censored == 1
 
     def test_per_row_threshold_column(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -310,7 +397,7 @@ class TestReadLongCsv:
         write_rows(path, ["id", "time", "y", "obs"], [[1, 0, "", 1], [1, 1, 3.5, 1]])
         with pytest.warns(UserWarning):
             d = read_long_csv(path)
-        assert d.subjects[0].n_total == 1
+        assert d.n_rows == 1
 
     def test_subject_order_preserved(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -451,6 +451,19 @@ class TestExactOrthantProbs:
         got = log_orthant_probs([[b, b]], [[[1.0, rho], [rho, 1.0]]])[0]
         assert got == pytest.approx(bvn_mpmath(b, b, rho), abs=1e-9)
 
+    @pytest.mark.parametrize("b,rho", [(-2.5e6, -0.95), (-1e7, -0.99), (-1e9, 0.99),
+                                       (-1e154, 0.3)])
+    def test_far_lower_tail_is_finite(self, b, rho):
+        # the endpoint rule's slope cancelled or overflowed here, and log p came
+        # out NaN or -inf; it is -b^2 / (1 + rho) up to terms in log |b|
+        got = log_orthant_probs([[b, b]], [[[1.0, rho], [rho, 1.0]]])[0]
+        assert got == pytest.approx(-b * b / (1.0 + rho), rel=1e-12)
+
+    def test_far_lower_tail_below_the_double_range_is_minus_inf(self):
+        # log p is below -b^2 / (1 + rho) = -1e310 here
+        corr = [[[1.0, -0.99], [-0.99, 1.0]]]
+        assert log_orthant_probs([[-1e154, -1e154]], corr)[0] == -np.inf
+
     def test_limits_at_forty(self):
         corr2 = np.array([[[1.0, 0.3], [0.3, 1.0]]])
         assert log_orthant_probs([[40.0, 40.0]], corr2)[0] == pytest.approx(0.0, abs=1e-15)

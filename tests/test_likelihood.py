@@ -40,20 +40,18 @@ from censlmm.optimize import fd_gradient
 from censlmm.quadrature import max_order
 from censlmm.simulate import SimConfig, default_truth, simulate
 from conftest import make_subject, random_small_dataset, random_theta
-from oracles import (agq_reference, conditional_moments, dense_terms, marginal_moments,
-                     subject_layout)
+from oracles import (agq_reference, conditional_moments, dense_terms, design_rows,
+                     marginal_moments, subject_layout)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
 def closed_form_loglik(dataset, spec, theta):
     """Independent mixed-model log-likelihood for fully observed data."""
-    from censlmm.data import build_designs
-
     g = theta.g_matrix()
     total = 0.0
     for subject in dataset.subjects:
-        x, z = build_designs(subject.observations, spec)
+        x, z = design_rows(subject.observations, spec)
         y = np.array([o.response for o in subject.observations])
         sde = theta.sigma_e[[o.marker - 1 for o in subject.observations]]
         v = z @ g @ z.T + np.diag(sde**2)
