@@ -10,6 +10,7 @@ are stored as tuples.
 This module is the one reader of the observations: ``Dataset.table`` reads
 them once per dataset into long-format columns (:class:`Table`, one row per
 measure), which the likelihood evaluator and the optimizer's start read.
+It holds identical subjects, such as those censored at every visit, once.
 
 A model template (:class:`ModelSpec`) is data: the number of markers,
 whether each has a slope in time, and the names of the fixed covariates.
@@ -22,6 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import attrgetter
 
 import numpy as np
@@ -76,14 +78,17 @@ class SubjectData:
 class Table:
     """A dataset's rows as long-format columns, in input order; the arrays are read-only.
 
-    Subject ``s`` (id ``ids[s]``) owns rows ``start[s]:start[s + 1]``, and
-    ``subject`` holds each row's s. ``y`` is the response of an observed
-    row and the detection limit of a censored one; ``covariates`` holds
-    each row's tuple.
+    Subjects whose rows (time, y, observed, marker, covariates) match byte
+    for byte, in input order, are held once, as the first of them, and
+    ``count`` is their number. Subject ``s`` (id ``ids[s]``) owns rows
+    ``start[s]:start[s + 1]``, and ``subject`` holds each row's s. ``y`` is
+    the response of an observed row and the detection limit of a censored
+    one; ``covariates`` holds each row's tuple.
     """
 
     start: np.ndarray
     subject: np.ndarray
+    count: np.ndarray
     ids: tuple
     time: np.ndarray
     y: np.ndarray
@@ -111,23 +116,29 @@ class Dataset:
         """The rows as long-format columns (:class:`Table`), read once per dataset."""
         rows = [o for s in self.subjects for o in s.observations]
         sizes = np.fromiter(map(len, (s.observations for s in self.subjects)), int, self.n_subjects)
+        covariates = tuple(map(attrgetter("covariates"), rows))
 
         def column(name, dtype):
             return np.fromiter(map(attrgetter(name), rows), dtype, len(rows))
 
         arrays = {
-            "start": np.concatenate([[0], np.cumsum(sizes)]),
-            "subject": np.repeat(np.arange(sizes.size), sizes),
             "time": column("time", float),
             "y": np.fromiter((o.response if o.is_observed else o.threshold for o in rows), float,
                              len(rows)),
             "observed": column("is_observed", bool),
             "marker": column("marker", int),
         }
+        count = np.bincount(_first_of_class(sizes, arrays, covariates), minlength=sizes.size)
+        kept = count > 0
+        kept_rows = np.repeat(kept, sizes)
+        arrays = {name: a[kept_rows] for name, a in arrays.items()}
+        sizes, arrays["count"] = sizes[kept], count[kept]
+        arrays["start"] = np.concatenate([[0], np.cumsum(sizes)])
+        arrays["subject"] = np.repeat(np.arange(sizes.size), sizes)
         for a in arrays.values():
             a.setflags(write=False)
-        return Table(ids=tuple(s.subject_id for s in self.subjects),
-                     covariates=tuple(map(attrgetter("covariates"), rows)), **arrays)
+        return Table(ids=tuple(compress((s.subject_id for s in self.subjects), kept)),
+                     covariates=tuple(compress(covariates, kept_rows)), **arrays)
 
     @property
     def n_subjects(self):
@@ -135,11 +146,36 @@ class Dataset:
 
     @property
     def n_rows(self):
-        return int(self.table.start[-1])
+        return int(self.table.count @ np.diff(self.table.start))
 
     @property
     def n_censored(self):
-        return int(np.count_nonzero(~self.table.observed))
+        t = self.table
+        return int(np.sum(t.count[t.subject[~t.observed]]))
+
+
+def _first_of_class(sizes, columns, covariates):
+    """Each subject's class: the first subject whose rows equal its own byte for byte.
+
+    Subject s has ``sizes[s]`` consecutive rows of the (n,) ``columns`` and
+    the n ``covariates``. One ``np.unique`` per size compares the subjects'
+    rows, each subject's as one ``np.void``.
+    """
+    key = [columns[name].astype(float) for name in ("time", "y", "observed", "marker")]
+    if any(covariates):
+        # covariates are finite, so a NaN pad cannot equal a value
+        pad = (math.nan,) * max(map(len, covariates))
+        key.append(np.array([c + pad[len(c):] for c in covariates], float))
+    key = np.column_stack(key)
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    first = np.arange(sizes.size)
+    for n in np.unique(sizes):
+        subjects = np.flatnonzero(sizes == n)
+        stacked = key[start[subjects, None] + np.arange(n)].reshape(subjects.size, -1)
+        whole = stacked.view(np.dtype((np.void, stacked.shape[1] * stacked.itemsize)))[:, 0]
+        _, index, inverse = np.unique(whole, return_index=True, return_inverse=True)
+        first[subjects] = subjects[index[inverse]]
+    return first
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ detection limit and evaluates the ordinary mixed-model likelihood.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 from scipy.special import log_ndtr, logsumexp
@@ -234,9 +233,9 @@ class QmcRecord:
     ``points`` counts the points each block's estimate rests on, summed over
     blocks, ``exhausted`` the blocks whose budget ran out before they met
     ``gaussian.MVN_TOL``, and ``max_rel_err`` is the largest err_est / p,
-    which is about the error of that block's log probability. Twins count
-    in each of those once per block, but are integrated once:
-    ``integrated`` counts the distinct blocks that ran.
+    which is about the error of that block's log probability. They count
+    each of identical subjects (``data.Table.count``), which are
+    integrated once: ``integrated`` counts the distinct blocks that ran.
     """
 
     blocks: int = 0
@@ -259,15 +258,6 @@ def _mills_terms(lam, lam_v, resid, zf, sd):
     sigma t = resid - zf v.
     """
     return -lam / sd, -lam_v / sd[:, None], -(resid * lam - np.sum(zf * lam_v, axis=1)) / (sd * sd)
-
-
-def _twin_index(items, twin):
-    """Positions of the ``items`` that are their own twin, and each item's index among those.
-
-    ``items`` are increasing and hold every item's twin.
-    """
-    own = np.flatnonzero(twin[items] == items)
-    return own, np.searchsorted(items[own], twin[items])
 
 
 def _inverse(chol):
@@ -440,17 +430,11 @@ class LikelihoodEvaluator:
     row), ``strata`` and the ``observed`` mask. Subject
     ``s`` owns rows ``start[s]:start[s + 1]``, its ``n_obs[s]`` observed
     rows first and then its ``n_cens[s]`` censored ones, each group in input
-    order; ``cens_blocks`` groups the censored blocks by size. One
-    evaluator serves every evaluation of a fit, and every path reads its
-    Gaussian moments from :meth:`_posterior`.
-
-    Subjects whose rows are byte-identical, such as those censored at every
-    visit of one schedule, have the same likelihood term at every theta.
-    ``twin`` maps each subject with censored rows to the first such subject,
-    and the marginal and hierarchical paths integrate only subjects that
-    are their own twin and copy the result to the others, through
-    ``twin_blocks`` and ``agq_twins``. These maps are built once per
-    evaluator, when either path first needs them.
+    order; ``cens_blocks`` groups the censored blocks by size. Subject s
+    stands for ``count[s]`` identical subjects of the dataset, and every
+    path weights its terms by that count. One evaluator serves every
+    evaluation of a fit, and every path reads its Gaussian moments from
+    :meth:`_posterior`.
 
     The hierarchical path works on all subjects at once. Batched Newton steps
     with the closed-form gradient and Hessian of each integrand find every
@@ -468,6 +452,7 @@ class LikelihoodEvaluator:
         self.options = options
         table = dataset.table
         self.subject_ids, self.start, self.row_subject = table.ids, table.start, table.subject
+        self.count = table.count
         x, z = design_matrices(spec, table.time, table.marker, table.covariates, table.subject,
                                table.ids)
         # each subject's observed rows first; lexsort is stable, so each group keeps input order
@@ -487,58 +472,6 @@ class LikelihoodEvaluator:
         # the marginal score needs every block's truncated moments in closed form
         self.marginal_has_score = all(m <= EXACT_DIM for m, _, _ in self.cens_blocks)
         self.qmc_record = QmcRecord()
-
-    # -- twins ----------------------------------------------------------------
-    # built on first use: loglik_naive builds an evaluator per call and never
-    # reads them
-
-    @cached_property
-    def twin(self):
-        """Each subject's twin: the first subject whose layout rows equal its own byte for byte.
-
-        Twins have the same likelihood term at every theta. Only subjects
-        with censored rows are compared, by one ``np.unique`` per row count
-        on their stacked rows, each subject's viewed as one ``np.void``; any
-        other subject is its own twin.
-        """
-        sizes = np.diff(self.start)
-        twin = np.arange(sizes.size)
-        key = np.column_stack([self.x, self.z, self.y, self.observed, self.strata])
-        censored = self.n_cens > 0
-        for n in np.unique(sizes[censored]):
-            subjects = np.flatnonzero(censored & (sizes == n))
-            rows = key[self.start[subjects, None] + np.arange(n)].reshape(subjects.size, -1)
-            whole = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
-            _, first, inverse = np.unique(whole, return_index=True, return_inverse=True)
-            twin[subjects] = subjects[first[inverse]]
-        return twin
-
-    @cached_property
-    def twin_blocks(self):
-        """Per block size, as in ``cens_blocks``: the blocks the marginal path integrates.
-
-        Each entry holds their positions in the size's ``blocks``, and each
-        block's index among them.
-        """
-        return [_twin_index(blocks, self.twin) for _, blocks, _ in self.cens_blocks]
-
-    @cached_property
-    def agq_twins(self):
-        """The hierarchical path's ``(subjects, rows, copy, row_copy)``.
-
-        ``subjects`` are the censored subjects it integrates and ``rows``
-        their censored rows in the layout; ``copy`` gives each censored
-        subject's index among ``subjects``, and ``row_copy`` each censored
-        row's among ``rows``.
-        """
-        has = np.flatnonzero(self.n_cens)
-        counts = self.n_cens[has]
-        own, copy = _twin_index(has, self.twin)
-        rows = np.flatnonzero(~self.observed)[np.repeat(self.twin[has] == has, counts)]
-        # each subject's first censored row among all censored rows, and among ``rows``
-        first, first_own = np.cumsum(counts) - counts, np.cumsum(counts[own]) - counts[own]
-        row_copy = np.arange(counts.sum()) + np.repeat(first_own[copy] - first, counts)
-        return has[own], rows, copy, row_copy
 
     # -- shared helpers -----------------------------------------------------
 
@@ -590,13 +523,11 @@ class LikelihoodEvaluator:
         the posterior (m, M) of :meth:`_posterior`. Blocks are grouped by
         their size m, with one :func:`gaussian.mvn_rect_probs` call per size:
         sizes 1 to 3 are exact, and from 4 on Genz QMC runs to its tolerance,
-        or on its fixed counts when ``fixed`` is set. Each call takes only
-        the blocks that are their own ``twin``, so twins are integrated once;
-        each block's log probability is copied back before the size's sum,
-        in layout order. A fixed count keeps the total smooth in theta only
-        while each block's Genz variable order stays the same; where an
-        order switches, the total jumps, by about 2e-4 on 100 subjects x 10
-        times at 50% censoring.
+        or on its fixed counts when ``fixed`` is set. Each subject's terms
+        are weighted by its ``count``. A fixed count keeps the total smooth
+        in theta only while each block's Genz variable order stays the same;
+        where an order switches, the total jumps, by about 2e-4 on 100
+        subjects x 10 times at 50% censoring.
         What the QMC blocks cost and the accuracy they reached go to
         ``qmc_record``. A failure names the first failing subject.
 
@@ -616,7 +547,7 @@ class LikelihoodEvaluator:
         factor = theta.reduced_factor()
         zf = self.z @ factor
         logpdf, mean, chol = self._posterior(theta, zf, self.observed.astype(float))
-        total = float(np.sum(logpdf))
+        total = float(np.sum(logpdf * self.count))
         if total == -math.inf:
             # no block can raise it, and an overflowed residual leaves the
             # blocks' moments non-finite
@@ -631,31 +562,28 @@ class LikelihoodEvaluator:
         seed = self.options.seed
         failures = {}
         qmc = []
-        integrated = 0
         blocks_at = []
-        for (m, blocks, rows), (own, copy) in zip(self.cens_blocks, self.twin_blocks):
-            rows_own = rows[own]
-            root_m = root[rows_own]
-            cov = root_m @ np.swapaxes(root_m, 1, 2) + var_c[rows_own][:, :, None] * np.eye(m)
-            probs, error = mvn_rect_probs(mu_c[rows_own], cov, upper[rows_own], seed=seed,
-                                          fixed=fixed)
+        for m, blocks, rows in self.cens_blocks:
+            root_m = root[rows]
+            cov = root_m @ np.swapaxes(root_m, 1, 2) + var_c[rows][:, :, None] * np.eye(m)
+            probs, error = mvn_rect_probs(mu_c[rows], cov, upper[rows], seed=seed, fixed=fixed)
             if error is None and np.any(np.isnan(probs[0])):
                 error = (int(np.argmax(np.isnan(probs[0]))),
                          IntegrationError("censored-block probability is not a number"))
             if error is not None:
-                failures[blocks[own[error[0]]]] = error[1]
+                failures[blocks[error[0]]] = error[1]
                 continue
-            total += float(np.sum(probs[0][copy]))
-            blocks_at.append((blocks, rows, (own, copy), cov, probs[0]))
+            total += float(np.sum(probs[0] * self.count[blocks]))
+            blocks_at.append((blocks, rows, cov, probs[0]))
             if probs[1] is not None:  # a QMC size, m >= 4, with its cost and accuracy
-                qmc.append([a[copy] for a in probs])
-                integrated += own.size
+                qmc.append(probs + (self.count[blocks],))
         if qmc:
-            log_p, err, points, exhausted = (np.concatenate(a) for a in zip(*qmc))
+            log_p, err, points, exhausted, count = (np.concatenate(a) for a in zip(*qmc))
             with np.errstate(divide="ignore", invalid="ignore"):
                 rel = np.where(log_p > -np.inf, err / np.exp(log_p), np.inf)
-            self.qmc_record = QmcRecord(log_p.size, int(points.sum()), int(exhausted.sum()),
-                                        float(rel.max()), integrated)
+            self.qmc_record = QmcRecord(int(count.sum()), int(np.sum(points * count)),
+                                        int(np.sum(exhausted * count)), float(rel.max()),
+                                        log_p.size)
         if failures:
             s = min(failures)
             raise _subject_error(self.subject_ids[s], failures[s]) from failures[s]
@@ -678,9 +606,7 @@ class LikelihoodEvaluator:
         x_j beta - zf_j v has its moments and its moments with v in closed
         form. Those feed :meth:`_score` like an observed row's. ``blocks_at``
         holds, per block size, the blocks' subjects, their rows among the
-        censored ones, the positions of the blocks that were integrated and
-        each block's copy among them, and those blocks' Sigma and log
-        probabilities; twins share their truncated moments.
+        censored ones, and their Sigma and log probabilities.
         """
         cens = ~self.observed
         zf_c = (self.z @ factor)[cens]
@@ -690,9 +616,8 @@ class LikelihoodEvaluator:
         post_mean, post_cov = mean.copy(), cov.copy()
         d_eta, d_sigma = np.empty(sd.size), np.empty(sd.size)
         d_eta_v = np.empty(zf_c.shape)
-        for blocks, rows, (own, copy), sigma, log_p in blocks_at:
-            moments = truncated_moments(mu_c[rows[own]], sigma, upper[rows[own]], log_p)
-            t_mean, t_cov, sigma = (a[copy] for a in moments + (sigma,))
+        for blocks, rows, sigma, log_p in blocks_at:
+            t_mean, t_cov = truncated_moments(mu_c[rows], sigma, upper[rows], log_p)
             z = zf_c[rows]  # (B, m, r)
             cov_vy = cov[blocks] @ np.swapaxes(z, 1, 2)
             gain = np.swapaxes(np.linalg.solve(sigma, np.swapaxes(cov_vy, 1, 2)), 1, 2)
@@ -720,9 +645,8 @@ class LikelihoodEvaluator:
         A subject without censored rows contributes its observed-rows
         log-density exactly. The others' modes are found once, together,
         from their posterior means given all rows (thresholds imputed), and
-        every order reuses them. Only subjects that are their own ``twin``
-        are integrated; the others take their twin's integral and
-        expectations. With ``score``, ``at`` returns ``(total, score)``
+        every order reuses them. Each subject's term is weighted by its
+        ``count``. With ``score``, ``at`` returns ``(total, score)``
         (:meth:`_score`): the exact Gaussian posterior for a subject without
         censored rows, and for the others the expectations from the same
         grid pass as their integrals.
@@ -739,7 +663,8 @@ class LikelihoodEvaluator:
             # no integral: without random effects the censored rows, if any,
             # are independent, and their expectations are their values at u = 0
             t = resid[cens] / sde[cens]
-            total = float(np.sum(logpdf) + np.sum(log_ndtr(t)))
+            total = float(np.sum(logpdf * self.count)
+                          + np.sum(log_ndtr(t) * self.count[self.row_subject[cens]]))
 
             def exact_at(order, score=False):
                 if not score:
@@ -749,24 +674,24 @@ class LikelihoodEvaluator:
                 return total, self._score(theta, factor, mean, _inverse(chol), censored)
             return exact_at
 
-        exact = float(np.sum(logpdf[self.n_cens == 0]))
+        uncensored = self.n_cens == 0
+        exact = float(np.sum(logpdf[uncensored] * self.count[uncensored]))
         const = logpdf + np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
         const -= 0.5 * r * _LOG_2PI
         _, v0, _ = self._posterior(theta, zf, np.ones_like(resid))
-        own, rows, copy, row_copy = self.agq_twins
         integrands = _Integrands(
-            [self.subject_ids[s] for s in own], self.n_cens[own], const[own], mean[own], chol[own],
-            resid[rows] / sde[rows], zf[rows] / sde[rows, None], v0[own])
+            [self.subject_ids[s] for s in has], self.n_cens[has], const[has], mean[has], chol[has],
+            resid[cens] / sde[cens], zf[cens] / sde[cens, None], v0[has])
+        count = self.count[has]
 
         def at(order, score=False):
             if not score:
-                return exact + float(np.sum(integrands.log_integrals(order)[copy]))
+                return exact + float(np.sum(integrands.log_integrals(order) * count))
             logs, (mean_c, cov_c, lam, lam_v) = integrands.log_integrals(order, moments=True)
             post_mean, post_cov = mean.copy(), _inverse(chol)
-            post_mean[has], post_cov[has] = mean_c[copy], cov_c[copy]
-            total = exact + float(np.sum(logs[copy]))
-            censored = _mills_terms(lam[row_copy], lam_v[row_copy], resid[cens], zf[cens],
-                                    sde[cens])
+            post_mean[has], post_cov[has] = mean_c, cov_c
+            total = exact + float(np.sum(logs * count))
+            censored = _mills_terms(lam, lam_v, resid[cens], zf[cens], sde[cens])
             return total, self._score(theta, factor, post_mean, post_cov, censored)
         return at
 
@@ -801,7 +726,7 @@ class LikelihoodEvaluator:
         self._check(theta)
         factor = theta.reduced_factor()
         logpdf, mean, chol = self._posterior(theta, self.z @ factor, np.ones(self.y.shape[0]))
-        total = float(np.sum(logpdf))
+        total = float(np.sum(logpdf * self.count))
         if not score:
             return total
         return total, self._score(theta, factor, mean, _inverse(chol))
@@ -823,7 +748,8 @@ class LikelihoodEvaluator:
         needs only those two moments. A censored row's expectations depend on
         the path, and ``censored`` holds them per censored row, in layout
         order: E[d/d eta] (n,), E[d/d eta v] (n, r) and E[d/d sigma] (n,).
-        Without it every row counts as observed.
+        Without it every row counts as observed. Each row's terms are
+        weighted by its subject's ``count``.
 
         The derivative in L_ab is sum_j z_ja E[d/d eta_j e_b]. Given the
         data, e = L^+ A v plus a part in the null space of L that is
@@ -846,6 +772,8 @@ class LikelihoodEvaluator:
         if censored is not None:
             c = ~self.observed
             d_eta[c], d_eta_v[c], d_sigma[c] = censored
+        count = self.count[s]
+        d_eta, d_eta_v, d_sigma = d_eta * count, d_eta_v * count[:, None], d_sigma * count
         link = theta.chol.T @ factor / np.sum(factor * factor, axis=0)  # L^+ A
         d_chol = self.z.T @ d_eta_v @ link.T
         return np.concatenate([

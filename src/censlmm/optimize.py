@@ -255,14 +255,19 @@ class FitResult:
 
 
 def moment_start(dataset, spec):
-    """Crude starting values: pooled least squares plus an even variance split."""
+    """Crude starting values: pooled least squares plus an even variance split.
+
+    A table row counts once per subject of its class (``data.Table.count``).
+    """
     # input order: the evaluator's row order moves the start, and a fit's path, in the last bits
     table = dataset.table
     x, _ = design_matrices(spec, table.time, table.marker, table.covariates, table.subject,
                            table.ids)
-    beta, *_ = np.linalg.lstsq(x, table.y, rcond=None)
-    dof = max(1, table.y.shape[0] - spec.p)
-    s2 = float(np.sum((table.y - x @ beta) ** 2)) / dof
+    count = table.count[table.subject]
+    root = np.sqrt(count)
+    beta, *_ = np.linalg.lstsq(x * root[:, None], table.y * root, rcond=None)
+    dof = max(1, dataset.n_rows - spec.p)
+    s2 = float(np.sum(count * (table.y - x @ beta) ** 2)) / dof
     s2 = max(s2, 1e-4)
     sigma_e = np.full(spec.n_strata, math.sqrt(s2 / 2.0))
     chol = math.sqrt(s2 / 2.0) * np.eye(spec.q)

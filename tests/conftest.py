@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from censlmm.data import intercept_slope_model
+from censlmm.data import Dataset, SubjectData, intercept_slope_model
 from censlmm.likelihood import Theta
 from censlmm.simulate import SimConfig, simulate, default_truth
 
@@ -44,6 +45,18 @@ def make_subject(sid, times, responses, observed, threshold):
         for t, y, o in zip(times, responses, observed)
     )
     return SubjectData(subject_id=sid, observations=obs)
+
+
+def renamed(subject, sid):
+    """``subject``'s observations under the id ``sid``."""
+    return SubjectData(sid, tuple(dataclasses.replace(o, subject_id=sid)
+                                  for o in subject.observations))
+
+
+def with_copies(dataset, subject, k):
+    """``dataset`` with k copies of ``subject`` appended under new ids."""
+    copies = tuple(renamed(subject, f"{subject.subject_id}-copy-{i}") for i in range(k))
+    return Dataset(subjects=dataset.subjects + copies)
 
 
 def random_small_dataset(rng, spec, truth, max_subjects=10, max_per_subject=5,

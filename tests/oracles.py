@@ -18,7 +18,8 @@ library also computes, by a separate and plainer route:
   templates, where the library builds them from whole columns.
 - :func:`partition_subject` and :func:`subject_layout`, a subject's
   observed and censored rows and the evaluator's flat row layout built
-  subject by subject, where the evaluator builds it in one pass.
+  subject by subject, identical subjects merged by a dict of their rows,
+  where the evaluator builds it in one pass.
 - :func:`agq_reference` and :func:`dense_terms`, the hierarchical and the
   naive and marginal terms of a dataset, subject by subject, built from
   the pieces above.
@@ -331,13 +332,21 @@ def partition_subject(subject):
 def subject_layout(dataset, spec):
     """The evaluator's flat row layout, built subject by subject.
 
-    Each subject's rows are reordered to its observed rows, then its censored
-    ones, by :func:`partition_subject`, and its designs come from
+    Subjects whose rows (time, y, observed, marker, covariates) are equal, in
+    input order, are one subject: the first of them, counted once for each.
+    Each kept subject's rows are reordered to its observed rows, then its
+    censored ones, by :func:`partition_subject`, and its designs come from
     :func:`design_rows`. Returns the arrays the evaluator stores under the
     same names.
     """
-    xs, zs, rows, n_obs = [], [], [], []
+    counts = {}  # each class's first subject and its count, in order of first appearance
     for subject in dataset.subjects:
+        key = tuple((o.time, o.response if o.is_observed else o.threshold, o.is_observed,
+                     o.marker, o.covariates) for o in subject.observations)
+        first, count = counts.get(key, (subject, 0))
+        counts[key] = (first, count + 1)
+    xs, zs, rows, n_obs = [], [], [], []
+    for subject, _ in counts.values():
         obs_idx, cens_idx = partition_subject(subject)
         order = obs_idx + cens_idx
         x, z = design_rows(subject.observations, spec)
@@ -355,6 +364,8 @@ def subject_layout(dataset, spec):
         "start": np.concatenate([[0], np.cumsum(sizes)]),
         "n_obs": np.array(n_obs),
         "row_subject": np.repeat(np.arange(len(sizes)), sizes),
+        "subject_ids": tuple(subject.subject_id for subject, _ in counts.values()),
+        "count": np.array([count for _, count in counts.values()]),
     }
 
 

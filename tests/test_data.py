@@ -19,7 +19,7 @@ from censlmm.data import (
 )
 from censlmm.errors import DimensionError, ParseError, SchemaError
 from censlmm.likelihood import LikelihoodEvaluator
-from conftest import make_subject
+from conftest import make_subject, renamed
 from oracles import design_rows, partition_subject
 
 
@@ -259,7 +259,40 @@ class TestTable:
         assert t.y.tolist() == [3.25, 1.5, 2.0, 4.75, 0.125, -0.5]
         assert t.ids == ("b", "a", "c")
         assert t.covariates == tuple(o.covariates for o in rows)
+        assert t.count.tolist() == [1, 1, 1]
         assert (d.n_rows, d.n_censored) == (6, 3)
+
+    def test_identical_subjects_are_one_subject_with_a_count(self):
+        b, a, c = _two_marker_dataset().subjects
+
+        def changed(subject, sid, i, **fields):
+            """``subject`` under ``sid``, with row i's fields replaced."""
+            rows = list(renamed(subject, sid).observations)
+            rows[i] = dataclasses.replace(rows[i], **fields)
+            return SubjectData(sid, rows)
+
+        d = Dataset(subjects=(
+            b, a, renamed(b, "b2"), c,
+            # neither an observed row's limit nor a censored row's response is part of a row
+            changed(a, "a2", 0, threshold=9.0),
+            changed(b, "b3", 1, response=-3.0),
+            # each of these differs from c in one part of one row
+            changed(c, "c-cov", 0, covariates=(7.0, float(np.nextafter(8.0, 9.0)), 9.0)),
+            changed(c, "c-short", 0, covariates=(7.0, 8.0)),
+            changed(c, "c-marker", 1, marker=2),
+            changed(c, "c-time", 1, time=-3.0),
+            SubjectData("c-reversed", renamed(c, "c-reversed").observations[::-1]),
+        ))
+        t = d.table
+        assert t.ids == ("b", "a", "c", "c-cov", "c-short", "c-marker", "c-time", "c-reversed")
+        assert t.count.tolist() == [3, 2, 1, 1, 1, 1, 1, 1]
+        assert t.start.tolist() == [0, 3, 4, 6, 8, 10, 12, 14, 16]
+        assert t.subject.tolist() == np.repeat(np.arange(8), np.diff(t.start)).tolist()
+        kept = [b, a, c, *d.subjects[6:]]
+        assert t.time.tolist() == [o.time for s in kept for o in s.observations]
+        assert t.covariates == tuple(o.covariates for s in kept for o in s.observations)
+        # every input subject counts
+        assert (d.n_subjects, d.n_rows, d.n_censored) == (11, 23, 12)
 
     def test_built_once_per_dataset(self):
         d = _two_marker_dataset()
@@ -286,7 +319,7 @@ class TestTable:
         t = _two_marker_dataset().table
         with pytest.raises(ValueError):
             t.y[0] = 0.0
-        for name in ("start", "subject", "time", "observed", "marker"):
+        for name in ("start", "subject", "count", "time", "observed", "marker"):
             assert not getattr(t, name).flags.writeable
 
     def test_a_short_covariate_row_names_its_subject(self):

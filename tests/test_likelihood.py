@@ -39,7 +39,7 @@ from censlmm.likelihood import (
 from censlmm.optimize import fd_gradient
 from censlmm.quadrature import max_order
 from censlmm.simulate import SimConfig, default_truth, simulate
-from conftest import make_subject, random_small_dataset, random_theta
+from conftest import make_subject, random_small_dataset, random_theta, renamed, with_copies
 from oracles import (agq_reference, conditional_moments, dense_terms, design_rows,
                      marginal_moments, subject_layout)
 
@@ -531,6 +531,8 @@ def test_flat_layout_matches_the_subject_by_subject_reference(model):
     ))
     ev = LikelihoodEvaluator(d, spec)
     reference = subject_layout(d, spec)
+    assert ev.subject_ids == reference.pop("subject_ids")
+    assert reference["count"].sum() == len(d.subjects)
     for name, expected in reference.items():
         actual = getattr(ev, name)
         assert actual.dtype == expected.dtype, name
@@ -573,13 +575,16 @@ def test_qmc_record_describes_the_last_evaluation(is_spec, truth):
                            target_censoring=0.6, seed=3))
     ev = LikelihoodEvaluator(d, is_spec)
     n_cens = np.diff(ev.start) - ev.n_obs
-    sizes = n_cens[n_cens >= 4]
-    assert sizes.size > 0
-    points = sum(10 * FIT_POINTS.get(m, FIT_POINTS_DEFAULT) for m in sizes)
+    qmc = n_cens >= 4
+    assert np.any(qmc)
+    # the record counts every subject of a class of identical ones
+    points = sum(c * 10 * FIT_POINTS.get(m, FIT_POINTS_DEFAULT)
+                 for m, c in zip(n_cens[qmc], ev.count[qmc]))
     for _ in range(2):
         # pinned: a change to the QMC streams or rule moves this total
         assert ev.marginal(truth, fixed=True) == pytest.approx(-89.35815290417091, abs=1e-9)
-        assert ev.qmc_record.blocks == sizes.size and ev.qmc_record.points == points
+        assert ev.qmc_record.blocks == ev.count[qmc].sum() and ev.qmc_record.points == points
+        assert ev.qmc_record.integrated == np.count_nonzero(qmc)
         assert ev.qmc_record.exhausted == 0 and 0.0 < ev.qmc_record.max_rel_err < 1.0
     uncensored = simulate(SimConfig(n_subjects=5, n_per_subject=3, truth=truth,
                                     threshold=-1e10, seed=3))
@@ -642,82 +647,80 @@ def test_options_reject_values_without_a_meaning(settings):
         LogLikOptions(**settings)
 
 
-def _renamed(subject, sid):
-    return SubjectData(sid, tuple(dataclasses.replace(o, subject_id=sid)
-                                  for o in subject.observations))
-
-
-def _with_copies(dataset, subject, k):
-    """``dataset`` with k copies of ``subject`` appended under new ids."""
-    copies = tuple(_renamed(subject, f"{subject.subject_id}-copy-{i}") for i in range(k))
-    return Dataset(subjects=dataset.subjects + copies)
-
-
 def _scores_agree(actual, expected):
     assert actual == pytest.approx(expected, rel=1e-12, abs=1e-12 * np.max(np.abs(expected)))
 
 
-class TestTwinsAreIntegratedOnce:
-    """Subjects with byte-identical rows share one integral on each path."""
+class TestIdenticalSubjectsAreOneSubject:
+    """The table holds identical subjects once, and every path weights its terms by their count."""
 
     K = 3
 
-    def _evaluators(self, dataset, spec, subject):
-        """Evaluators of the data, of the subject alone and of the data with K copies of it."""
-        alone = Dataset(subjects=(subject,))
-        more = _with_copies(dataset, subject, self.K)
-        return [LikelihoodEvaluator(d, spec) for d in (dataset, alone, more)]
+    def _evaluators(self, dataset, spec, s):
+        """Evaluators of the data, of its table's subject s alone and of the data with K copies of it."""
+        base = LikelihoodEvaluator(dataset, spec)
+        subject = next(x for x in dataset.subjects if x.subject_id == base.subject_ids[s])
+        more = LikelihoodEvaluator(with_copies(dataset, subject, self.K), spec)
+        # the copies are no new subjects of the layout, only a larger count
+        assert more.subject_ids == base.subject_ids
+        assert np.array_equal(more.count, base.count + self.K * (np.arange(base.count.size) == s))
+        return base, LikelihoodEvaluator(Dataset(subjects=(subject,)), spec), more
 
-    def test_copies_add_their_own_term(self, censored_20x8, is_spec, truth):
+    def _paths_add_k_terms(self, evs, truth, marginal_score):
+        flat = Theta(truth.beta, np.zeros((2, 2)), truth.sigma_e)
+        paths = {
+            "naive": lambda ev: ev.naive(truth, score=True),
+            "agq": lambda ev: ev.agq(truth, 20, score=True),
+            "agq at G = 0": lambda ev: ev.agq(flat, 20, score=True),
+        }
+        if marginal_score:
+            paths["marginal"] = lambda ev: ev.marginal(truth, score=True)
+        for name, path in paths.items():
+            (total, score), (term, own), (grown, grown_score) = map(path, evs)
+            assert grown == pytest.approx(total + self.K * term, rel=1e-12), name
+            _scores_agree(grown_score, score + self.K * own)
+
+    def test_copies_of_a_qmc_block_add_k_terms(self, censored_20x8, is_spec, truth):
         base = LikelihoodEvaluator(censored_20x8, is_spec)
-        # a subject with a QMC block (m >= 4) and no twin of its own
-        s = next(s for s in range(base.n_cens.size)
-                 if base.n_cens[s] >= 4 and np.count_nonzero(base.twin == s) == 1)
-        evs = self._evaluators(censored_20x8, is_spec, censored_20x8.subjects[s])
-        more = evs[2]
-        assert np.array_equal(more.twin[-self.K:], [s] * self.K)
+        # a subject with a QMC block (m >= 4) that repeats no other
+        s = next(s for s in range(base.count.size) if base.n_cens[s] >= 4 and base.count[s] == 1)
+        evs = self._evaluators(censored_20x8, is_spec, s)
+        self._paths_add_k_terms(evs, truth, marginal_score=False)
         for fixed in (False, True):
             (total, record), (term, alone), (grown, grown_record) = [
                 (ev.marginal(truth, fixed), ev.qmc_record) for ev in evs]
             assert grown == pytest.approx(total + self.K * term, rel=1e-12)
             assert grown_record.blocks == record.blocks + self.K
             assert grown_record.points == record.points + self.K * alone.points
+            assert grown_record.exhausted == record.exhausted + self.K * alone.exhausted
             assert grown_record.integrated == record.integrated
-        total, term, grown = [ev.agq(truth, 20) for ev in evs]
-        assert grown == pytest.approx(total + self.K * term, rel=1e-12)
-        (total, score), (term, own), (grown, grown_score) = [
-            ev.agq(truth, 20, score=True) for ev in evs]
-        assert grown == pytest.approx(total + self.K * term, rel=1e-12)
-        _scores_agree(grown_score, score + self.K * own)
 
-    def test_copies_add_their_own_marginal_score(self, benchmark_dataset, is_spec, truth):
+    @pytest.mark.parametrize("n_cens", [3, 0])
+    def test_copies_add_k_terms_and_marginal_scores(self, benchmark_dataset, is_spec, truth,
+                                                    n_cens):
         base = LikelihoodEvaluator(benchmark_dataset, is_spec)
         assert base.marginal_has_score
-        s = int(np.argmax(base.n_cens))
-        assert base.n_cens[s] == 3
-        (total, score), (term, own), (grown, grown_score) = [
-            ev.marginal(truth, score=True)
-            for ev in self._evaluators(benchmark_dataset, is_spec, benchmark_dataset.subjects[s])]
-        assert grown == pytest.approx(total + self.K * term, rel=1e-12)
-        _scores_agree(grown_score, score + self.K * own)
+        s = next(s for s in range(base.count.size) if base.n_cens[s] == n_cens)
+        self._paths_add_k_terms(self._evaluators(benchmark_dataset, is_spec, s), truth,
+                                marginal_score=True)
 
-    def test_near_twin_is_integrated_apart(self, is_spec, truth):
+    def test_a_limit_one_ulp_apart_stays_apart(self, is_spec, truth):
         # "b" repeats "a"; "c" moves one detection limit by one ulp
         a = make_subject("a", range(5), [2.5, 2.5, 2.5, 2.5, 4.0], [0, 0, 0, 0, 1], 2.5)
         limit = float(np.nextafter(2.5, 3.0))
         c = SubjectData("c", (dataclasses.replace(a.observations[0], subject_id="c",
                                                   response=limit, threshold=limit),)
-                        + _renamed(a, "c").observations[1:])
-        ev = LikelihoodEvaluator(Dataset(subjects=(a, _renamed(a, "b"), c)), is_spec)
-        assert np.array_equal(ev.twin, [0, 0, 2])
-        assert np.array_equal(ev.agq_twins[0], [0, 2])
+                        + renamed(a, "c").observations[1:])
+        ev = LikelihoodEvaluator(Dataset(subjects=(a, renamed(a, "b"), c)), is_spec)
+        assert ev.subject_ids == ("a", "c")
+        assert ev.count.tolist() == [2, 1]
         ev.marginal(truth)
         assert (ev.qmc_record.blocks, ev.qmc_record.integrated) == (3, 2)
 
-    def test_failing_twin_class_names_its_first_subject(self):
-        # "pair" and "pair-copy" are twins; between them sits "between",
-        # whose rows evaluate. Only the twins have marker-2 rows, so a
-        # theta that breaks marker 2 breaks only their class.
+    def test_a_failing_class_names_its_first_subject(self):
+        # "pair" and "pair-copy" are one class; between them sits "between",
+        # whose rows evaluate. Only the class has marker-2 rows, so a theta
+        # that breaks marker 2 breaks only it.
         spec = bivariate_model()
 
         def subject(sid, markers, observed):
@@ -728,10 +731,11 @@ class TestTwinsAreIntegratedOnce:
         pair = subject("pair", [1, 2, 2], [1, 0, 0])
         d = Dataset(subjects=(
             subject("first", [1, 1], [1, 0]), pair, subject("between", [1, 1, 1], [0, 1, 0]),
-            _renamed(pair, "pair-copy"),
+            renamed(pair, "pair-copy"),
         ))
         ev = LikelihoodEvaluator(d, spec)
-        assert np.array_equal(ev.twin, [0, 1, 2, 1])
+        assert ev.subject_ids == ("first", "pair", "between")
+        assert ev.count.tolist() == [1, 2, 1]
         truth = default_truth("biv")
         # G = 0 and a marker-2 residual variance of 1e-14, below the floor
         flat = Theta(truth.beta, np.zeros((4, 4)), [truth.sigma_e[0], 1e-7])
@@ -739,7 +743,7 @@ class TestTwinsAreIntegratedOnce:
             ev.marginal(flat)
         assert err.value.subject_id == "pair"
         assert isinstance(err.value.__cause__, NotPositiveDefiniteError)
-        # a marker-2 intercept of 1e200 leaves the twins' mode search no finite start
+        # a marker-2 intercept of 1e200 leaves the class's mode search no finite start
         far = Theta(np.array([3.0, 0.5, 1e200, 0.3]), truth.chol, truth.sigma_e)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(EvaluationError, match="^subject pair: ") as err:
