@@ -45,7 +45,11 @@ class IntegrationError(CensLmmError):
 
 
 class GradientError(CensLmmError):
-    """A finite-difference probe hit a non-finite objective value."""
+    """A finite-difference gradient or Hessian probe hit a non-finite value, or a score failed.
+
+    A score fails when its evaluation raises a library error or an entry is
+    not finite. ``coordinate`` names a gradient probe's coordinate.
+    """
 
     def __init__(self, message, coordinate=None):
         super().__init__(message)

@@ -2,8 +2,9 @@
 
 :func:`mvn_rect_probs` is the one entry point for the rectangle probability
 Pr(Y <= upper) for Y ~ N(mean, cov) over a lower-infinite box. It takes
-stacked blocks of one size m >= 1, checks them in one batched pass (symmetry,
-the variance floor and positive definiteness), and picks the rule by m.
+stacked blocks of one size m >= 1, picks the rule by m, and names the first
+block that fails a check (symmetry, the variance floor, positive
+definiteness, a NaN estimate), each a mask over the blocks.
 
 Up to three variables the probability is exact. One variable is the normal
 CDF. Two and three use fixed quadrature nodes on standardized limits,
@@ -15,10 +16,11 @@ For those sizes :func:`truncated_moments` also gives the mean and covariance
 of Y given Y <= upper in closed form; the marginal path's score needs them.
 
 From four variables on, the Genz approach is used (JCGS 1992): a
-variable-reordered Cholesky factorization transforms the integral to the unit
-cube, which is then evaluated with randomized quasi-Monte Carlo on nested
-point streams. The method has no dimension limit, and neither has this
-module: a block of any size m >= 4 takes this rule. Each dimension m has one
+variable-reordered Cholesky factorization, of all blocks of a size at once,
+transforms the integral to the unit cube, which is then evaluated with
+randomized quasi-Monte Carlo on nested point streams. The method has no
+dimension limit, and neither has this module: a block of any size m >= 4
+takes this rule. Each dimension m has one
 stream of ten independently scrambled Sobol sequences, seeded from the
 configured seed, m - 1 and the scramble index only; the spread of the ten
 per-scramble means gives the error estimate. Every block of one dimension
@@ -27,7 +29,7 @@ evaluated together. The points come in doubling levels (512, 1024, ... per
 scramble); each level is drawn once and adds only its new points to the
 running sums of the blocks that have not yet met their tolerance, so going
 from n to 2n points evaluates n. A block stops when its error estimate is at
-most ``tol`` times its probability, or at 32,768 points per scramble; with a
+most ``MVN_TOL`` times its probability, or at 32,768 points per scramble; with a
 fixed count, every block runs ``FIT_POINTS`` of its m. No points are cached:
 each stream draws its levels from copies of its scrambled engines, which are
 cached per (seed, dimension) unadvanced, since making them costs more than
@@ -47,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr, ndtri
 
-from .errors import DimensionError, NotPositiveDefiniteError
+from .errors import DimensionError, IntegrationError, NotPositiveDefiniteError
 
 EXACT_DIM = 3  # the largest block size whose probability, and truncated moments, are exact
 VARIANCE_FLOOR = 1e-12
@@ -96,45 +98,44 @@ _BIG = 40.0
 
 
 def _ordered_cholesky(cov, b):
-    """Cholesky factor of a permuted covariance, most restrictive variable first.
+    """Cholesky factors of B permuted covariances of one size m, most restrictive variable first.
 
-    At each elimination step the remaining variable with the smallest
-    conditional probability is pivoted in (Genz's ordering), using the
-    truncated-normal expectation of the already-factored coordinates as a
-    proxy for the integration variables.
-    Returns the lower-triangular factor and the permuted limits.
+    ``cov`` is (B, m, m) and ``b`` (B, m) the limits less the means. At each
+    elimination step every block pivots in the remaining variable with the
+    smallest conditional probability (Genz's ordering; the first on a tie),
+    using the truncated-normal expectation of the already-factored
+    coordinates as a proxy for the integration variables; a variable with no
+    conditional variance left is never picked. Returns the factors (B, m, m),
+    the permuted limits (B, m) and the mask (B,) of the blocks that are not
+    positive definite: a pivot had no variance left, or a NaN one.
     """
-    m = b.shape[0]
-    a = cov.copy()
-    b = b.copy()
-    chol = np.zeros((m, m))
-    y = np.zeros(m)
-    for k in range(m):
-        best, best_p = k, np.inf
-        for i in range(k, m):
-            var_i = a[i, i] - chol[i, :k] @ chol[i, :k]
-            if var_i <= 0.0:
-                continue
-            s = math.sqrt(var_i)
-            p = ndtr((b[i] - chol[i, :k] @ y[:k]) / s)
-            if p < best_p:
-                best, best_p = i, p
-        if best != k:
-            a[[k, best], :] = a[[best, k], :]
-            a[:, [k, best]] = a[:, [best, k]]
-            chol[[k, best], :k] = chol[[best, k], :k]
-            b[[k, best]] = b[[best, k]]
-        var_k = a[k, k] - chol[k, :k] @ chol[k, :k]
-        if var_k <= 0.0:
-            raise NotPositiveDefiniteError("covariance is not positive definite")
-        ckk = math.sqrt(var_k)
-        chol[k, k] = ckk
-        for i in range(k + 1, m):
-            chol[i, k] = (a[i, k] - chol[i, :k] @ chol[k, :k]) / ckk
-        alpha = (b[k] - chol[k, :k] @ y[:k]) / ckk
-        p = max(ndtr(alpha), _TINY_P)
-        y[k] = -np.exp(-0.5 * alpha * alpha - _LOG_SQRT_2PI) / p
-    return chol, b
+    n_blocks, m = b.shape
+    blocks = np.arange(n_blocks)
+    rows = blocks[:, None]
+    # perm[:, j] is the variable pivoted in at step j; chol's rows stay in the given order
+    perm = np.tile(np.arange(m), (n_blocks, 1))
+    chol = np.zeros((n_blocks, m, m))
+    y = np.zeros((n_blocks, m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(m):
+            # each candidate's conditional variance and probability; NumPy hands
+            # each (1, k) @ (k, 1) product to the BLAS dot of 1-d vectors
+            rest = perm[:, k:]
+            done = chol[rows, rest, None, :k]
+            var = cov[rows, rest, rest] - (done @ np.swapaxes(done, 2, 3))[..., 0, 0]
+            shift = (done @ y[:, None, :k, None])[..., 0, 0]
+            p = ndtr((b[rows, rest] - shift) / np.sqrt(var))
+            pick = np.argmin(np.where(var > 0.0, p, np.inf), axis=1)
+            perm[blocks, k], perm[blocks, k + pick] = perm[blocks, k + pick], perm[blocks, k]
+            pivot, rest = perm[:, k], perm[:, k + 1:]
+            ckk = np.sqrt(var[blocks, pick])
+            chol[blocks, pivot, k] = ckk
+            cross = (chol[rows, rest, None, :k] @ chol[blocks, pivot, :k][:, None, :, None])[..., 0, 0]
+            chol[rows, rest, k] = (cov[rows, rest, pivot[:, None]] - cross) / ckk[:, None]
+            alpha = (b[blocks, pivot] - shift[blocks, pick]) / ckk
+            y[:, k] = -np.exp(-0.5 * alpha * alpha - _LOG_SQRT_2PI) / np.maximum(ndtr(alpha), _TINY_P)
+    chol = chol[rows, perm]
+    return chol, b[rows, perm], ~np.all(np.diagonal(chol, axis1=1, axis2=2) > 0.0, axis=1)
 
 
 @lru_cache(maxsize=16)
@@ -479,18 +480,18 @@ def log_orthant_probs(limits, corr):
     return out
 
 
-def mvn_rect_probs(mean, cov, upper, tol=MVN_TOL, seed=0, fixed=False):
+def mvn_rect_probs(mean, cov, upper, seed=0, fixed=False):
     """log Pr(Y <= upper) for Y ~ N(mean, cov), over B blocks of one size m.
 
     ``mean`` and ``upper`` are (B, m) and ``cov`` is (B, m, m), for any
     m >= 1; all lower limits are -inf. Sizes 1 to 3 are exact: the normal
     CDF, or :func:`log_orthant_probs` on the standardized limits, to about
-    1e-12 relative. From m = 4 on, with no upper size cap, each block is
-    factored by Genz's ordered Cholesky and the group runs the transformed
+    1e-12 relative. From m = 4 on, with no upper size cap, the blocks are
+    factored together by Genz's ordered Cholesky and run the transformed
     quasi-Monte Carlo rule on the size's shared stream, drawn from copies of
     its cached scrambled engines (see the module docstring). There a
     block stops once its error estimate, three standard errors over the
-    scrambles, is at most ``tol`` times its probability, or at 32,768
+    scrambles, is at most ``MVN_TOL`` times its probability, or at 32,768
     points per scramble (``_MAX_POINTS``), when it is flagged exhausted. With
     ``fixed``, every block uses exactly ``FIT_POINTS`` points per scramble
     for its m instead, and none is flagged.
@@ -498,55 +499,52 @@ def mvn_rect_probs(mean, cov, upper, tol=MVN_TOL, seed=0, fixed=False):
     Returns ``(log_p, err_est, points, exhausted)`` as (B,) arrays, where
     ``points`` counts the points evaluated over all scrambles and the last
     three are None for m <= 3, and None; or None and (index, error) of the
-    first block whose size or covariance fails: an asymmetric covariance, a
-    variance below ``VARIANCE_FLOOR``, or one that is not positive definite.
+    first block that fails, with the error of its first failing check. A
+    ``NotPositiveDefiniteError`` names an asymmetric covariance, a variance
+    below ``VARIANCE_FLOOR``, or one that is not positive definite (by the
+    smallest eigenvalue up to m = 3, by the ordered Cholesky from 4 on); if
+    every block passes those, an ``IntegrationError`` names a NaN estimate.
     """
     mean, cov, upper = (np.asarray(a, dtype=float) for a in (mean, cov, upper))
     n_blocks, m = mean.shape
     if cov.shape != (n_blocks, m, m) or upper.shape != (n_blocks, m):
         raise DimensionError("mean, cov and upper dimensions do not match")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if m < 1:
         return None, (0, DimensionError("a censored block needs at least one measure"))
 
     var = np.diagonal(cov, axis1=1, axis2=2)
-    low = np.any(var < VARIANCE_FLOOR, axis=1)
     # np.isclose's test (NaN fails it), written out: np.isclose takes 3x as long
     cov_t = np.swapaxes(cov, 1, 2)
     asym = np.any(~(np.abs(cov - cov_t) <= 1e-12 + 1e-8 * np.abs(cov_t)), axis=(1, 2))
-    checks = [(asym, "covariance is not symmetric"), (low, _FLOOR_MESSAGE)]
     if m <= EXACT_DIM:
         sd = np.sqrt(np.maximum(var, VARIANCE_FLOOR)[:, :, None])
         limits = (upper - mean) / sd[:, :, 0]
         corr = cov / (sd * np.swapaxes(sd, 1, 2))
-        if m > 1:
-            checks.append((np.linalg.eigvalsh(corr)[:, 0] <= 0.0, "covariance is not positive definite"))
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    first = int(np.argmax(bad)) if bad.any() else n_blocks
-    if m > EXACT_DIM:
-        # the ordered Cholesky is the positive-definiteness check
-        factors = []
-        for i in range(first):
-            try:
-                factors.append(_ordered_cholesky(cov[i], upper[i] - mean[i]))
-            except NotPositiveDefiniteError as exc:
-                return None, (i, exc)
-    if first < n_blocks:
-        message = next(message for mask, message in checks if mask[first])
-        return None, (first, NotPositiveDefiniteError(message))
+        not_pd = np.linalg.eigvalsh(corr)[:, 0] <= 0.0
+    else:
+        chol, b, not_pd = _ordered_cholesky(cov, upper - mean)
+    checks = [(asym, NotPositiveDefiniteError("covariance is not symmetric")),
+              (np.any(var < VARIANCE_FLOOR, axis=1), NotPositiveDefiniteError(_FLOOR_MESSAGE)),
+              (not_pd, NotPositiveDefiniteError("covariance is not positive definite"))]
 
-    if m <= EXACT_DIM:
-        log_p = log_ndtr(limits[:, 0]) if m == 1 else log_orthant_probs(limits, corr)
-        return (log_p, None, None, None), None
-    chol, b = (np.array(f) for f in zip(*factors))
-    # a tolerance of -inf is never met: fixed counts run to the end
-    value, err, used, met = _genz_qmc(chol, b, seed,
-                                      FIT_POINTS.get(m, FIT_POINTS_DEFAULT) if fixed else _MAX_POINTS,
-                                      -np.inf if fixed else tol)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(np.maximum(value, 0.0))
-    return (log_p, err, _N_SCRAMBLES * used, ~met & (not fixed)), None
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not np.any(bad):
+        if m <= EXACT_DIM:
+            results = (log_ndtr(limits[:, 0]) if m == 1 else log_orthant_probs(limits, corr),
+                       None, None, None)
+        else:
+            # a tolerance of -inf is never met: fixed counts run to the end
+            value, err, used, met = _genz_qmc(chol, b, seed,
+                                              FIT_POINTS.get(m, FIT_POINTS_DEFAULT) if fixed else _MAX_POINTS,
+                                              -np.inf if fixed else MVN_TOL)
+            with np.errstate(divide="ignore"):
+                results = (np.log(np.maximum(value, 0.0)), err, _N_SCRAMBLES * used, ~met & (not fixed))
+        bad = np.isnan(results[0])
+        checks.append((bad, IntegrationError("censored-block probability is not a number")))
+    if np.any(bad):
+        first = int(np.argmax(bad))
+        return None, (first, next(error for mask, error in checks if mask[first]))
+    return results, None
 
 
 def truncated_moments(mean, cov, upper, log_p):

@@ -567,9 +567,6 @@ class LikelihoodEvaluator:
             root_m = root[rows]
             cov = root_m @ np.swapaxes(root_m, 1, 2) + var_c[rows][:, :, None] * np.eye(m)
             probs, error = mvn_rect_probs(mu_c[rows], cov, upper[rows], seed=seed, fixed=fixed)
-            if error is None and np.any(np.isnan(probs[0])):
-                error = (int(np.argmax(np.isnan(probs[0]))),
-                         IntegrationError("censored-block probability is not a number"))
             if error is not None:
                 failures[blocks[error[0]]] = error[1]
                 continue

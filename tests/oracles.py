@@ -26,13 +26,16 @@ library also computes, by a separate and plainer route:
 - :func:`truncated_moments_by_differences`, the mean and second moment of a
   truncated normal block from Richardson derivatives of its log
   probability, where the library uses Tallis's closed forms.
+- :func:`ordered_cholesky`, Genz's variable-ordered Cholesky factor of one
+  block, one variable and one entry at a time, where the library factors
+  all blocks of a size together.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr
 
 from censlmm.errors import DimensionError, IntegrationError, ModeSearchError, NotPositiveDefiniteError
 from censlmm.quadrature import scale_factor, tensor_grid
@@ -461,3 +464,51 @@ def truncated_moments_by_differences(log_prob, mean, cov, upper, rel_step=3e-5):
     first = mean + cov @ grad_mean
     second = cov + cov @ grad_cov @ cov
     return first, second
+
+
+# ---------------------------------------------------------------------------
+# Genz's variable ordering
+# ---------------------------------------------------------------------------
+
+
+def ordered_cholesky(cov, b):
+    """Cholesky factor of one permuted covariance, most restrictive variable first.
+
+    At each elimination step the remaining variable with the smallest
+    conditional probability is pivoted in (Genz's ordering), using the
+    truncated-normal expectation of the already-factored coordinates as a
+    proxy for the integration variables. Returns the lower-triangular factor
+    and the permuted limits; raises ``NotPositiveDefiniteError`` where a
+    pivot has no variance left.
+    """
+    m = b.shape[0]
+    a = cov.copy()
+    b = b.copy()
+    chol = np.zeros((m, m))
+    y = np.zeros(m)
+    for k in range(m):
+        best, best_p = k, np.inf
+        for i in range(k, m):
+            var_i = a[i, i] - chol[i, :k] @ chol[i, :k]
+            if var_i <= 0.0:
+                continue
+            s = math.sqrt(var_i)
+            p = ndtr((b[i] - chol[i, :k] @ y[:k]) / s)
+            if p < best_p:
+                best, best_p = i, p
+        if best != k:
+            a[[k, best], :] = a[[best, k], :]
+            a[:, [k, best]] = a[:, [best, k]]
+            chol[[k, best], :k] = chol[[best, k], :k]
+            b[[k, best]] = b[[best, k]]
+        var_k = a[k, k] - chol[k, :k] @ chol[k, :k]
+        if var_k <= 0.0:
+            raise NotPositiveDefiniteError("covariance is not positive definite")
+        ckk = math.sqrt(var_k)
+        chol[k, k] = ckk
+        for i in range(k + 1, m):
+            chol[i, k] = (a[i, k] - chol[i, :k] @ chol[k, :k]) / ckk
+        alpha = (b[k] - chol[k, :k] @ y[:k]) / ckk
+        p = max(ndtr(alpha), 1e-300)
+        y[k] = -np.exp(-0.5 * alpha * alpha - _LOG_SQRT_2PI) / p
+    return chol, b

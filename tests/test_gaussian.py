@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr
 from scipy.stats import qmc
 
-from censlmm.errors import DimensionError, NotPositiveDefiniteError
+from censlmm.errors import DimensionError, IntegrationError, NotPositiveDefiniteError
 from censlmm import gaussian
 from censlmm.gaussian import (
     _genz_qmc,
@@ -19,7 +19,7 @@ from censlmm.gaussian import (
     mvn_rect_probs,
     truncated_moments,
 )
-from oracles import mvn_logpdf, truncated_moments_by_differences
+from oracles import mvn_logpdf, ordered_cholesky, truncated_moments_by_differences
 
 
 class TestMvnLogpdf:
@@ -102,13 +102,15 @@ class TestRectProb:
         r2 = rect_prob([0, 0, 0, 0], cov, [0.3, -0.2, 0.5, 0.1], seed=7)
         assert r1 == r2
 
-    def test_budget_exhaustion_flag(self):
+    def test_budget_exhaustion_flag(self, monkeypatch):
         # an unreachable tolerance runs out of points and says so; a loose one does not
         cov = np.eye(4) + 0.4 * (np.ones((4, 4)) - np.eye(4))
-        res = rect_prob([0, 0, 0, 0], cov, [0, 0, 0, 0], tol=1e-13)
+        monkeypatch.setattr(gaussian, "MVN_TOL", 1e-13)
+        res = rect_prob([0, 0, 0, 0], cov, [0, 0, 0, 0])
         assert res.exhausted
         assert 0.0 <= res.value <= 1.0
-        loose = rect_prob([0, 0, 0, 0], cov, [0, 0, 0, 0], tol=1e-2)
+        monkeypatch.setattr(gaussian, "MVN_TOL", 1e-2)
+        loose = rect_prob([0, 0, 0, 0], cov, [0, 0, 0, 0])
         assert not loose.exhausted and loose.points < res.points
 
     def test_dimension_cap(self):
@@ -205,14 +207,15 @@ class TestNestedStreams:
             upper.append(shift * np.sqrt(np.diag(c)) + 0.3 * rng.normal(size=m))
         return np.array(mean), np.array(cov), np.array(upper)
 
-    def test_grouped_estimate_equals_the_block_alone(self):
+    def test_grouped_estimate_equals_the_block_alone(self, monkeypatch):
         rng = np.random.default_rng(20)
         blocks = self.group(rng)
         others = self.group(rng)
         orders = [list(range(6)), list(range(5, -1, -1)), list(rng.permutation(6))]
-        for settings in ({"tol": 1e-4}, {"fixed": True}):
+        monkeypatch.setattr(gaussian, "MVN_TOL", 1e-4)
+        for settings in ({"fixed": False}, {"fixed": True}):
             alone = [rect_prob(*(a[i] for a in blocks), seed=3, **settings) for i in range(6)]
-            if "tol" in settings:
+            if not settings["fixed"]:
                 # six stopping levels, one of them at the cap
                 assert len({r.points for r in alone}) == 6
                 assert [r.exhausted for r in alone] == [False] * 4 + [True, False]
@@ -261,9 +264,10 @@ class TestNestedStreams:
             np.testing.assert_array_equal(abandoned[s].T, want[:512])
             np.testing.assert_array_equal(again[s], want)
 
-    def test_capped_block_uses_the_largest_set(self):
+    def test_capped_block_uses_the_largest_set(self, monkeypatch):
         cov = np.eye(4) + 0.4 * (np.ones((4, 4)) - np.eye(4))
-        res = rect_prob(np.zeros(4), cov, np.zeros(4), tol=1e-15)
+        monkeypatch.setattr(gaussian, "MVN_TOL", 1e-15)
+        res = rect_prob(np.zeros(4), cov, np.zeros(4))
         assert res.points == 10 * 32768 and res.exhausted
         assert 0.0 <= res.value <= 1.0
 
@@ -281,6 +285,64 @@ class TestNestedStreams:
             assert "positive definite" in str(error)
             _, (index, error) = mvn_rect_probs(zeros, cov[[0, 2, 1]], zeros)
             assert index == 1 and "floor" in str(error)
+
+    def test_nan_estimate_is_named_once_every_covariance_passes(self):
+        # a NaN limit passes the covariance checks and gives a NaN estimate;
+        # a block that fails a covariance check is named first, and then no
+        # estimate is computed
+        for m in (2, 4):
+            mean = np.zeros((3, m))
+            mean[1, 0] = np.nan
+            cov = np.stack([np.eye(m), np.eye(m), np.ones((m, m))])
+            results, (index, error) = mvn_rect_probs(mean, cov, np.zeros((3, m)))
+            assert results is None and index == 2
+            assert isinstance(error, NotPositiveDefiniteError)
+            _, (index, error) = mvn_rect_probs(mean[:2], cov[:2], np.zeros((2, m)))
+            assert index == 1 and isinstance(error, IntegrationError)
+            assert "not a number" in str(error)
+
+
+class TestOrderedCholesky:
+    @staticmethod
+    def blocks(rng, m):
+        """Positive definite and indefinite random blocks of size m, an exchangeable one and a singular one.
+
+        The exchangeable block has equal limits, so its candidates tie
+        exactly at every step; the all-ones block has no variance left after
+        its first pivot.
+        """
+        covs, limits = [], []
+        for _ in range(6):
+            a = rng.normal(size=(m, m))
+            covs.append(a @ a.T + 0.1 * np.eye(m))
+            q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+            eigs = rng.uniform(0.2, 2.0, m)
+            eigs[rng.integers(m)] = -0.5
+            covs.append((q * eigs) @ q.T)
+        covs += [np.eye(m) + 0.3, np.ones((m, m))]
+        for cov in covs:
+            limits.append(rng.uniform(-3.0, 2.0, m) * np.sqrt(np.abs(np.diag(cov))))
+        limits[-2] = np.full(m, 0.4)
+        return np.array(covs), np.array(limits)
+
+    @pytest.mark.parametrize("m", range(4, 13))
+    def test_batched_ordering_matches_the_oracle(self, m):
+        covs, limits = self.blocks(np.random.default_rng(40 + m), m)
+        chol, b, bad = _ordered_cholesky(covs, limits)
+        raised = []
+        for i in range(len(covs)):
+            try:
+                want_chol, want_b = ordered_cholesky(covs[i], limits[i])
+            except NotPositiveDefiniteError:
+                raised.append(i)
+                continue
+            np.testing.assert_array_equal(b[i], want_b)
+            np.testing.assert_allclose(chol[i], want_chol, rtol=0.0, atol=1e-14 * np.abs(want_chol).max())
+        np.testing.assert_array_equal(np.flatnonzero(bad), raised)
+        # the indefinite blocks and the all-ones block are refused
+        assert set(range(1, 12, 2)) | {13} <= set(raised)
+        # the exchangeable block keeps its given order: its factor is the plain Cholesky factor
+        np.testing.assert_allclose(chol[12], np.linalg.cholesky(covs[12]), rtol=0.0, atol=1e-15)
 
 
 def factor_oracle(loadings, unique, upper, order=64):
@@ -388,8 +450,8 @@ def tvn_oracle(b, corr):
 
 def qmc_value(limits, corr):
     """The quasi-Monte Carlo estimate that served m = 2 and 3 before the exact forms."""
-    chol, b = _ordered_cholesky(corr, np.asarray(limits, dtype=float))
-    return float(_genz_qmc(chol[None], b[None], 0, 512, -np.inf)[0][0])
+    chol, b, _ = _ordered_cholesky(np.asarray(corr, dtype=float)[None], np.asarray(limits, dtype=float)[None])
+    return float(_genz_qmc(chol, b, 0, 512, -np.inf)[0][0])
 
 
 ORACLE_RHOS = (-0.95, -0.5, 0.0, 0.3, 0.9, 0.93, 0.99, 0.999)

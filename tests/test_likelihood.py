@@ -594,6 +594,41 @@ def test_qmc_record_describes_the_last_evaluation(is_spec, truth):
 
 
 @pytest.fixture(scope="module")
+def censored_100x10(truth):
+    """100 subjects x 10 times at 50% target censoring: censored blocks of up to m = 10."""
+    return simulate(SimConfig(n_subjects=100, n_per_subject=10, truth=truth,
+                              target_censoring=0.5, seed=7))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP defect 1: each block's Genz variable order is "
+                                       "picked from its moments, so it switches with theta and "
+                                       "the fixed-count total jumps there")
+def test_fixed_count_total_is_continuous_across_a_genz_order_switch(is_spec, censored_100x10):
+    # two thetas 9.3e-13 apart on the line through the truth along a unit
+    # direction, bracketing the point where some block's pivot order
+    # switches, found by bisecting on the pivot orders of every block; the
+    # totals jump by -1.74e-4 there
+    below = [2.998277436343755, 0.49590464614469076, 0.70545971829658, -0.13492577184115323,
+             0.27832996811967237, 0.44498864241158886]
+    above = [2.9982774363439244, 0.4959046461450929, 0.7054597182967418, -0.13492577184179103,
+             0.2783299681201155, 0.44498864241180736]
+    ev = LikelihoodEvaluator(censored_100x10, is_spec)
+    totals = [ev.marginal(theta_from_vector(x, is_spec), fixed=True) for x in (below, above)]
+    assert totals[0] == pytest.approx(totals[1], abs=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP defect 2: the AGQ grid is oriented by the "
+                                       "eigenvectors of G, in ascending order of their "
+                                       "eigenvalues, which swap where two eigenvalues cross")
+def test_agq_total_is_continuous_where_two_eigenvalues_of_g_meet(is_spec, truth, censored_100x10):
+    # G = diag(0.3 +- 1e-12, 0.3): the order-20 totals differ by 0.1375
+    ev = LikelihoodEvaluator(censored_100x10, is_spec)
+    totals = [ev.agq(Theta.from_moments(truth.beta, np.diag([0.3 + d, 0.3]), truth.sigma_e), 20)
+              for d in (-1e-12, 1e-12)]
+    assert totals[0] == pytest.approx(totals[1], abs=1e-9)
+
+
+@pytest.fixture(scope="module")
 def censored_20x8(truth):
     """20 subjects x 8 times at 60% target censoring: censored blocks of m >= 4."""
     d = simulate(SimConfig(n_subjects=20, n_per_subject=8, truth=truth,
