@@ -22,7 +22,10 @@ class DimensionError(CensLmmError):
 
 
 class NotPositiveDefiniteError(CensLmmError):
-    """A covariance matrix failed its Cholesky factorization."""
+    """A censored block's covariance is asymmetric, has a variance below
+    ``gaussian.VARIANCE_FLOOR``, or is not positive definite: by the smallest
+    eigenvalue of its correlation for up to three measures, by the Genz
+    variable ordering from four on."""
 
 
 class InvalidParameterError(CensLmmError):
@@ -41,7 +44,7 @@ class ModeSearchError(CensLmmError):
 
 
 class IntegrationError(CensLmmError):
-    """A quadrature node produced a non-finite integrand value."""
+    """A quadrature node gave a non-finite integrand value, or a QMC estimate is NaN."""
 
 
 class GradientError(CensLmmError):

@@ -59,9 +59,11 @@ class Method(Enum):
 class Theta:
     """Full parameter vector: fixed effects, covariance factor, residual SDs.
 
-    ``chol`` is the lower-triangular Cholesky factor L of the random-effects
-    covariance, G = L L^T, with a nonnegative diagonal; any PSD G has one, for
-    any q. ``sigma_e`` holds one residual SD per stratum.
+    ``chol`` is any lower-triangular factor L of the random-effects
+    covariance, G = L L^T, for any q. Every computation reads L only through
+    G, and flipping the sign of a column of L leaves G unchanged, so the
+    signs of its diagonal entries are free (Pinheiro and Bates, Stat.
+    Comput. 1996). ``sigma_e`` holds one residual SD per stratum.
     """
 
     beta: np.ndarray
@@ -74,8 +76,6 @@ class Theta:
         L = np.atleast_2d(np.asarray(self.chol, dtype=float))
         if np.any(np.triu(L, 1) != 0.0):
             raise InvalidParameterError("L must be lower triangular")
-        if np.any(np.diag(L) < 0.0):
-            raise InvalidParameterError("L must have a nonnegative diagonal")
         object.__setattr__(self, "chol", L)
         if np.any(self.sigma_e < 0.0) or not np.all(np.isfinite(self.sigma_e)):
             raise InvalidParameterError("residual SDs must be finite and nonnegative")
@@ -87,13 +87,11 @@ class Theta:
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
-            # PSD fallback: eigenvalue-clipped symmetric square root, re-triangularized
+            # PSD fallback: eigenvalue-clipped square root R, R R^T = G; with
+            # R^T = Q U, L = U^T is lower triangular and L L^T = R R^T
             vals, vecs = np.linalg.eigh(g)
-            vals = np.clip(vals, 0.0, None)
-            root = vecs * np.sqrt(vals)
-            r = np.linalg.qr(root.T, mode="r")
-            chol = r.T * np.sign(np.diag(r))[None, :]
-            chol = np.tril(chol)
+            root = vecs * np.sqrt(np.clip(vals, 0.0, None))
+            chol = np.linalg.qr(root.T, mode="r").T
         return cls(beta, chol, sigma_e)
 
     @property
@@ -139,12 +137,11 @@ def n_free_params(spec):
 
 
 def theta_to_vector(theta):
-    """Map a valid Theta to the unconstrained optimization vector.
+    """Map a Theta to the unconstrained optimization vector.
 
-    The vector is beta, then the lower triangle of L row by row, then the
-    residual SDs, all as raw values. The inverse map accepts any vector:
-    it flips the sign of each column of L whose diagonal entry is negative
-    and takes the absolute value of each SD.
+    The vector is beta, then the lower triangle of L, any lower-triangular
+    factor of G, row by row, then the residual SDs, all as raw values. The
+    inverse map accepts any vector.
     """
     tri = theta.chol[np.tril_indices(theta.q)]
     return np.concatenate([theta.beta, tri, theta.sigma_e])
@@ -153,12 +150,10 @@ def theta_to_vector(theta):
 def theta_from_vector(vec, spec):
     """Inverse of :func:`theta_to_vector`, defined on every vector.
 
-    A column of L whose diagonal entry is negative changes sign as a whole.
-    That leaves G = L L^T equal to the raw vector's L L^T, so G is smooth in
-    the vector, also where a diagonal entry crosses 0. Reflecting only the
-    diagonal entry would put a kink in G_ij = |L_jj| L_ij there, where a
-    central difference reads 0. The residual SDs enter only squared, so
-    their absolute value keeps the likelihood smooth.
+    L is the vector's lower triangle as given, any lower-triangular factor
+    of G = L L^T, so G is smooth in the vector, also where a diagonal entry
+    crosses 0. Each residual SD is the absolute value of its entry: the
+    likelihood reads sigma_e squared, and the AGQ path divides by sigma_e.
     """
     vec = np.asarray(vec, dtype=float)
     if vec.shape[0] != n_free_params(spec):
@@ -167,7 +162,6 @@ def theta_from_vector(vec, spec):
     k = spec.q * (spec.q + 1) // 2
     chol = np.zeros((spec.q, spec.q))
     chol[np.tril_indices(spec.q)] = vec[spec.p : spec.p + k]
-    chol *= np.where(np.diag(chol) < 0.0, -1.0, 1.0)
     sigma_e = np.abs(vec[spec.p + k :])
     return Theta(beta, chol, sigma_e)
 

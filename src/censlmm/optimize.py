@@ -289,23 +289,19 @@ def _score_gradient(evaluate, spec):
     """The gradient on the optimizer vector from the score of ``evaluate(theta, score=True)``.
 
     The score is on :func:`theta_to_vector`'s coordinates. The vector maps to
-    them with the sign of each column of L whose raw diagonal entry is
-    negative flipped, and each residual SD as its absolute value, so the
-    chain rule multiplies those entries by -1 and by sign(x). A library
-    error or a non-finite entry raises ``GradientError``.
+    them as given, beta and L's lower triangle included, L being any
+    lower-triangular factor of G, except that each residual SD is its
+    absolute value, so the chain rule multiplies those entries by sign(x).
+    A library error or a non-finite entry raises ``GradientError``.
     """
-    p = spec.p
-    rows, cols = np.tril_indices(spec.q)
-    k = rows.shape[0]
-    diag = p + np.flatnonzero(rows == cols)  # L_bb in the vector, in order of b
+    sigma = slice(-spec.n_strata, None)
 
     def gradient(x):
         try:
-            _, score = evaluate(theta_from_vector(x, spec), score=True)
+            _, grad = evaluate(theta_from_vector(x, spec), score=True)
         except CensLmmError as exc:
             raise GradientError(f"score not available: {exc}") from exc
-        flip = np.where(x[diag] < 0.0, -1.0, 1.0)
-        grad = np.concatenate([np.ones(p), flip[cols], np.sign(x[p + k :])]) * score
+        grad[sigma] *= np.sign(x[sigma])
         if not np.all(np.isfinite(grad)):
             raise GradientError("score not finite")
         return grad
@@ -422,10 +418,10 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
 def _natural_jacobian(x, spec):
     """Exact Jacobian of :func:`natural_from_vector` at ``x``.
 
-    The identity for beta. The column flip of ``theta_from_vector`` leaves
-    G = L L^T with L the raw lower triangle of ``x``, so dG / dL_ab =
-    E_ab L^T + L E_ba, with E_ab the unit matrix at (a, b). Each residual
-    SD |x| has derivative sign(x) and each variance x^2 has 2x.
+    The identity for beta. G = L L^T with L the lower triangle of ``x``, any
+    lower-triangular factor of G, so dG / dL_ab = E_ab L^T + L E_ba, with
+    E_ab the unit matrix at (a, b). Each residual SD |x| has derivative
+    sign(x) and each variance x^2 has 2x.
     """
     p, n_strata = spec.p, spec.n_strata
     rows, cols = np.tril_indices(spec.q)

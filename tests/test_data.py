@@ -419,11 +419,13 @@ class TestReadLongCsv:
 
     def test_per_row_threshold_column(self, tmp_path):
         path = tmp_path / "d.csv"
+        # a censored row with an empty response takes its limit as the response
         write_rows(path, ["id", "time", "y", "obs", "limit"],
-                   [[1, 0, 1.7, 0, 1.7], [1, 1, 3.5, 1, 2.9]])
+                   [[1, 0, 1.7, 0, 1.7], [1, 1, 3.5, 1, 2.9], [1, 2, "", 0, 2.2]])
         d = read_long_csv(path)
-        thresholds = [o.threshold for o in d.subjects[0].observations]
-        assert thresholds == [1.7, 2.9]
+        observations = d.subjects[0].observations
+        assert [o.threshold for o in observations] == [1.7, 2.9, 2.2]
+        assert [o.response for o in observations] == [1.7, 3.5, 2.2]
 
     def test_missing_observed_response_dropped_with_warning(self, tmp_path):
         path = tmp_path / "d.csv"

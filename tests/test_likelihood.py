@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.special import log_ndtr
 
 from censlmm.data import (
@@ -76,18 +77,20 @@ class TestTheta:
             assert again.g_matrix() == pytest.approx(theta.g_matrix(), abs=1e-12), name
             assert again.sigma_e == pytest.approx(theta.sigma_e, abs=1e-12), name
 
-    def test_reflection_makes_negatives_valid(self, is_spec):
+    def test_negative_entries_are_kept_as_given(self, is_spec):
         vec = np.array([3.0, 0.5, -0.7, -0.2, -0.3, -0.45])
         theta = theta_from_vector(vec, is_spec)
-        assert np.all(np.diag(theta.chol) >= 0)
-        assert np.all(theta.sigma_e >= 0)
-        # the sign flips take whole columns, so G is the raw vector's L L^T
+        # L is any lower-triangular factor of G: its lower triangle as given
         raw = np.array([[-0.7, 0.0], [-0.2, -0.3]])
-        assert theta.g_matrix() == pytest.approx(raw @ raw.T, abs=1e-15)
+        assert np.array_equal(theta.chol, raw)
+        assert np.array_equal(theta.sigma_e, [0.45])
+        assert np.array_equal(theta.g_matrix(), raw @ raw.T)
+        assert np.array_equal(theta_to_vector(theta), np.r_[vec[:-1], 0.45])
 
     def test_gradient_is_smooth_where_a_diagonal_entry_of_l_is_zero(self, is_spec, truth,
                                                                       benchmark_dataset):
-        # With L11 = 0 and L21 != 0, G12 = L11 L21 changes sign with L11. A
+        # With L11 = 0 and L21 != 0, G12 = L11 L21 changes sign with L11: L
+        # is the vector's lower triangle as given, so G is smooth there. A
         # map that reflected only the diagonal entry made G12 = |L11| L21, a
         # kink at which the central difference read 0.
         ev = LikelihoodEvaluator(benchmark_dataset, is_spec)
@@ -122,6 +125,16 @@ class TestTheta:
     def test_upper_triangle_rejected(self):
         with pytest.raises(InvalidParameterError):
             Theta([1.0, 1.0], [[0.5, 0.2], [0.0, 0.5]], [0.4])
+
+    @pytest.mark.parametrize("g", [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.0]],
+                                   [[1.0, 2.0, 0.0], [2.0, 5.0, 1.0], [0.0, 1.0, 1.0]]])
+    def test_from_moments_factors_a_singular_g(self, g):
+        g = np.array(g)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(g)
+        theta = Theta.from_moments([0.0], g, [1.0])
+        assert np.array_equal(theta.chol, np.tril(theta.chol))
+        assert np.max(np.abs(theta.g_matrix() - g)) <= 1e-14 * max(1.0, np.max(np.abs(g)))
 
     def test_natural_names_table_order(self, is_spec):
         assert natural_names(is_spec) == (
@@ -352,6 +365,49 @@ class TestAgqLoglik:
             loglik_agq(d, is_spec, far)
         assert err.value.subject_id == "a"
         assert isinstance(err.value.__cause__, ModeSearchError)
+
+    def test_mode_search_iteration_cap_is_evaluation_error(self, monkeypatch, is_spec, truth):
+        d = simulate(SimConfig(20, 5, truth, target_censoring=0.3, seed=3))
+        monkeypatch.setattr(likelihood, "_MODE_MAX_ITER", 0)
+        with pytest.raises(EvaluationError, match="^subject 1: mode search did not converge "
+                                                  "in 0 iterations$") as err:
+            loglik_agq(d, is_spec, truth)
+        assert err.value.subject_id == "1"
+        assert isinstance(err.value.__cause__, ModeSearchError)
+
+    def test_a_full_newton_step_that_lowers_f_is_halved(self, monkeypatch, is_spec):
+        # five censored rows, a large G and a small sigma_e: the log Phi terms
+        # curve sharply near the mode, and a full Newton step overshoots it
+        times, c = np.array([0.0, 0.4, 1.8, 2.5, 2.9]), -2.2
+        theta = Theta([-1.3, -1.9], [[5.23, 0.0], [-5.03, 2.28]], [0.075])
+        d = Dataset(subjects=(make_subject("a", times, [c] * 5, [0] * 5, c),))
+        laplace = LikelihoodEvaluator(d, is_spec).agq(theta, 1)
+
+        # oracle: the Laplace approximation at the integrand's mode in u
+        z, g, sd = np.column_stack([np.ones(5), times]), theta.g_matrix(), theta.sigma_e[0]
+        base = (c - z @ theta.beta) / sd
+
+        def terms(u):
+            t = base - z @ u / sd
+            lam = np.exp(-0.5 * t * t - 0.5 * LOG_2PI - log_ndtr(t))
+            f = (-0.5 * u @ np.linalg.solve(g, u) - 0.5 * np.linalg.slogdet(g)[1] - LOG_2PI
+                 + np.sum(log_ndtr(t)))
+            grad = -np.linalg.solve(g, u) - z.T @ lam / sd
+            neg_hess = np.linalg.inv(g) + (z.T * lam * (t + lam)) @ z / sd ** 2
+            return f, grad, neg_hess
+
+        mode = scipy.optimize.minimize(lambda u: -terms(u)[0], np.zeros(2), method="trust-exact",
+                                       jac=lambda u: -terms(u)[1], hess=lambda u: terms(u)[2],
+                                       options={"gtol": 1e-10}).x
+        f, _, neg_hess = terms(mode)
+        assert laplace == pytest.approx(f + LOG_2PI - 0.5 * np.linalg.slogdet(neg_hess)[1],
+                                        abs=1e-8)
+        # with full steps only, the search fails far from the mode
+        monkeypatch.setattr(likelihood, "_MIN_STEP", 0.75)
+        with pytest.raises(EvaluationError, match="^subject a: no ascent step found") as err:
+            LikelihoodEvaluator(d, is_spec).agq(theta, 1)
+        assert isinstance(err.value.__cause__, ModeSearchError)
+        assert float(str(err.value).rsplit(" ", 1)[1]) > 0.1  # the gradient norm
 
     @pytest.mark.parametrize("ndim,cause", [(1, ModeSearchError), (2, IntegrationError)],
                              ids=["mode-search", "grid"])

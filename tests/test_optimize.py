@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from censlmm.data import MODEL_TEMPLATES, Dataset, intercept_slope_model
-from censlmm.errors import EvaluationError, GradientError
+from censlmm.errors import EvaluationError, GradientError, OptimizationStall
 from censlmm.likelihood import (
     LikelihoodEvaluator,
     LogLikOptions,
@@ -90,6 +90,12 @@ class TestFdHessian:
         h = fd_hessian(f, x, f0=f(x))
         assert len(calls) == 1 + 2 * 2 + 4
         assert h == pytest.approx(np.array([[2.0, 3.0], [3.0, 0.0]]), abs=1e-6)
+
+    def test_nonfinite_probe_raises(self):
+        # the probes at x0 + h leave the finite domain
+        f = lambda x: -math.inf if x[0] > 0.4 else float(x @ x)  # noqa: E731
+        with pytest.raises(GradientError, match="^Hessian probe hit a non-finite objective value$"):
+            fd_hessian(f, np.array([0.4, -1.2]))
 
 
 def test_score_hessian_is_the_symmetrised_difference_of_the_gradient():
@@ -195,15 +201,22 @@ class TestQuasiNewton:
         assert len(grads) == trace.iterations
         assert trace.n_evals == len(values) + len(grads)
 
-    def test_gradient_error_stops_the_run_with_its_text(self):
+    def test_gradient_error_stops_the_run_with_its_text(self, is_spec, small_dataset):
         def gradient(z):
             raise GradientError("score not finite")
 
-        x, trace = quasi_newton_maximize(lambda z: -float(z @ z), np.ones(2),
-                                         gradient=gradient)
-        assert list(x) == [1.0, 1.0]
-        assert trace.stop_reason == "score not finite"
-        assert math.isnan(trace.gradient_norms[-1])
+        # a library error in the score: the naive path rejects sigma_e = 0
+        score = optimize._score_gradient(LikelihoodEvaluator(small_dataset, is_spec).naive,
+                                         is_spec)
+        for grad, x0, reason in [
+            (gradient, np.ones(2), "score not finite"),
+            (score, np.r_[np.ones(5), 0.0],
+             "score not available: residual variance must be strictly positive"),
+        ]:
+            x, trace = quasi_newton_maximize(lambda z: -float(z @ z), x0, gradient=grad)
+            assert np.array_equal(x, x0)
+            assert trace.stop_reason == reason
+            assert math.isnan(trace.gradient_norms[-1])
 
     def test_n_evals_counts_every_objective_call(self):
         calls = [0]
@@ -309,11 +322,17 @@ class TestFitModel:
         spread = np.max(np.abs(np.array(solutions) - solutions[0]), axis=0)
         assert np.max(spread) <= 1e-2
 
-    def test_se_reported_only_with_good_hessian(self, is_spec, small_dataset):
+    def test_se_reported_only_with_good_hessian(self, is_spec, small_dataset, monkeypatch):
         res = fit_model(small_dataset, is_spec, LogLikOptions(method=Method.NAIVE), OptConfig())
         assert res.hessian_ok
         assert res.se is not None
         assert np.all(res.se > 0)
+        # a Hessian that is not negative definite has no inverse information
+        monkeypatch.setattr(optimize, "score_hessian", lambda gradient, x: np.eye(x.size))
+        res = fit_model(small_dataset, is_spec, LogLikOptions(method=Method.NAIVE), OptConfig())
+        assert not res.hessian_ok
+        assert res.se is None
+        assert not any(key.startswith("se.") for key in res.as_dict())
 
     def test_se_match_the_inverse_hessian_in_natural_parameters(self, is_spec,
                                                                 benchmark_dataset):
@@ -356,7 +375,7 @@ class TestFitModel:
         # the trace's last value, not a second evaluation
         assert res.loglik == LikelihoodEvaluator(small_dataset, is_spec).naive(res.theta_hat)
 
-    def test_failure_at_start_names_the_subject(self, is_spec):
+    def test_failure_at_start_names_the_subject(self, is_spec, truth, small_dataset):
         # with G = 0 and sigma_e = 1e-7 the censored variance of "late",
         # 1e-14, is below the floor at the start
         d = Dataset(subjects=(
@@ -367,6 +386,12 @@ class TestFitModel:
         with pytest.raises(EvaluationError, match="^subject late: ") as err:
             fit_model(d, is_spec, LogLikOptions(method=Method.MARGINAL), OptConfig(start=start))
         assert err.value.subject_id == "late"
+        # a start whose total is -inf without an error: every residual overflows
+        far = Theta([1e200, 0.0], truth.chol, truth.sigma_e)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(OptimizationStall, match="^objective not finite at the starting"):
+            fit_model(small_dataset, is_spec, LogLikOptions(method=Method.NAIVE),
+                      OptConfig(start=far))
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP defect 4: the order-64 AGQ score is the "
                                            "quadrature of the Fisher identity, not the "
@@ -420,8 +445,8 @@ class TestFitModel:
 
 @pytest.mark.parametrize("spec_name", ["ri", "is", "biv"])
 def test_natural_jacobian_matches_central_differences(spec_name):
-    # a negative raw L diagonal entry and a negative residual SD: the column
-    # flip and the absolute value both act at this point
+    # a negative L diagonal entry and a negative residual SD: L is kept as
+    # given, and the absolute value acts at this point
     spec = MODEL_TEMPLATES[spec_name]()
     x = np.random.default_rng(3).normal(0.5, 0.4, size=n_free_params(spec))
     x[spec.p] = -0.7

@@ -37,9 +37,9 @@ def point(model, where):
     """The optimizer vector at the template's truth, or with one entry of L moved.
 
     "L11=0" leaves L21 != 0 on the templates with q >= 2; on ``ri`` it is
-    G = 0. "rank1" zeroes L22, so G has rank q - 1. "flip" negates the raw
-    L11, so ``theta_from_vector`` flips the first column of L and the chain
-    rule changes the sign of that column's entries.
+    G = 0. "rank1" zeroes L22, so G has rank q - 1. "flip" negates L11, so
+    L has a negative diagonal entry; L is any lower-triangular factor of G,
+    and ``theta_from_vector`` keeps it as given.
     """
     spec = MODEL_TEMPLATES[model]()
     x = theta_to_vector(default_truth(model))
