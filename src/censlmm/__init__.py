@@ -7,7 +7,6 @@ threshold-imputation baseline, a dataset simulator, and a batch CLI.
 """
 
 from .data import (
-    CsvSchema,
     Dataset,
     ModelSpec,
     Observation,
@@ -46,7 +45,6 @@ from .likelihood import (
 )
 from .optimize import (
     FitResult,
-    OptConfig,
     fd_gradient,
     fd_hessian,
     fit_model,

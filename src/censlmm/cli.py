@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .data import CsvSchema, MODEL_TEMPLATES, read_long_csv, write_long_csv
+from .data import MODEL_TEMPLATES, read_long_csv, write_long_csv
 from .errors import CensLmmError
 from .likelihood import LogLikOptions, Method
 from .optimize import fit_model
@@ -109,8 +109,7 @@ def _loglik_options(args, method):
 
 
 def _read_dataset(args):
-    schema = CsvSchema(default_threshold=args.threshold)
-    return read_long_csv(args.input, schema)
+    return read_long_csv(args.input, default_threshold=args.threshold)
 
 
 def _format_value(value):

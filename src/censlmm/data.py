@@ -285,24 +285,11 @@ def design_matrices(spec, time, marker, covariates=(), subject=(), ids=()):
     return x, x[:, :q].copy()
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping for the long format.
-
-    The censoring indicator uses 1 for an observed value and 0 for a
-    left-censored one.  Per-row detection limits come from ``threshold_col``
-    when that column exists; otherwise ``default_threshold`` is applied to
-    every row.
-    """
-
-    id_col: str = "id"
-    time_col: str = "time"
-    response_col: str = "y"
-    observed_col: str = "obs"
-    threshold_col: str = "limit"
-    marker_col: str = "marker"
-    covariate_cols: tuple = ()
-    default_threshold: float | None = None
+# The long format's columns, in the order the writer puts them: the subject's
+# id, the time, the response, the censoring indicator (1 for an observed value,
+# 0 for a left-censored one), the row's detection limit and its 1-based marker.
+# The last two are optional on input; fixed covariates follow them.
+COLUMNS = ("id", "time", "y", "obs", "limit", "marker")
 
 
 def _parse_float(text, name, line):
@@ -312,41 +299,44 @@ def _parse_float(text, name, line):
         raise ParseError(f"line {line}: column {name!r} has non-numeric value {text!r}", row=line) from None
 
 
-def read_long_csv(path, schema=CsvSchema()):
-    """Read a long-format CSV into a Dataset, grouping rows by subject.
+def read_long_csv(path, default_threshold=None, covariate_cols=()):
+    """Read a long-format CSV (:data:`COLUMNS`) into a Dataset, grouping rows by subject.
 
-    Subjects appear in order of first appearance; within-subject row order is
-    preserved.  Rows whose response is missing while marked observed are
-    dropped with a warning.
+    A row's detection limit is its ``limit`` cell when that is not empty,
+    else ``default_threshold``. The named ``covariate_cols`` are read, in
+    order, as each row's covariates. Subjects appear in order of first
+    appearance; within-subject row order is preserved.  Rows whose response
+    is missing while marked observed are dropped with a warning.
     """
+    id_col, time_col, y_col, obs_col, limit_col, marker_col = COLUMNS
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        for required in (schema.id_col, schema.time_col, schema.response_col, schema.observed_col):
+        for required in COLUMNS[:4]:
             if required not in header:
                 raise SchemaError(f"required column {required!r} not found in {path}")
-        for cov in schema.covariate_cols:
+        for cov in covariate_cols:
             if cov not in header:
                 raise SchemaError(f"covariate column {cov!r} not found in {path}")
 
         groups: dict = {}  # subjects in order of first appearance
         for line_no, row in enumerate(reader, start=2):
-            sid = row[schema.id_col]
-            raw_y = (row[schema.response_col] or "").strip()
-            raw_obs = (row[schema.observed_col] or "").strip()
+            sid = row[id_col]
+            raw_y = (row[y_col] or "").strip()
+            raw_obs = (row[obs_col] or "").strip()
             if raw_obs not in ("0", "1"):
                 raise ParseError(f"line {line_no}: censoring indicator must be 0 or 1, got {raw_obs!r}",
                                  row=line_no)
             is_observed = raw_obs == "1"
-            time = _parse_float(row[schema.time_col], schema.time_col, line_no)
+            time = _parse_float(row[time_col], time_col, line_no)
 
             # an optional column that the file lacks reads as empty
             threshold = math.nan
-            raw_thr = (row.get(schema.threshold_col) or "").strip()
+            raw_thr = (row.get(limit_col) or "").strip()
             if raw_thr != "":
-                threshold = _parse_float(raw_thr, schema.threshold_col, line_no)
-            if not math.isfinite(threshold) and schema.default_threshold is not None:
-                threshold = float(schema.default_threshold)
+                threshold = _parse_float(raw_thr, limit_col, line_no)
+            if not math.isfinite(threshold) and default_threshold is not None:
+                threshold = float(default_threshold)
             if not is_observed and not math.isfinite(threshold):
                 raise SchemaError(
                     f"line {line_no}: censored row without a threshold column or default threshold"
@@ -361,17 +351,17 @@ def read_long_csv(path, schema=CsvSchema()):
                     continue
                 response = threshold
             else:
-                response = _parse_float(raw_y, schema.response_col, line_no)
+                response = _parse_float(raw_y, y_col, line_no)
 
             marker = 1
-            raw_m = (row.get(schema.marker_col) or "").strip()
+            raw_m = (row.get(marker_col) or "").strip()
             if raw_m != "":
-                marker = _parse_float(raw_m, schema.marker_col, line_no)
+                marker = _parse_float(raw_m, marker_col, line_no)
                 if not marker.is_integer():
                     raise ParseError(f"line {line_no}: marker {raw_m!r} is not an integer", row=line_no)
                 marker = int(marker)
 
-            covs = tuple(_parse_float(row[c], c, line_no) for c in schema.covariate_cols)
+            covs = tuple(_parse_float(row[c], c, line_no) for c in covariate_cols)
             try:
                 obs = Observation(subject_id=sid, time=time, response=response, is_observed=is_observed,
                                   threshold=threshold, marker=marker, covariates=covs)
@@ -382,18 +372,17 @@ def read_long_csv(path, schema=CsvSchema()):
     if not groups:
         raise SchemaError(f"{path} contains no data rows")
     subjects = [SubjectData(sid, observations) for sid, observations in groups.items()]
-    return Dataset(subjects=subjects, column_names=tuple(schema.covariate_cols))
+    return Dataset(subjects=subjects, column_names=tuple(covariate_cols))
 
 
-def write_long_csv(dataset, path, schema=CsvSchema()):
-    """Write a Dataset back to the long format.
+def write_long_csv(dataset, path):
+    """Write a Dataset to the long format: :data:`COLUMNS`, then its covariate columns.
 
     Floats are written with the shortest round-tripping representation, so a
     write/read cycle reproduces values bit-for-bit.  Missing thresholds
     become empty cells.
     """
-    header = [schema.id_col, schema.time_col, schema.response_col, schema.observed_col,
-              schema.threshold_col, schema.marker_col, *dataset.column_names]
+    header = [*COLUMNS, *dataset.column_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

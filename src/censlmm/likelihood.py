@@ -312,8 +312,11 @@ class _Integrands:
 
         Each iteration takes the full Newton step for every subject whose
         gradient norm exceeds ``_MODE_GTOL`` and halves it only for those
-        whose f did not rise. The grid is then scaled by
-        :func:`quadrature.scale_factor` of the exact Hessian at the mode.
+        whose f did not rise, within a rounding slack. A full step whose
+        predicted rise, g^T H^-1 g / 2, is itself within that slack is kept
+        even if f fell: the search is then at the mode up to rounding. The
+        grid is then scaled by :func:`quadrature.scale_factor` of the exact
+        Hessian at the mode.
         """
         v = start
         f, grad, neg_hess = self._derivatives(v)
@@ -333,9 +336,11 @@ class _Integrands:
                     last_iterate=v[s]))
             step = np.linalg.solve(neg_hess, grad[:, :, None])[:, :, 0] * todo[:, None]
             cand = v + step
-            floor = f - _F_SLACK * (1.0 + np.abs(f))
+            slack = _F_SLACK * (1.0 + np.abs(f))
+            floor = f - slack
             new = self._derivatives(cand)
-            low = ~(new[0] >= floor)
+            low = ~((new[0] >= floor) | ((0.5 * np.sum(grad * step, axis=1) <= slack)
+                                         & np.isfinite(new[0])))
             t = 1.0
             while np.any(low):
                 t *= 0.5

@@ -4,7 +4,7 @@ One ascent driver, as in the default of SAS Proc NLMIXED: BFGS quasi-Newton
 with a backtracking line search. It takes the gradient as a callable, or
 else takes central finite differences of the objective. It converges when
 the relative function change is below 1e-8 and the gradient norm below
-``g_tol``; every run returns its last point, the value there and why it
+``G_TOL``; every run returns its last point, the value there and why it
 stopped. ``fit_model`` wires it to the likelihood paths, starting from the
 threshold-imputation fit as in the reference analysis workflow. The naive
 path, the AGQ path at the order rule's order and the marginal path on data
@@ -43,26 +43,8 @@ _FD_STEP = 6e-6
 _HESS_STEP = 1e-3
 # relative function change below which, with the gradient test, a run converges
 _F_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class OptConfig:
-    """Optimizer settings.
-
-    ``max_iter`` caps the points checked (``Trace.iterations``) and ``g_tol``
-    is the gradient-norm part of the stopping rule. ``start``, when given, is the Theta that
-    ``fit_model`` starts from in place of its warm start. ``compute_se`` asks
-    ``fit_model`` for standard errors at the optimum.
-    """
-
-    max_iter: int = 200
-    g_tol: float = 1e-5
-    start: object = None
-    compute_se: bool = True
-
-    def __post_init__(self):
-        if self.max_iter < 1 or self.g_tol <= 0:
-            raise ValueError("max_iter must be >= 1 and g_tol positive")
+MAX_ITER = 200  # the points one maximization checks at most (``Trace.iterations``)
+G_TOL = 1e-5  # the gradient-norm part of the stopping rule
 
 
 @dataclass
@@ -125,7 +107,7 @@ def score_hessian(gradient, x):
     return 0.5 * (hess + hess.T)
 
 
-def quasi_newton_maximize(f, x0, cfg=OptConfig(), gradient=None):
+def quasi_newton_maximize(f, x0, gradient=None):
     """Maximize ``f`` from the vector ``x0`` by BFGS with a backtracking search.
 
     ``gradient(x)`` is the gradient of ``f``; without it, :func:`fd_gradient`
@@ -138,10 +120,11 @@ def quasi_newton_maximize(f, x0, cfg=OptConfig(), gradient=None):
     rule holds (``trace.converged``), when ``f`` is not finite at the
     start, when the gradient raises a ``GradientError`` (its text, such as
     a probe that is not finite, naming the coordinate), after 50 halvings
-    with no acceptable step, at ``max_iter`` points, or when an accepted
+    with no acceptable step, at ``MAX_ITER`` points, or when an accepted
     step leaves ``x`` unchanged at float resolution, as every later
     iteration would repeat that state: converged if the gradient norm is
-    below ``g_tol``, otherwise "no progress".
+    below ``G_TOL``, otherwise "no progress". Both limits are read at
+    call time.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.shape[0]
@@ -180,10 +163,10 @@ def quasi_newton_maximize(f, x0, cfg=OptConfig(), gradient=None):
                 b_inv += rho * np.outer(s, s)
         grad = grad_new
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= cfg.g_tol and rel <= _F_TOL:
+        if gnorm <= G_TOL and rel <= _F_TOL:
             trace.converged, reason = True, _CONVERGED
             break
-        if trace.iterations + 1 == cfg.max_iter:
+        if trace.iterations + 1 == MAX_ITER:
             reason = "iteration limit reached"
             break
 
@@ -206,7 +189,7 @@ def quasi_newton_maximize(f, x0, cfg=OptConfig(), gradient=None):
             break
         if np.array_equal(cand, x):
             # every later iteration would repeat this state with f unchanged
-            trace.converged = gnorm <= cfg.g_tol
+            trace.converged = gnorm <= G_TOL
             reason = _CONVERGED if trace.converged else "no progress"
             break
 
@@ -308,23 +291,24 @@ def _score_gradient(evaluate, spec):
     return gradient
 
 
-def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
+def fit_model(dataset, spec, llopt=LogLikOptions(), start=None):
     """Maximum-likelihood fit of the selected formulation.
 
-    Unless ``cfg.start`` provides a Theta, the threshold-imputation fit is
-    run first and its optimum seeds the censoring-aware optimization.  The
-    likelihood is optimized over the unconstrained parameterization by
-    ``quasi_newton_maximize``. The naive path, the naive warm start of
-    every method, the AGQ path and the marginal path give it their
-    closed-form score (``LikelihoodEvaluator.naive``/``agq``/``marginal``
-    with ``score=True``), with two exceptions that take central differences
-    of the values instead. The AGQ order is the one whose total the doubling
+    Unless ``start`` provides a Theta, as the PARMS statement of SAS Proc
+    NLMIXED does, the threshold-imputation fit is run first and its optimum
+    seeds the censoring-aware optimization.  The likelihood is optimized
+    over the unconstrained parameterization by ``quasi_newton_maximize``.
+    The naive path, the naive warm start of every method, the AGQ path and
+    the marginal path give it their closed-form score
+    (``LikelihoodEvaluator.naive``/``agq``/``marginal`` with
+    ``score=True``), with two exceptions that take central differences of
+    the values instead. The AGQ order is the one whose total the doubling
     rule accepted at the start point (``ev.agq_order``), or the pinned one.
     The score is the quadrature of the Fisher identity, not the derivative
     of the quadrature total, and the two agree only as the order grows. On
     the 50 x 5 benchmark data the rule accepts order 20, where they agree
     within 2e-7; at order 10 they are 1.2e-3 apart at that total's optimum,
-    and BFGS on the score stops above ``g_tol`` with "no progress". A
+    and BFGS on the score stops above ``G_TOL`` with "no progress". A
     pinned order is the user's, down to the Laplace order 1, whose score
     misses the derivative of the log-determinant, so an AGQ fit at a pinned
     order keeps finite differences.
@@ -355,19 +339,17 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
     ev = LikelihoodEvaluator(dataset, spec, llopt)
     naive_gradient = _score_gradient(ev.naive, spec)
 
-    if cfg.start is not None:
-        start_theta = cfg.start
-    elif llopt.method is Method.NAIVE:
-        start_theta = moment_start(dataset, spec)
-    else:
+    if start is None and llopt.method is Method.NAIVE:
+        start = moment_start(dataset, spec)
+    elif start is None:
         x0 = theta_to_vector(moment_start(dataset, spec))
         naive_obj = _wrap_objective(lambda x: ev.naive(theta_from_vector(x, spec)))
-        x_naive, _ = quasi_newton_maximize(naive_obj, x0, cfg, naive_gradient)
-        start_theta = theta_from_vector(x_naive, spec)
+        x_naive, _ = quasi_newton_maximize(naive_obj, x0, naive_gradient)
+        start = theta_from_vector(x_naive, spec)
 
     gh_order = None
     if llopt.method is Method.AGQ:
-        gh_order = ev.agq_order(start_theta)[0]
+        gh_order = ev.agq_order(start)[0]
         target = lambda th, score=False: ev.agq(th, gh_order, score)
         # a pinned order can be too low for the score: see the docstring
         gradient = None if llopt.gh_order is not None else _score_gradient(target, spec)
@@ -378,25 +360,24 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), cfg=OptConfig()):
         target, gradient = ev.naive, naive_gradient
 
     objective = _wrap_objective(lambda x: target(theta_from_vector(x, spec)))
-    x_hat, trace = quasi_newton_maximize(objective, theta_to_vector(start_theta), cfg, gradient)
+    x_hat, trace = quasi_newton_maximize(objective, theta_to_vector(start), gradient)
     if not np.isfinite(trace.f_values[0]):
         # the wrapped objective hid the cause: evaluate once more, unwrapped,
         # so that an EvaluationError names the subject
-        target(start_theta)
+        target(start)
         raise OptimizationStall("objective not finite at the starting parameters")
 
     se = None
-    if cfg.compute_se:
-        try:
-            if gradient is None:
-                hess = fd_hessian(objective, x_hat, trace.f_values[-1])
-            else:
-                hess = score_hessian(gradient, x_hat)
-            chol = np.linalg.cholesky(-hess)
-            jac = _natural_jacobian(x_hat, spec)
-            se = np.linalg.norm(np.linalg.solve(chol, jac.T), axis=0)
-        except (np.linalg.LinAlgError, GradientError):
-            pass
+    try:
+        if gradient is None:
+            hess = fd_hessian(objective, x_hat, trace.f_values[-1])
+        else:
+            hess = score_hessian(gradient, x_hat)
+        chol = np.linalg.cholesky(-hess)
+        jac = _natural_jacobian(x_hat, spec)
+        se = np.linalg.norm(np.linalg.solve(chol, jac.T), axis=0)
+    except (np.linalg.LinAlgError, GradientError):
+        pass
 
     return FitResult(
         theta_hat=theta_from_vector(x_hat, spec),

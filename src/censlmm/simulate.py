@@ -51,6 +51,7 @@ def default_truth(model="is"):
 class SimConfig:
     """Design of one simulated dataset.
 
+    Each subject is measured at times 0, 1, ..., ``n_per_subject`` - 1.
     Exactly one of ``threshold`` (detection limit, scalar or one value per
     schedule time) and ``target_censoring`` (marginal censoring fraction used
     to calibrate the limit) must be given. A limit of -inf censors nothing;
@@ -60,7 +61,6 @@ class SimConfig:
     n_subjects: int
     n_per_subject: int
     truth: Theta
-    times: np.ndarray | None = None
     threshold: float | np.ndarray | None = None
     target_censoring: float | None = None
     seed: int = 0
@@ -75,13 +75,6 @@ class SimConfig:
             raise ValueError("threshold must be a number below +inf")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        times = self.times
-        if times is None:
-            times = np.arange(self.n_per_subject, dtype=float)
-        times = np.asarray(times, dtype=float)
-        if times.shape != (self.n_per_subject,):
-            raise ValueError("times must provide one value per within-subject measure")
-        object.__setattr__(self, "times", times)
         self.truth.validate_for(self.model)
 
 
@@ -161,15 +154,16 @@ def simulate(config, return_latent=False):
     rng = np.random.default_rng(config.seed)
 
     factor = truth.reduced_factor()
+    times = np.arange(config.n_per_subject, dtype=float)
 
     if config.threshold is not None:
         thr = np.broadcast_to(np.asarray(config.threshold, dtype=float),
                               (config.n_per_subject,)).astype(float)
     else:
-        c = calibrate_threshold(truth, config.times, config.target_censoring, model=spec)
+        c = calibrate_threshold(truth, times, config.target_censoring, model=spec)
         thr = np.full(config.n_per_subject, c)
 
-    xs, zs = _schedule_designs(spec, config.times)
+    xs, zs = _schedule_designs(spec, times)
     subjects = []
     latents = []
     for i in range(config.n_subjects):
@@ -178,7 +172,7 @@ def simulate(config, return_latent=False):
         observations = []
         for marker in range(1, spec.n_strata + 1):
             sde = float(truth.sigma_e[marker - 1])
-            for j, t in enumerate(config.times):
+            for j, t in enumerate(times):
                 k = (marker - 1) * config.n_per_subject + j
                 latent = float(xs[k] @ truth.beta + zs[k] @ gamma + sde * rng.standard_normal())
                 latents.append(latent)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from censlmm.data import (
-    CsvSchema,
     Dataset,
     ModelSpec,
     Observation,
@@ -395,7 +394,7 @@ class TestReadLongCsv:
         write_rows(path, ["id", "time", "y", "obs", "age"],
                    [[1, 0, 3.0, 1, 41.5], [1, time, 3.1, 1, age]])
         with pytest.raises(ParseError, match=f"^line 3: subject 1: {message}$") as err:
-            read_long_csv(path, CsvSchema(covariate_cols=("age",)))
+            read_long_csv(path, covariate_cols=("age",))
         assert err.value.row == 3
 
     def test_bad_indicator_value(self, tmp_path):
@@ -413,7 +412,7 @@ class TestReadLongCsv:
     def test_global_default_threshold(self, tmp_path):
         path = tmp_path / "d.csv"
         write_rows(path, ["id", "time", "y", "obs"], [[1, 0, 2.5, 0], [1, 1, 3.5, 1]])
-        d = read_long_csv(path, CsvSchema(default_threshold=2.5))
+        d = read_long_csv(path, default_threshold=2.5)
         assert d.subjects[0].observations[0].threshold == 2.5
         assert d.n_censored == 1
 
@@ -445,7 +444,7 @@ class TestReadLongCsv:
     def test_covariate_columns(self, tmp_path):
         path = tmp_path / "d.csv"
         write_rows(path, ["id", "time", "y", "obs", "age"], [[1, 0, 3.0, 1, 41.5]])
-        d = read_long_csv(path, CsvSchema(covariate_cols=("age",)))
+        d = read_long_csv(path, covariate_cols=("age",))
         assert d.subjects[0].observations[0].covariates == (41.5,)
         assert d.column_names == ("age",)
 
@@ -453,7 +452,7 @@ class TestReadLongCsv:
         path = tmp_path / "d.csv"
         write_rows(path, ["id", "time", "y", "obs"], [[1, 0, 3.0, 1]])
         with pytest.raises(SchemaError):
-            read_long_csv(path, CsvSchema(covariate_cols=("age",)))
+            read_long_csv(path, covariate_cols=("age",))
 
 
 class TestRoundTrip:
@@ -464,6 +463,7 @@ class TestRoundTrip:
         again = read_long_csv(p1)
         write_long_csv(again, p2)
         assert p1.read_text() == p2.read_text()
+        assert p1.read_text().split("\n", 1)[0] == "id,time,y,obs,limit,marker"
         for s1, s2 in zip(benchmark_dataset.subjects, again.subjects):
             assert s1.subject_id == s2.subject_id
             for o1, o2 in zip(s1.observations, s2.observations):

@@ -409,6 +409,26 @@ class TestAgqLoglik:
         assert isinstance(err.value.__cause__, ModeSearchError)
         assert float(str(err.value).rsplit(" ", 1)[1]) > 0.1  # the gradient norm
 
+    def test_a_full_step_that_loses_only_to_rounding_is_kept(self, monkeypatch, is_spec):
+        # a large G and a small sigma_e: at gradient norm 1.3e-7 the full
+        # Newton step lowers f by 1.4e-14, above the rounding slack of 5.6e-15,
+        # while its predicted rise g^T H^-1 g / 2 is about 1e-18; rejecting it
+        # cost seven halvings and 17 passes in all
+        theta = Theta([0.9, 2.8], [[-10.77, 0.0], [-5.28, 7.71]], [0.171])
+        d = Dataset(subjects=(make_subject("a", [0.1, 0.3, 0.5], [6.6, 5.9, 5.9], [1, 0, 0],
+                                           5.9),))
+        calls = []
+        derivatives = likelihood._Integrands._derivatives
+
+        def counted(self, v):
+            calls.append(1)
+            return derivatives(self, v)
+
+        monkeypatch.setattr(likelihood._Integrands, "_derivatives", counted)
+        value = LikelihoodEvaluator(d, is_spec).agq(theta, 20)
+        assert len(calls) == 8
+        assert value == pytest.approx(-5.661792698079593, abs=1e-12)
+
     @pytest.mark.parametrize("ndim,cause", [(1, ModeSearchError), (2, IntegrationError)],
                              ids=["mode-search", "grid"])
     def test_batched_failure_names_subject(self, monkeypatch, is_spec, truth, ndim, cause):
