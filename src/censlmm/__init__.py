@@ -50,7 +50,7 @@ from .optimize import (
     fit_model,
     quasi_newton_maximize,
 )
-from .quadrature import choose_order, gh_rule
+from .quadrature import choose_orders, gh_rule
 from .simulate import SimConfig, calibrate_threshold, default_truth, simulate
 
 __version__ = "0.1.0"

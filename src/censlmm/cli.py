@@ -80,8 +80,9 @@ def _build_parser():
         add_common(p)
         p.add_argument("--input", required=True)
         p.add_argument("--gh-order", type=_COUNT, default=None,
-                       help="pin the quadrature order, capped at 64, 40 or 20 for q <= 2, 3 or 4 "
-                            "(ignores --qtol); default: start at 10 and double to --qtol")
+                       help="pin every subject's quadrature order, capped at 64, 40 or 20 for "
+                            "q <= 2, 3 or 4 (ignores --qtol); default: each subject's order "
+                            "doubles from 10 until its integral settles, to --qtol in all")
         p.add_argument("--qtol", type=_TOLERANCE, default=1e-6,
                        help="quadrature-order doubling tolerance on the total log-likelihood")
 

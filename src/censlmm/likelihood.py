@@ -204,8 +204,9 @@ def natural_from_vector(vec, spec):
 class LogLikOptions:
     """Evaluation settings shared by the likelihood paths.
 
-    ``gh_order`` pins the GH order, capped per q; None leaves it to the
-    doubling rule, run to ``qtol`` (see the ``quadrature`` module).
+    ``gh_order`` pins the GH order of every subject, capped per q; None
+    leaves each subject's order to the doubling rule, run to ``qtol`` (see
+    the ``quadrature`` module).
     """
 
     method: Method = Method.MARGINAL
@@ -260,6 +261,21 @@ def _inverse(chol):
     return np.swapaxes(inv, 1, 2) @ inv
 
 
+def _rows_of(counts, seg, which):
+    """The indexes of the rows of the segments ``which``, segment s being seg[s]:seg[s] + counts[s]."""
+    n = counts[which]
+    return np.repeat(seg[which] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+
+
+def _row_sums(weight, x):
+    """weight @ x, (S, K) and (K, d) to (S, d), one (1 x K) product per row.
+
+    A BLAS matrix product rounds a row depending on the rows beside it, so
+    each row is its own product and its sums do not depend on the others.
+    """
+    return (weight[:, None, :] @ x)[:, 0]
+
+
 class _Integrands:
     """The hierarchical integrands of the subjects with censored rows, batched.
 
@@ -279,7 +295,9 @@ class _Integrands:
 
     Censored rows are stacked by subject, ``counts[s]`` rows each. The
     modes are found on construction, from ``start``. Errors name the first
-    failing subject by its id in ``ids``.
+    failing subject by its id in ``ids``. Every per-subject output depends
+    only on that subject's rows: a pass over some of the subjects gives
+    their values bit for bit as a pass over all of them.
     """
 
     def __init__(self, ids, counts, const, mean, chol, base, a, start):
@@ -295,28 +313,48 @@ class _Integrands:
     def _fail(self, s, exc):
         raise _subject_error(self.ids[s], exc) from exc
 
-    def _derivatives(self, v):
-        """f, its gradient and its negated Hessian for every subject at ``v`` (S, r)."""
-        d = v - self.mean
-        pd = (self.prec @ d[:, :, None])[:, :, 0]
-        t = self.base - np.sum(self.a * v[self.owner], axis=1)
-        f = self.const - 0.5 * np.sum(d * pd, axis=1) + np.add.reduceat(log_ndtr(t), self.seg)
+    def _layout(self, subjects):
+        """The rows of ``subjects`` (indexes, ascending; None for all), stacked as their own.
+
+        Returns the index of ``subjects`` among all subjects, their row
+        counts, the start of each one's rows in the stack, the index of the
+        stacked rows among all censored rows, and each stacked row's subject
+        among ``subjects``. For all subjects the indexes are slices, so that
+        indexing with them gives views.
+        """
+        if subjects is None:
+            return slice(None), self.counts, self.seg, slice(None), self.owner
+        counts = self.counts[subjects]
+        seg = np.cumsum(counts) - counts
+        rows = _rows_of(self.counts, self.seg, subjects)
+        return subjects, counts, seg, rows, np.repeat(np.arange(subjects.size), counts)
+
+    def _derivatives(self, v, subjects=None):
+        """f, its gradient and its negated Hessian at ``v`` (S, r), for all subjects or ``subjects``."""
+        pick, _, seg, rows, owner = self._layout(subjects)
+        base, a = self.base[rows], self.a[rows]
+        prec = self.prec[pick]
+        d = v - self.mean[pick]
+        pd = (prec @ d[:, :, None])[:, :, 0]
+        t = base - np.sum(a * v[owner], axis=1)
+        f = self.const[pick] - 0.5 * np.sum(d * pd, axis=1) + np.add.reduceat(log_ndtr(t), seg)
         lam = mills(t)
         curv = np.maximum(lam * (t + lam), 0.0)
-        grad = -pd - np.add.reduceat(lam[:, None] * self.a, self.seg, axis=0)
-        outer = curv[:, None, None] * self.a[:, :, None] * self.a[:, None, :]
-        return f, grad, self.prec + np.add.reduceat(outer, self.seg, axis=0)
+        grad = -pd - np.add.reduceat(lam[:, None] * a, seg, axis=0)
+        outer = curv[:, None, None] * a[:, :, None] * a[:, None, :]
+        return f, grad, prec + np.add.reduceat(outer, seg, axis=0)
 
     def _find_modes(self, start):
         """Every subject's mode and the scale of its adaptive grid, by batched Newton steps.
 
         Each iteration takes the full Newton step for every subject whose
         gradient norm exceeds ``_MODE_GTOL`` and halves it only for those
-        whose f did not rise, within a rounding slack. A full step whose
-        predicted rise, g^T H^-1 g / 2, is itself within that slack is kept
-        even if f fell: the search is then at the mode up to rounding. The
-        grid is then scaled by :func:`quadrature.scale_factor` of the exact
-        Hessian at the mode.
+        whose f did not rise, within a rounding slack; each halving
+        evaluates only those subjects. A full step whose predicted rise,
+        g^T H^-1 g / 2, is itself within that slack is kept even if f fell:
+        the search is then at the mode up to rounding. The grid is then
+        scaled by :func:`quadrature.scale_factor` of the exact Hessian at
+        the mode.
         """
         v = start
         f, grad, neg_hess = self._derivatives(v)
@@ -339,19 +377,22 @@ class _Integrands:
             slack = _F_SLACK * (1.0 + np.abs(f))
             floor = f - slack
             new = self._derivatives(cand)
-            low = ~((new[0] >= floor) | ((0.5 * np.sum(grad * step, axis=1) <= slack)
-                                         & np.isfinite(new[0])))
+            kept = (new[0] >= floor) | ((0.5 * np.sum(grad * step, axis=1) <= slack)
+                                        & np.isfinite(new[0]))
+            low = np.flatnonzero(~kept)
             t = 1.0
-            while np.any(low):
+            while low.size:
                 t *= 0.5
                 if t < _MIN_STEP:
-                    s = int(np.argmax(low))
+                    s = low[0]
                     self._fail(s, ModeSearchError(
                         f"no ascent step found at gradient norm {gnorm[s]:.3e}",
                         last_iterate=v[s]))
                 cand[low] = v[low] + t * step[low]
-                new = self._derivatives(cand)
-                low &= ~(new[0] >= floor)
+                halved = self._derivatives(cand[low], low)
+                for whole, part in zip(new, halved):
+                    whole[low] = part
+                low = low[~(halved[0] >= floor[low])]
             v = cand
             f, grad, neg_hess = new
         scale = quadrature.scale_factor(-neg_hess)
@@ -369,54 +410,94 @@ class _Integrands:
         self.shift = self.base - np.sum(self.a * v[self.owner], axis=1)
         self.b = np.sum(self.a[:, :, None] * self.scale[self.owner], axis=1)
 
-    def log_integrals(self, order, moments=False):
-        """Each subject's log integral by adaptive GH of ``order``, in chunks of subjects.
+    def log_integrals(self, order, moments=False, subjects=None):
+        """Log integrals of ``subjects`` (indexes, ascending; default all) by adaptive GH.
+
+        ``order`` is one order for all of them or one per subject, and each
+        distinct order is one chunked pass over its subjects (:meth:`_grid_pass`).
+        With ``moments``, returns ``(logs, (mean, cov, lam, lam_v))`` from the
+        same passes: the posterior expectations that the score needs, as sums
+        over the nodes with their normalised weights softmax(factor + vals).
+        They are each subject's posterior mean (S, r) and covariance
+        (S, r, r) of v, and each of its censored rows' E[lambda] and
+        E[lambda v] (rows, r), lambda = phi(t_c) / Phi(t_c). A failure names
+        the first failing subject.
+        """
+        pick, counts, seg, _, owner = self._layout(subjects)
+        index = np.arange(counts.size) if subjects is None else subjects
+        order = np.broadcast_to(order, counts.shape)
+        r = self.mode.shape[1]
+        out = np.empty(counts.size)
+        if moments:
+            ez, ezz = np.empty((out.size, r)), np.empty((out.size, r * r))
+            lam, lam_z = np.empty(owner.size), np.empty((owner.size, r))
+        failures = {}
+        for k in np.unique(order):
+            at = np.flatnonzero(order == k)
+            whole = at.size == out.size
+            failure, sums = self._grid_pass(int(k), subjects if whole else index[at], moments)
+            if failure is not None:
+                failures[at[failure[0]]] = failure[1]
+                continue
+            out[at] = sums[0]
+            if moments:
+                part = slice(None) if whole else _rows_of(counts, seg, at)
+                ez[at], ezz[at], lam[part], lam_z[part] = sums[1:]
+        if failures:
+            s = min(failures)
+            self._fail(index[s], failures[s])
+        logs = 0.5 * r * _LOG2 + self.logdet[pick] + out
+        if not moments:
+            return logs
+        # from the node z back to v = mode + scale z
+        mode, scale = self.mode[pick], self.scale[pick]
+        mean = mode + (scale @ ez[:, :, None])[:, :, 0]
+        spread = ezz.reshape(-1, r, r) - ez[:, :, None] * ez[:, None, :]
+        cov = scale @ spread @ np.swapaxes(scale, 1, 2)
+        lam_v = lam[:, None] * mode[owner]
+        lam_v += (scale[owner] @ lam_z[:, :, None])[:, :, 0]
+        return logs, (mean, cov, lam, lam_v)
+
+    def _grid_pass(self, order, subjects, moments):
+        """One chunked pass of the GH grid of ``order`` over ``subjects`` (as in :meth:`_layout`).
 
         The censored rows' log Phi terms at all nodes are one (rows x nodes)
         product per chunk; a chunk holds about ``_GRID_CHUNK`` such entries.
-        With ``moments``, returns ``(logs, (mean, cov, lam, lam_v))`` from the
-        same pass: the posterior expectations that the score needs, as sums
-        over the nodes with their normalised weights softmax(factor + vals).
-        They are each subject's posterior mean (S, r) and covariance
-        (S, r, r) of v, and each censored row's E[lambda] and E[lambda v]
-        (rows, r), lambda = phi(t_c) / Phi(t_c).
+        Returns ``(failure, sums)``: ``failure`` is None, or the first
+        failing subject's place among ``subjects`` and its error; ``sums``
+        holds each subject's log of its sum over the nodes and, with
+        ``moments``, its node moments and its rows' E[lambda] and E[lambda z].
         """
         r = self.mode.shape[1]
         nodes, factor = quadrature.tensor_grid(order, r)
         pairs = (nodes[:, :, None] * nodes[:, None, :]).reshape(-1, r * r)
-        out = np.empty(self.counts.size)
+        pick, counts, seg, rows, owner = self._layout(subjects)
+        shift, b = self.shift[rows], self.b[rows]
+        gauss0, gauss1, gauss2 = self.gauss0[pick], self.gauss1[pick], self.gauss2[pick]
+        out = np.empty(counts.size)
         if moments:
             ez, ezz = np.empty((out.size, r)), np.empty((out.size, r * r))
-            lam, lam_z = np.empty(self.base.size), np.empty((self.base.size, r))
+            lam, lam_z = np.empty(owner.size), np.empty((owner.size, r))
         rows_per_chunk = max(1, _GRID_CHUNK // nodes.shape[0])
-        cuts = np.flatnonzero(np.diff(self.seg // rows_per_chunk)) + 1
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, self.counts.size]):
-            rows = slice(self.seg[lo], self.seg[hi - 1] + self.counts[hi - 1])
-            t = self.shift[rows, None] - self.b[rows] @ nodes.T
-            vals = np.add.reduceat(log_ndtr(t), self.seg[lo:hi] - self.seg[lo], axis=0)
-            vals += self.gauss0[lo:hi, None] + self.gauss1[lo:hi] @ nodes.T
-            vals += self.gauss2[lo:hi] @ pairs.T
+        cuts = np.flatnonzero(np.diff(seg // rows_per_chunk)) + 1
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, out.size]):
+            span = slice(seg[lo], seg[hi - 1] + counts[hi - 1])
+            t = shift[span, None] - b[span] @ nodes.T
+            vals = np.add.reduceat(log_ndtr(t), seg[lo:hi] - seg[lo], axis=0)
+            vals += gauss0[lo:hi, None] + gauss1[lo:hi] @ nodes.T
+            vals += gauss2[lo:hi] @ pairs.T
             bad = np.isnan(vals) | (vals == np.inf)
             if np.any(bad):
                 s, k = np.unravel_index(np.argmax(bad), bad.shape)
-                point = self.mode[lo + s] + self.scale[lo + s] @ nodes[k]
-                self._fail(lo + s, IntegrationError(f"integrand not finite at node {k}: {point}"))
+                point = self.mode[pick][lo + s] + self.scale[pick][lo + s] @ nodes[k]
+                return (lo + s, IntegrationError(f"integrand not finite at node {k}: {point}")), None
             out[lo:hi] = logsumexp(factor + vals, axis=1)
             if moments:
                 weight = np.exp(factor + vals - out[lo:hi, None])
-                ez[lo:hi], ezz[lo:hi] = weight @ nodes, weight @ pairs
-                row_weight = weight[self.owner[rows] - lo] * mills(t)
-                lam[rows], lam_z[rows] = row_weight.sum(axis=1), row_weight @ nodes
-        logs = 0.5 * r * _LOG2 + self.logdet + out
-        if not moments:
-            return logs
-        # from the node z back to v = mode + scale z
-        mean = self.mode + (self.scale @ ez[:, :, None])[:, :, 0]
-        spread = ezz.reshape(-1, r, r) - ez[:, :, None] * ez[:, None, :]
-        cov = self.scale @ spread @ np.swapaxes(self.scale, 1, 2)
-        lam_v = lam[:, None] * self.mode[self.owner]
-        lam_v += (self.scale[self.owner] @ lam_z[:, :, None])[:, :, 0]
-        return logs, (mean, cov, lam, lam_v)
+                ez[lo:hi], ezz[lo:hi] = _row_sums(weight, nodes), _row_sums(weight, pairs)
+                row_weight = weight[owner[span] - lo] * mills(t)
+                lam[span], lam_z[span] = row_weight.sum(axis=1), _row_sums(row_weight, nodes)
+        return None, ((out, ez, ezz, lam, lam_z) if moments else (out,))
 
 
 class LikelihoodEvaluator:
@@ -438,12 +519,12 @@ class LikelihoodEvaluator:
     The hierarchical path works on all subjects at once. Batched Newton steps
     with the closed-form gradient and Hessian of each integrand find every
     mode (:class:`_Integrands`), and each GH order is then one chunked
-    evaluation of all subjects' grids. Every path returns its score with
-    its total when asked (``score=True``), by the Fisher identity
-    (:meth:`_score`): the naive path from the same posterior, the
-    hierarchical path from the same grid pass, and the marginal path from
-    its censored blocks' truncated-normal moments, which exist in closed
-    form only for blocks of at most three measures.
+    evaluation of the grids of the subjects at that order. Every path
+    returns its score with its total when asked (``score=True``), by the
+    Fisher identity (:meth:`_score`): the naive path from the same
+    posterior, the hierarchical path from the same grid passes, and the
+    marginal path from its censored blocks' truncated-normal moments, which
+    exist in closed form only for blocks of at most three measures.
     """
 
     def __init__(self, dataset, spec, options=LogLikOptions()):
@@ -636,16 +717,21 @@ class LikelihoodEvaluator:
     # -- hierarchical path --------------------------------------------------
 
     def _agq_total_at(self, theta):
-        """The hierarchical-path total at ``theta`` as a function ``at(order, score=False)``.
+        """The hierarchical-path total at ``theta`` as two functions, ``(at, pick)``.
 
-        A subject without censored rows contributes its observed-rows
+        ``at(order, score=False)`` is the total at ``order``: one GH order for
+        every subject with censored rows, or one per such subject, in layout
+        order. ``pick(qtol, cap)`` runs :func:`quadrature.choose_orders` on
+        those subjects' integrals and returns their orders and the total at
+        them. A subject without censored rows contributes its observed-rows
         log-density exactly. The others' modes are found once, together,
         from their posterior means given all rows (thresholds imputed), and
-        every order reuses them. Each subject's term is weighted by its
-        ``count``. With ``score``, ``at`` returns ``(total, score)``
+        every order reuses them. Where no integral is left (r = 0), the
+        total does not depend on the orders. Each subject's term is weighted
+        by its ``count``. With ``score``, ``at`` returns ``(total, score)``
         (:meth:`_score`): the exact Gaussian posterior for a subject without
         censored rows, and for the others the expectations from the same
-        grid pass as their integrals.
+        grid passes as their integrals.
         """
         factor = theta.reduced_factor()
         zf = self.z @ factor
@@ -655,6 +741,7 @@ class LikelihoodEvaluator:
         logpdf, mean, chol = self._posterior(theta, zf, self.observed.astype(float))
         cens = ~self.observed
         has = np.flatnonzero(self.n_cens)
+        count = self.count[has]
         if r == 0 or has.size == 0:
             # no integral: without random effects the censored rows, if any,
             # are independent, and their expectations are their values at u = 0
@@ -668,7 +755,12 @@ class LikelihoodEvaluator:
                 censored = _mills_terms(mills(t), np.zeros((t.size, r)), resid[cens], zf[cens],
                                         sde[cens])
                 return total, self._score(theta, factor, mean, _inverse(chol), censored)
-            return exact_at
+
+            def exact_pick(qtol, cap):
+                orders, _ = quadrature.choose_orders(
+                    lambda order, subjects: np.zeros(subjects.size), count, qtol, cap)
+                return orders, total
+            return exact_at, exact_pick
 
         uncensored = self.n_cens == 0
         exact = float(np.sum(logpdf[uncensored] * self.count[uncensored]))
@@ -678,7 +770,6 @@ class LikelihoodEvaluator:
         integrands = _Integrands(
             [self.subject_ids[s] for s in has], self.n_cens[has], const[has], mean[has], chol[has],
             resid[cens] / sde[cens], zf[cens] / sde[cens, None], v0[has])
-        count = self.count[has]
 
         def at(order, score=False):
             if not score:
@@ -689,31 +780,48 @@ class LikelihoodEvaluator:
             total = exact + float(np.sum(logs * count))
             censored = _mills_terms(lam, lam_v, resid[cens], zf[cens], sde[cens])
             return total, self._score(theta, factor, post_mean, post_cov, censored)
-        return at
+
+        def pick(qtol, cap):
+            orders, logs = quadrature.choose_orders(
+                lambda order, subjects: integrands.log_integrals(order, subjects=subjects),
+                count, qtol, cap)
+            return orders, exact + float(np.sum(logs * count))
+        return at, pick
 
     def agq_order(self, theta):
-        """``(order, total)`` at the pinned ``gh_order`` or the doubling rule's, capped per q."""
+        """``(orders, total)``: the GH orders of the subjects with censored rows and the total there.
+
+        ``orders`` holds one order per subject with censored rows, in layout
+        order. A pinned ``gh_order``, capped per q, is every subject's;
+        otherwise the doubling rule picks each subject's order from its own
+        integral (:func:`quadrature.choose_orders`), capped per q.
+        """
         self._check(theta)
-        total_at = self._agq_total_at(theta)
+        at, pick = self._agq_total_at(theta)
         cap = quadrature.max_order(self.spec.q)
         if self.options.gh_order is None:
-            return quadrature.choose_order(total_at, self.options.qtol, cap)
+            return pick(self.options.qtol, cap)
         order = min(self.options.gh_order, cap)
-        return order, total_at(order)
+        return np.full(np.count_nonzero(self.n_cens), order), at(order)
 
     def agq(self, theta, order=None, score=False):
-        """Hierarchical-path total at ``order``, or at the order :meth:`agq_order` picks.
+        """Hierarchical-path total at ``order``, or at the orders :meth:`agq_order` picks.
 
-        With ``score``, which needs an ``order``, ``(total, score)`` from one
-        mode search and one grid pass; the score is exact at that order only
-        up to its quadrature error.
+        ``order`` is one GH order for every subject, or one per subject with
+        censored rows as :meth:`agq_order` returns them. With ``score``,
+        which needs an ``order``, ``(total, score)`` from one mode search and
+        one grid pass per distinct order; the score is exact at those orders
+        only up to their quadrature error.
         """
         if order is None:
             if score:
                 raise ValueError("the AGQ score needs an order")
             return self.agq_order(theta)[1]
+        n = np.count_nonzero(self.n_cens)
+        if np.ndim(order) and np.shape(order) != (n,):
+            raise DimensionError(f"{np.size(order)} GH orders, {n} subjects with censored rows")
         self._check(theta)
-        return self._agq_total_at(theta)(order, score)
+        return self._agq_total_at(theta)[0](order, score)
 
     # -- threshold-imputation baseline ---------------------------------------
 

@@ -7,7 +7,7 @@ the relative function change is below 1e-8 and the gradient norm below
 ``G_TOL``; every run returns its last point, the value there and why it
 stopped. ``fit_model`` wires it to the likelihood paths, starting from the
 threshold-imputation fit as in the reference analysis workflow. The naive
-path, the AGQ path at the order rule's order and the marginal path on data
+path, the AGQ path at the order rule's orders and the marginal path on data
 whose censored blocks have at most three measures supply their closed-form
 score, and their SE Hessian is the central difference of that score. An
 AGQ fit at a pinned order, and a marginal fit with a QMC block (four or
@@ -207,7 +207,14 @@ def quasi_newton_maximize(f, x0, gradient=None):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Estimates, SEs and diagnostics of one maximum-likelihood fit."""
+    """Estimates, SEs and diagnostics of one maximum-likelihood fit.
+
+    An AGQ fit also reports its GH orders: ``gh_orders`` maps each order to
+    the number of the dataset's subjects with censored rows that it
+    integrates at that order, and ``gh_order_used`` is the largest of them.
+    Both are None for the other methods, and for an AGQ fit on data without
+    censored rows, which has no integral.
+    """
 
     theta_hat: Theta
     param_names: tuple
@@ -222,6 +229,7 @@ class FitResult:
     method: Method
     trace: Trace
     gh_order_used: int | None = None
+    gh_orders: dict | None = None
 
     def as_dict(self):
         out = {"method": self.method.value, "loglik": self.loglik,
@@ -230,6 +238,7 @@ class FitResult:
                "gradient_norm": self.gradient_norm, "hessian_ok": self.hessian_ok}
         if self.gh_order_used is not None:
             out["gh_order"] = self.gh_order_used
+            out["gh_orders"] = ",".join(f"{k}:{n}" for k, n in sorted(self.gh_orders.items()))
         for i, name in enumerate(self.param_names):
             out[f"est.{name}"] = float(self.estimates[i])
             if self.se is not None:
@@ -302,16 +311,18 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), start=None):
     the marginal path give it their closed-form score
     (``LikelihoodEvaluator.naive``/``agq``/``marginal`` with
     ``score=True``), with two exceptions that take central differences of
-    the values instead. The AGQ order is the one whose total the doubling
-    rule accepted at the start point (``ev.agq_order``), or the pinned one.
-    The score is the quadrature of the Fisher identity, not the derivative
-    of the quadrature total, and the two agree only as the order grows. On
-    the 50 x 5 benchmark data the rule accepts order 20, where they agree
-    within 2e-7; at order 10 they are 1.2e-3 apart at that total's optimum,
-    and BFGS on the score stops above ``G_TOL`` with "no progress". A
-    pinned order is the user's, down to the Laplace order 1, whose score
-    misses the derivative of the log-determinant, so an AGQ fit at a pinned
-    order keeps finite differences.
+    the values instead. The AGQ orders are picked once, at the start
+    point, and kept for the whole fit: each subject's is the order whose
+    integral the doubling rule accepted there (``ev.agq_order``), or the
+    pinned one for every subject. The score is the quadrature of the Fisher
+    identity, not the derivative of the quadrature total, and the two agree
+    only as the order grows. On the 50 x 5 benchmark data the rule accepts
+    order 20 for every subject, where they agree within 2e-7; at order 10
+    they are 1.2e-3 apart at that total's optimum, and BFGS on the score
+    stops above ``G_TOL`` with "no progress". A pinned order is the
+    user's, down to the Laplace order 1, whose score misses the derivative
+    of the log-determinant, so an AGQ fit at a pinned order keeps finite
+    differences.
 
     On the marginal path, censored blocks of up to three measures are exact,
     and so are their truncated moments, from which the score comes. Larger
@@ -347,10 +358,12 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), start=None):
         x_naive, _ = quasi_newton_maximize(naive_obj, x0, naive_gradient)
         start = theta_from_vector(x_naive, spec)
 
-    gh_order = None
+    gh_orders = None
     if llopt.method is Method.AGQ:
-        gh_order = ev.agq_order(start)[0]
-        target = lambda th, score=False: ev.agq(th, gh_order, score)
+        orders = ev.agq_order(start)[0]
+        counts = ev.count[ev.n_cens > 0]
+        gh_orders = {int(k): int(counts[orders == k].sum()) for k in np.unique(orders)}
+        target = lambda th, score=False: ev.agq(th, orders, score)
         # a pinned order can be too low for the score: see the docstring
         gradient = None if llopt.gh_order is not None else _score_gradient(target, spec)
     elif llopt.method is Method.MARGINAL:
@@ -392,7 +405,8 @@ def fit_model(dataset, spec, llopt=LogLikOptions(), start=None):
         hessian_ok=se is not None,
         method=llopt.method,
         trace=trace,
-        gh_order_used=gh_order,
+        gh_order_used=max(gh_orders) if gh_orders else None,
+        gh_orders=gh_orders or None,
     )
 
 

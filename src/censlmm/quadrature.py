@@ -5,8 +5,10 @@ JCGS 1995) recentres a tensor Gauss-Hermite grid at the integrand's mode and
 scales it by the lower Cholesky factor of the inverse negated Hessian there.
 :func:`tensor_grid` and :func:`scale_factor` are those two pieces; the
 likelihood evaluator combines them with its closed-form derivatives for all
-subjects at once. The order is pinned, or picked by the doubling rule
-:func:`choose_order`; either way it is capped at :func:`max_order` of q.
+subjects at once. The order is pinned, one for every subject, or picked
+per subject by the doubling rule :func:`choose_orders`, which stops each
+subject once its own integral has settled; either way it is capped at
+:func:`max_order` of q.
 """
 
 from functools import lru_cache
@@ -73,23 +75,39 @@ def max_order(q):
     return _ORDER_CAP[q]
 
 
-def choose_order(evaluate, qtol, max_order):
-    """Pick a quadrature order by doubling until successive values agree.
+def choose_orders(evaluate, count, qtol, max_order):
+    """Pick each subject's quadrature order by doubling until its value settles.
 
-    ``evaluate(order)`` must return the quantity of interest (typically a
-    total log-likelihood). The order starts at k = min(``START_ORDER``,
-    max_order) and doubles while 2k <= max_order. At the first doubling that
-    changes the value by less than ``qtol``, returns ``(2k, evaluate(2k))``;
-    if none does, returns ``(max_order, evaluate(max_order))``. Either way
-    the order returned is the one whose value is returned.
+    ``evaluate(order, subjects)`` returns the values (log integrals) of the
+    subjects with those indexes, in ascending order, at that order, and
+    subject s stands for ``count[s]`` identical ones. Every subject starts at
+    k = min(``START_ORDER``, max_order), and orders double while
+    2k <= max_order. At a doubling k -> 2k each active subject changes by
+    d_s = count_s |value_s(2k) - value_s(k)|. The active subjects are taken
+    in ascending d_s, and the longest run of them for which the sum of every
+    change accepted so far, at any doubling, stays below ``qtol`` stops at
+    2k with its value there. Subjects still active after the last doubling
+    go to max_order, unchecked. So ``qtol`` bounds the sum of the last
+    changes, which estimates how far the total of the values is from its
+    order limit. Returns ``(orders, values)``, one entry per subject, each
+    value at its subject's order.
     """
     k = min(START_ORDER, max_order)
-    f_k = evaluate(k)
-    while 2 * k <= max_order:
-        f_2k = evaluate(2 * k)
-        if abs(f_2k - f_k) < qtol:
-            return 2 * k, f_2k
-        k, f_k = 2 * k, f_2k
-    if k < max_order:
-        k, f_k = max_order, evaluate(max_order)
-    return k, f_k
+    active = np.arange(count.size)
+    orders = np.full(count.size, k)
+    values = evaluate(k, active)
+    spent = 0.0
+    while active.size and 2 * k <= max_order:
+        k *= 2
+        new = evaluate(k, active)
+        change = count[active] * np.abs(new - values[active])
+        rank = np.argsort(change, kind="stable")
+        spend = spent + np.cumsum(change[rank])
+        stop = np.count_nonzero(spend < qtol)  # spend is ascending: a prefix
+        if stop:
+            spent = spend[stop - 1]
+        orders[active], values[active] = k, new
+        active = np.sort(active[rank[stop:]])
+    if active.size and k < max_order:
+        orders[active], values[active] = max_order, evaluate(max_order, active)
+    return orders, values

@@ -23,6 +23,10 @@ library also computes, by a separate and plainer route:
 - :func:`agq_reference` and :func:`dense_terms`, the hierarchical and the
   naive and marginal terms of a dataset, subject by subject, built from
   the pieces above.
+- :func:`cubature_loglik`, the censoring-aware total for q <= 2 by a
+  trapezoid rule on each subject's whitened posterior grid, built from
+  :func:`subject_layout`, where the evaluator uses Gauss-Hermite nodes at
+  each integrand's mode.
 - :func:`truncated_moments_by_differences`, the mean and second moment of a
   truncated normal block from Richardson derivatives of its log
   probability, where the library uses Tallis's closed forms.
@@ -419,6 +423,60 @@ def dense_terms(dataset, spec, theta):
                 mu_c, v_c = mu[cens], v[np.ix_(cens, cens)]
             block = (mu_c, v_c, y[cens])
         yield mvn_logpdf(y, mu, v), observed, block
+
+
+# ---------------------------------------------------------------------------
+# Cubature ground truth
+# ---------------------------------------------------------------------------
+
+CUBATURE_HALF_WIDTH = 10.0
+CUBATURE_STEP = 0.1
+
+
+def cubature_loglik(dataset, spec, theta, half_width=CUBATURE_HALF_WIDTH, step=CUBATURE_STEP):
+    """The censoring-aware total by a trapezoid rule in each subject's whitened posterior, q <= 2.
+
+    Subject by subject of :func:`subject_layout`, each counted its
+    ``count`` times: the normal density of its observed rows, times the
+    expectation of prod_c Phi((c - x_c beta - z_c u) / sigma_c) over its
+    censored rows c, under the posterior N(m, C) of u given the observed
+    rows. With C = R R^T, u = m + R w and w ~ N(0, I_q), the expectation is
+    a trapezoid sum over the square grid of ``step`` on [-half_width,
+    half_width]^q in w. The integrand is smooth and the normal weight
+    vanishes at the edges, so the sum converges faster than any power of
+    the step, as in ``perfbench/reference.py``. G may be singular: m and C
+    come from the covariance form K = G Z_o^T V_oo^{-1}, m = K (y_o - X_o
+    beta), C = G - K Z_o G, and R from the eigenvalues of C.
+    """
+    if theta.q > 2:
+        raise DimensionError(f"the cubature grid is for q <= 2, not {theta.q}")
+    layout = subject_layout(dataset, spec)
+    axis = np.arange(-half_width, half_width + 0.5 * step, step)
+    w = np.stack([g.ravel() for g in np.meshgrid(*([axis] * theta.q), indexing="ij")], axis=-1)
+    log_w = -0.5 * np.sum(w * w, axis=1) + theta.q * (math.log(step) - 0.5 * LOG_2PI)
+    g = theta.g_matrix()
+    total = 0.0
+    for s, count in enumerate(layout["count"]):
+        rows = slice(layout["start"][s], layout["start"][s + 1])
+        x, z, y = layout["x"][rows], layout["z"][rows], layout["y"][rows]
+        sd = theta.sigma_e[layout["strata"][rows]]
+        obs = layout["observed"][rows]
+        mean, cov, term = np.zeros(theta.q), g, 0.0
+        if obs.any():
+            zo = z[obs]
+            v_oo = zo @ g @ zo.T + np.diag(sd[obs] ** 2)
+            resid = y[obs] - x[obs] @ theta.beta
+            term = mvn_logpdf(y[obs], x[obs] @ theta.beta, v_oo)
+            gain = np.linalg.solve(v_oo, zo @ g).T
+            mean, cov = gain @ resid, g - gain @ zo @ g
+        if not obs.all():
+            vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
+            u = mean + w @ (vecs * np.sqrt(np.clip(vals, 0.0, None))).T
+            c = ~obs
+            t = (y[c] - x[c] @ theta.beta - u @ z[c].T) / sd[c]
+            term += _logsumexp(log_w + np.sum(log_ndtr(t), axis=1))
+        total += count * term
+    return total
 
 
 # ---------------------------------------------------------------------------

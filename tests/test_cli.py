@@ -207,12 +207,25 @@ class TestFitCommand:
         assert outs[0] == outs[1]
 
     def test_gh_order_pins_the_order(self, simulated_file, tmp_path):
-        # the doubling rule accepts order 20 on this file
+        # the doubling rule accepts order 20 on this file; the pin is every subject's
         out = tmp_path / "report.txt"
         code = run(["fit", "--input", str(simulated_file), "--output", str(out),
                     "--method", "agq", "--gh-order", "5"])
         assert code == 0
-        assert read_report(out)[0]["gh_order"] == "5"
+        record = read_report(out)[0]
+        assert (record["gh_order"], record["gh_orders"]) == ("5", "5:23")
+
+    def test_agq_record_reports_the_orders(self, simulated_file, uncensored_file, tmp_path):
+        # the 23 subjects with censored rows all stop at order 20
+        out = tmp_path / "report.txt"
+        assert run(["fit", "--input", str(simulated_file), "--output", str(out),
+                    "--method", "agq"]) == 0
+        record = read_report(out)[0]
+        assert (record["gh_order"], record["gh_orders"]) == ("20", "20:23")
+        # without censored rows there is no integral, and no order to report
+        assert run(["fit", "--input", str(uncensored_file), "--output", str(out),
+                    "--method", "agq"]) == 0
+        assert not {"gh_order", "gh_orders"} & set(read_report(out)[0])
 
 
 class TestCompareCommand:

@@ -16,6 +16,7 @@ from censlmm.data import (
     random_intercept_model,
 )
 from censlmm.errors import (
+    DimensionError,
     EvaluationError,
     IntegrationError,
     InvalidParameterError,
@@ -41,8 +42,8 @@ from censlmm.optimize import fd_gradient
 from censlmm.quadrature import max_order
 from censlmm.simulate import SimConfig, default_truth, simulate
 from conftest import make_subject, random_small_dataset, random_theta, renamed, with_copies
-from oracles import (agq_reference, conditional_moments, dense_terms, design_rows,
-                     marginal_moments, subject_layout)
+from oracles import (agq_reference, conditional_moments, cubature_loglik, dense_terms,
+                     design_rows, marginal_moments, subject_layout)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -420,9 +421,9 @@ class TestAgqLoglik:
         calls = []
         derivatives = likelihood._Integrands._derivatives
 
-        def counted(self, v):
+        def counted(self, *args):
             calls.append(1)
-            return derivatives(self, v)
+            return derivatives(self, *args)
 
         monkeypatch.setattr(likelihood._Integrands, "_derivatives", counted)
         value = LikelihoodEvaluator(d, is_spec).agq(theta, 20)
@@ -704,6 +705,137 @@ def test_agq_total_is_continuous_where_two_eigenvalues_of_g_meet(is_spec, truth,
     assert totals[0] == pytest.approx(totals[1], abs=1e-9)
 
 
+# ---------------------------------------------------------------------------
+# Each subject's GH order from its own integral
+# ---------------------------------------------------------------------------
+
+
+def integrands_at(monkeypatch, dataset, spec, theta):
+    """The ``_Integrands`` of one AGQ evaluation at ``theta``, modes found."""
+    made = []
+    build = likelihood._Integrands
+
+    def kept(*args):
+        made.append(build(*args))
+        return made[-1]
+
+    monkeypatch.setattr(likelihood, "_Integrands", kept)
+    LikelihoodEvaluator(dataset, spec).agq(theta, 1)
+    monkeypatch.setattr(likelihood, "_Integrands", build)
+    return made[0]
+
+
+@pytest.fixture(scope="module")
+def ri_40x6():
+    """The random-intercept model, r = 1, on 40 subjects x 6 at 40% target censoring."""
+    return simulate(SimConfig(n_subjects=40, n_per_subject=6, truth=default_truth("ri"),
+                              target_censoring=0.4, seed=11, model=MODEL_TEMPLATES["ri"]()))
+
+
+@pytest.fixture(scope="module")
+def cubature_cases(benchmark_dataset, censored_100x10, ri_40x6):
+    """(data, spec, truth, cubature total): r = 2 on the 50x5 data and on 25 subjects of the
+    100x10 data, whose rule orders are 20, 40 and 64, and r = 1 on the ri data."""
+    cases = {"50x5": (benchmark_dataset, "is"),
+             "100x10[:25]": (Dataset(subjects=censored_100x10.subjects[:25]), "is"),
+             "ri-40x6": (ri_40x6, "ri")}
+    return {name: (d, MODEL_TEMPLATES[model](), default_truth(model),
+                   cubature_loglik(d, MODEL_TEMPLATES[model](), default_truth(model)))
+            for name, (d, model) in cases.items()}
+
+
+@pytest.mark.parametrize("data", ["50x5", "100x10[:25]", "ri-40x6"])
+def test_agq_totals_agree_with_the_cubature_oracle(cubature_cases, data):
+    d, spec, theta, oracle = cubature_cases[data]
+    ev = LikelihoodEvaluator(d, spec)
+    orders, total = ev.agq_order(theta)
+    assert abs(total - oracle) < ev.options.qtol
+    assert abs(ev.agq(theta, 64) - oracle) < 1e-7
+    # the rule's total is the total at its orders, from one pass per order
+    assert ev.agq(theta, orders) == total
+
+
+def test_the_cubature_oracle_has_converged(censored_100x10, is_spec, truth):
+    # a wider, finer grid moves the total of 6 subjects by rounding only;
+    # on all 100 subjects the total is -602.1559702422601 and moves by 3.6e-12
+    d = Dataset(subjects=censored_100x10.subjects[:6])
+    assert cubature_loglik(d, is_spec, truth, half_width=14.0, step=0.05) == pytest.approx(
+        cubature_loglik(d, is_spec, truth), abs=1e-11)
+
+
+def test_each_subject_stops_at_its_own_order(censored_100x10, is_spec, truth):
+    ev = LikelihoodEvaluator(censored_100x10, is_spec)
+    orders, total = ev.agq_order(truth)
+    # at the truth, 1 of the 84 distinct censored subjects needs the cap
+    assert np.unique(orders, return_counts=True)[1].tolist() == [66, 17, 1]
+    assert total == pytest.approx(ev.agq(truth, 64), abs=1e-9)
+    with pytest.raises(DimensionError, match="^83 GH orders, 84 subjects with censored rows$"):
+        ev.agq(truth, orders[1:])
+
+
+@pytest.mark.parametrize("model,data", [("ri", "ri_40x6"), ("is", "censored_100x10")])
+def test_a_pass_over_some_subjects_gives_their_values_bit_for_bit(request, monkeypatch,
+                                                                  model, data):
+    spec = MODEL_TEMPLATES[model]()
+    integrands = integrands_at(monkeypatch, request.getfixturevalue(data), spec,
+                               default_truth(model))
+    n = integrands.counts.size
+    some = np.arange(1, n, 3)
+    rows = likelihood._rows_of(integrands.counts, integrands.seg, some)
+    every = integrands.log_integrals(64, moments=True)
+    part = integrands.log_integrals(64, moments=True, subjects=some)
+    assert np.array_equal(part[0], every[0][some])
+    for whole, sub, index in zip(every[1], part[1], (some, some, rows, rows)):
+        assert np.array_equal(sub, whole[index])
+    # one pass per order: each subject's values are those of its order's pass
+    orders = np.where(np.arange(n) % 3 == 1, 64, 20)
+    mixed = integrands.log_integrals(orders, moments=True)
+    at_20 = integrands.log_integrals(20, moments=True)
+    assert np.array_equal(mixed[0], np.where(orders == 64, every[0], at_20[0]))
+    row_orders = np.repeat(orders, integrands.counts)
+    for k, (got, high, low) in enumerate(zip(mixed[1], every[1], at_20[1])):
+        pick = orders if k < 2 else row_orders
+        pick = pick.reshape(pick.shape + (1,) * (got.ndim - 1))
+        assert np.array_equal(got, np.where(pick == 64, high, low))
+
+
+def test_a_failure_names_the_first_failing_subject_in_layout_order(monkeypatch, is_spec, truth,
+                                                                   censored_20x8):
+    integrands = integrands_at(monkeypatch, censored_20x8, is_spec, truth)
+    # subjects 0 and 1 fail; 1 is in the pass at order 20, which runs first
+    integrands.shift[:integrands.seg[2]] = np.nan
+    orders = np.full(integrands.counts.size, 20)
+    orders[0] = 64
+    with pytest.raises(EvaluationError) as err:
+        integrands.log_integrals(orders)
+    assert err.value.subject_id == integrands.ids[0]
+    assert isinstance(err.value.__cause__, IntegrationError)
+
+
+def test_halving_evaluates_only_the_subjects_that_need_it(monkeypatch, is_spec):
+    # subject "a" (five censored rows, a large G, a small sigma_e) needs
+    # halvings; "b" and "c" do not. Each halving evaluates "a" alone, and
+    # every mode equals the one that a search over its subject alone finds
+    times, c = np.array([0.0, 0.4, 1.8, 2.5, 2.9]), -2.2
+    theta = Theta([-1.3, -1.9], [[5.23, 0.0], [-5.03, 2.28]], [0.075])
+    subjects = (make_subject("b", times, [-1.0, -2.5, -5.0, c, c], [1, 1, 1, 0, 0], c),
+                make_subject("a", times, [c] * 5, [0] * 5, c),
+                make_subject("c", times, [-0.9, c, -4.8, -6.1, c], [1, 0, 1, 1, 0], c))
+    sizes = []
+    derivatives = likelihood._Integrands._derivatives
+
+    def counted(self, v, subjects=None):
+        sizes.append(self.counts.size if subjects is None else subjects.size)
+        return derivatives(self, v, subjects)
+
+    monkeypatch.setattr(likelihood._Integrands, "_derivatives", counted)
+    together = integrands_at(monkeypatch, Dataset(subjects=subjects), is_spec, theta)
+    assert 1 in sizes and set(sizes) == {1, 3}
+    for s, subject in enumerate(subjects):
+        alone = integrands_at(monkeypatch, Dataset(subjects=(subject,)), is_spec, theta)
+        assert np.array_equal(alone.mode[0], together.mode[s])
+
+
 @pytest.fixture(scope="module")
 def censored_20x8(truth):
     """20 subjects x 8 times at 60% target censoring: censored blocks of m >= 4."""
@@ -724,21 +856,26 @@ class TestEveryOptionChangesTheEvaluation:
     def test_qtol_moves_the_picked_order(self, censored_20x8, is_spec, truth):
         orders = [LikelihoodEvaluator(censored_20x8, is_spec, LogLikOptions(qtol=qtol))
                   .agq_order(truth)[0] for qtol in (1e-6, 1e-3, 1e-1)]
-        assert orders == [64, 40, 20]
+        # one subject needs the cap at 1e-6; a looser qtol lowers its order
+        assert [o.max() for o in orders] == [64, 40, 20]
+        assert np.all(orders[0] >= orders[1]) and np.all(orders[1] >= orders[2])
 
     def test_pinned_order_moves_the_total(self, censored_20x8, is_spec, truth):
         by_rule = LikelihoodEvaluator(censored_20x8, is_spec)
         pinned = LikelihoodEvaluator(censored_20x8, is_spec, LogLikOptions(gh_order=5))
-        assert pinned.agq_order(truth) == (5, by_rule.agq(truth, 5))
+        orders, total = pinned.agq_order(truth)
+        assert orders.tolist() == [5] * np.count_nonzero(pinned.n_cens)
+        assert total == by_rule.agq(truth, 5)
         assert pinned.agq(truth) != by_rule.agq(truth)
 
     def test_pin_skips_the_doubling_rule(self, censored_20x8, is_spec, truth, monkeypatch):
         def no_rule(*args):
             raise AssertionError("a pinned order must not run the doubling rule")
 
-        monkeypatch.setattr(likelihood.quadrature, "choose_order", no_rule)
+        monkeypatch.setattr(likelihood.quadrature, "choose_orders", no_rule)
         ev = LikelihoodEvaluator(censored_20x8, is_spec, LogLikOptions(gh_order=10))
-        assert ev.agq_order(truth) == (10, ev.agq(truth, 10))
+        orders, total = ev.agq_order(truth)
+        assert set(orders.tolist()) == {10} and total == ev.agq(truth, 10)
 
     @pytest.mark.parametrize("model,pin,cap", [("is", 100, 64), ("biv", 40, 20)])
     def test_pinned_order_capped_at_max_order(self, model, pin, cap):
@@ -747,7 +884,8 @@ class TestEveryOptionChangesTheEvaluation:
                                target_censoring=0.4, seed=5, model=spec))
         assert max_order(spec.q) == cap
         ev = LikelihoodEvaluator(d, spec, LogLikOptions(gh_order=pin))
-        assert ev.agq_order(theta) == (cap, ev.agq(theta, cap))
+        orders, total = ev.agq_order(theta)
+        assert set(orders.tolist()) == {cap} and total == ev.agq(theta, cap)
 
 
 @pytest.mark.parametrize("settings", [{"qtol": 0.0}, {"qtol": -1e-6}, {"qtol": math.nan},

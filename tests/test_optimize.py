@@ -309,6 +309,9 @@ class TestFitModel:
             assert np.array_equal(given.se, default.se)
             assert given.iterations == default.iterations == 18
             assert given.trace.n_evals == default.trace.n_evals == 85
+            if method is Method.AGQ:
+                # the start's rule stops all 23 subjects with censored rows at 20
+                assert (default.gh_order_used, default.gh_orders) == (20, {20: 23})
 
     def test_local_maximum_probe(self, is_spec, small_dataset):
         res = fit_model(small_dataset, is_spec, LogLikOptions(method=Method.MARGINAL))
@@ -485,8 +488,8 @@ class TestScoreFits:
         objective = wrapped(ev.naive)
         if method is Method.AGQ:
             x0, _ = quasi_newton_maximize(objective, x0)
-            order = ev.agq_order(theta_from_vector(x0, spec))[0]
-            objective = wrapped(lambda theta: ev.agq(theta, order))
+            orders = ev.agq_order(theta_from_vector(x0, spec))[0]
+            objective = wrapped(lambda theta: ev.agq(theta, orders))
         elif method is Method.MARGINAL:
             x0, _ = quasi_newton_maximize(objective, x0)
             objective = wrapped(lambda theta: ev.marginal(theta, fixed=True))

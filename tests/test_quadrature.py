@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gamma, log_ndtr
 
 from censlmm.errors import DimensionError, IntegrationError, ModeSearchError
-from censlmm.quadrature import START_ORDER, choose_order, gh_rule, max_order
+from censlmm.quadrature import START_ORDER, choose_orders, gh_rule, max_order
 from oracles import agq_log_integral, find_mode
 
 SQRT_PI = math.sqrt(math.pi)
@@ -216,26 +216,68 @@ class TestAgqLogIntegral:
 
 
 class TestChooseOrder:
+    @staticmethod
+    def rule(values, qtol=1e-6, max_order=64, count=None):
+        """choose_orders on ``values[order][subject]``, with the (order, subjects) of each call."""
+        seen = []
+        n = len(next(iter(values.values())))
+
+        def evaluate(order, subjects):
+            seen.append((order, subjects.tolist()))
+            return np.asarray(values[order], dtype=float)[subjects]
+
+        count = np.ones(n) if count is None else np.asarray(count, dtype=float)
+        orders, picked = choose_orders(evaluate, count, qtol, max_order)
+        return orders.tolist(), picked.tolist(), seen
+
     def test_stops_at_agreement(self):
-        values = {10: 1.00, 20: 1.10, 40: 1.10 + 1e-9}
-        order, value = choose_order(lambda k: values[k], qtol=1e-6, max_order=40)
-        assert (order, value) == (40, values[40])
+        values = {10: [1.00], 20: [1.10], 40: [1.10 + 1e-9]}
+        assert self.rule(values, max_order=40)[:2] == ([40], [1.10 + 1e-9])
 
     def test_caps_at_max_order(self):
-        order, value = choose_order(lambda k: float(k), qtol=1e-6, max_order=40)
-        assert (order, value) == (40, 40.0)
+        values = {k: [float(k)] for k in (10, 20, 40)}
+        assert self.rule(values, max_order=40)[:2] == ([40], [40.0])
 
     def test_cap_evaluated_when_doubling_overshoots(self):
-        seen = []
-        order, value = choose_order(lambda k: seen.append(k) or float(k), qtol=1e-6, max_order=64)
-        assert (order, value) == (64, 64.0)
-        assert seen == [10, 20, 40, 64]
+        values = {k: [float(k)] for k in (10, 20, 40, 64)}
+        orders, picked, seen = self.rule(values)
+        assert (orders, picked) == ([64], [64.0])
+        assert [order for order, _ in seen] == [10, 20, 40, 64]
 
     def test_start_clamped_to_cap(self):
         # a cap below START_ORDER: the rule evaluates the cap only
-        seen = []
-        order = choose_order(lambda k: seen.append(k) or float(k), qtol=1e-6, max_order=5)
-        assert order == (5, 5.0) and seen == [5]
+        assert self.rule({5: [5.0]}, max_order=5) == ([5], [5.0], [(5, [0])])
+
+    def test_each_subject_stops_at_its_own_order(self):
+        # subject 0 settles from 10 to 20, subject 2 from 20 to 40, and
+        # subject 1 never: only it goes on to the cap
+        values = {10: [1.0, 2.0, 3.0], 20: [1.0 + 1e-8, 2.5, 3.5],
+                  40: [9.0, 2.7, 3.5 + 1e-8], 64: [9.0, 2.8, 9.0]}
+        orders, picked, seen = self.rule(values)
+        assert orders == [20, 64, 40]
+        assert picked == [1.0 + 1e-8, 2.8, 3.5 + 1e-8]
+        assert seen == [(10, [0, 1, 2]), (20, [0, 1, 2]), (40, [1, 2]), (64, [1])]
+
+    def test_the_changes_share_one_budget(self):
+        # changes of 1, 2, 3 and 5 (x 1e-7) from 10 to 20: in ascending order
+        # the first three sum to 6e-7 < 1e-6, the fourth would reach 1.1e-6;
+        # from 20 to 40 its change of 3e-7 still fits beside the 6e-7
+        values = {10: [0.0, 0.0, 0.0, 0.0], 20: [3e-7, -1e-7, 5e-7, 2e-7],
+                  40: [0.0, 0.0, 0.0 + 8e-7, 0.0]}
+        orders, picked, _ = self.rule(values, max_order=40)
+        assert orders == [20, 20, 40, 20]
+        assert picked == [3e-7, -1e-7, 8e-7, 2e-7]
+        # a count weights its subject's change: subject 0's doubled 6e-7 now
+        # ranks after subject 2's 5e-7, and with it the sum would reach 1.4e-6
+        orders, _, _ = self.rule(values, max_order=40, count=[2, 1, 1, 1])
+        assert orders == [40, 20, 20, 20]
+
+    def test_subjects_that_fit_together_stop_at_once(self):
+        # their changes cancel in the total, but not in the sum of their sizes
+        values = {10: [0.0, 0.0], 20: [4e-7, -4e-7], 40: [9.0, 9.0]}
+        assert self.rule(values, max_order=40)[0] == [20, 20]
+        # 8e-7 in all: a tighter qtol stops only the first of the two equal changes
+        assert self.rule(values, qtol=5e-7, max_order=40)[0] == [20, 40]
 
     def test_cap_table(self):
         assert [max_order(q) for q in (1, 2, 3, 4)] == [64, 64, 40, 20]

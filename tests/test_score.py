@@ -94,8 +94,9 @@ def test_naive_score_matches_richardson(request, data, model, where):
     assert grad == pytest.approx(oracle, rel=NAIVE_TOL, abs=NAIVE_TOL)
 
 
-# On the 100x10 data the fit order is the q = 2 cap of 64, and at two points
-# the derivative of the order-64 total is itself not converged in the order:
+# On the 100x10 data the rule sends one subject to the q = 2 cap of 64 at
+# every point but "rank1", and at two points the derivative of the order-64
+# total is itself not converged in the order:
 # at "flip" its L21 entry moves 108.527 -> 108.468 -> 108.4643 over orders
 # 32 -> 48 -> 64 while the score moves 108.454 -> 108.4634 -> 108.4639, and
 # the two end 3.5e-4 apart (2.6e-4 at "L11=0"). No higher order exists, so
@@ -109,8 +110,8 @@ AGQ_CASES = ([("50x5",) + case for case in CASES]
 def test_agq_score_matches_richardson_at_the_fit_order(request, data, model, where):
     spec, x = point(model, where)
     ev = LikelihoodEvaluator(datasets(request, data), spec)
-    order = ev.agq_order(theta_from_vector(x, spec))[0]
-    evaluate = lambda theta, score=False: ev.agq(theta, order, score)  # noqa: E731
+    orders = ev.agq_order(theta_from_vector(x, spec))[0]
+    evaluate = lambda theta, score=False: ev.agq(theta, orders, score)  # noqa: E731
     grad = _score_gradient(evaluate, spec)(x)
     oracle = richardson_gradient(lambda z: evaluate(theta_from_vector(z, spec)), x)
     assert grad == pytest.approx(oracle, rel=AGQ_TOL, abs=AGQ_TOL)
